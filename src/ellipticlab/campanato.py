@@ -11,25 +11,20 @@ search over solution amplitudes, and a decay-exponent fit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
-from .fields import GridField
+from .fields import GridField, Polynomial2D, ball_nodes
 from .moduli import Modulus, psi_transform
 from .operators import OperatorSpec, SymMatrix
 
 
 @dataclass(frozen=True)
-class QuadraticJet:
+class QuadraticJet(Polynomial2D):
     """P(x) = c + b.(x - x0) + (x - x0)^T M (x - x0) / 2, centered at x0."""
-
-    c: float
-    b: np.ndarray
-    M: SymMatrix
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
@@ -41,12 +36,7 @@ class QuadraticJet:
 
     def evaluate(self, d: np.ndarray) -> np.ndarray:
         """Evaluate on displacements d = x - x0, stacked (..., n)."""
-        d = np.asarray(d, dtype=float)
-        return (
-            self.c
-            + d @ self.b
-            + 0.5 * np.einsum("...i,ij,...j->...", d, self.M.matrix, d)
-        )
+        return self(d)
 
     def shift_identity(self, a: float) -> "QuadraticJet":
         return QuadraticJet(self.c, self.b, self.M.add_identity(a))
@@ -107,20 +97,11 @@ def root_correct(op: OperatorSpec, Mbar: SymMatrix, x0=None,
     return a
 
 
-# -- ball helpers -------------------------------------------------------------
-
-
-def _ball_displacements(u: GridField, x0_idx, r: float):
-    """Displacements x - x0 and field values over grid nodes in the ball."""
-    x0 = u.node_coords(x0_idx)
-    pts = np.stack(u.meshgrid(), axis=-1)
-    d = pts - x0
-    mask = np.linalg.norm(d, axis=-1) <= r + 1e-12
-    return d[mask], u.values[mask]
+# -- ball fits ----------------------------------------------------------------
 
 
 def sup_residual(u: GridField, jet: QuadraticJet, x0_idx, r: float) -> float:
-    d, vals = _ball_displacements(u, x0_idx, r)
+    d, vals = ball_nodes(u, x0_idx, r)
     if len(vals) == 0:
         raise DomainError("ball contains no grid nodes")
     return float(np.max(np.abs(vals - jet.evaluate(d))))
@@ -145,7 +126,7 @@ def constrained_quadratic_fit(u: GridField, op: OperatorSpec, rho: float,
     """
     if rho < 3.0 * u.h:
         raise DomainError("fit radius below 3h is not resolvable")
-    d, vals = _ball_displacements(u, x0_idx, rho)
+    d, vals = ball_nodes(u, x0_idx, rho)
     n = u.n
     n_basis = 1 + n + n * (n + 1) // 2
     if len(vals) < max(15, n_basis):
@@ -202,7 +183,7 @@ class DecayAudit:
     K_max: int
     truncated: bool
     fitted_C0: float
-    fitted_psi_seminorm: float
+    fitted_psi_seminorm: float  # the same fit as fitted_C0; reports carry both keys
     cauchy_ok: bool
 
     def ratios(self) -> list:
@@ -261,9 +242,9 @@ def decay_audit(u: GridField, op: OperatorSpec, mod: Modulus, rho0: float = 0.5,
         prev_M = jet.M.matrix
     if not records:
         raise DomainError("no scale was resolvable on this grid")
-    C0, psi_semi, cauchy = _final_jet_decay(u, mod, records, x0_idx)
+    C0, cauchy = _final_jet_decay(u, mod, records, x0_idx)
     return DecayAudit(rho0, delta, mod, records, len(records) - 1, truncated,
-                      C0, psi_semi, cauchy)
+                      C0, C0, cauchy)
 
 
 def _final_jet_decay(u: GridField, mod: Modulus, records, x0_idx):
@@ -283,7 +264,7 @@ def _final_jet_decay(u: GridField, mod: Modulus, records, x0_idx):
         cauchy = all(i <= 4.0 * bound * t for i, t in zip(incs, taus))
     else:
         cauchy = True
-    return worst, worst, cauchy
+    return worst, cauchy
 
 
 def c2psi_seminorm(u: GridField, audit: DecayAudit, mod: Optional[Modulus] = None):
@@ -298,8 +279,7 @@ def c2psi_seminorm(u: GridField, audit: DecayAudit, mod: Optional[Modulus] = Non
     if mod is None:
         mod = audit.mod
     x0_idx = u.origin_index()
-    worst, _, cauchy = _final_jet_decay(u, mod, audit.records, x0_idx)
-    return worst, cauchy
+    return _final_jet_decay(u, mod, audit.records, x0_idx)
 
 
 # -- scale equivariance --------------------------------------------------------

@@ -109,37 +109,41 @@ def _parse_operator(spec: dict) -> operators.OperatorSpec:
     raise ConfigError(f"unsupported operator kind {kind!r} in configs")
 
 
-def _parse_solution(spec: dict) -> solver.AnalyticSolution:
+def _parse_solution(spec: dict, n: int) -> solver.AnalyticSolution:
+    """The u_star spec as an n-dimensional exact solution."""
     if not isinstance(spec, dict):
         raise ConfigError("u_star spec must be a mapping")
     kind = _need(spec, "type")
     if kind == "quadratic":
-        return solver.quadratic_solution(
-            float(spec.get("c", 0.0)),
-            np.asarray(spec.get("b", [0.0, 0.0]), dtype=float),
-            operators.SymMatrix.from_matrix(np.asarray(_need(spec, "M"), dtype=float)),
-        )
+        M = operators.SymMatrix.from_matrix(np.asarray(_need(spec, "M"), dtype=float))
+        b = np.asarray(spec.get("b", np.zeros(M.n)), dtype=float)
+        if M.n != n or b.shape != (n,):
+            raise ConfigError(f"u_star M must be {n} x {n} and b have {n} entries")
+        return solver.quadratic_solution(float(spec.get("c", 0.0)), b, M)
     if kind == "saddle_quartic":
+        if n != 2:
+            raise ConfigError("u_star saddle_quartic needs a 2-D operator")
         return solver.saddle_quartic_solution(float(_need(spec, "delta")))
     raise ConfigError(f"unknown u_star type {kind!r}")
 
 
-def _parse_drift(spec, n: int, N: int, L: float):
+def _rotation_drift(spec):
+    """The config's drift as a callable on stacked points, or None."""
     if spec is None:
         return None
     kind = _need(spec, "type")
-    if kind == "rotation":
-        scale = float(spec.get("scale", 0.1))
+    if kind != "rotation":
+        raise ConfigError(f"unknown drift type {kind!r}")
+    scale = float(spec.get("scale", 0.1))
 
-        def rot(pts):
-            pts = np.asarray(pts, dtype=float)
-            out = np.zeros_like(pts)
-            out[..., 0] = scale * pts[..., 1]
-            out[..., 1] = -scale * pts[..., 0]
-            return out
+    def rot(pts):
+        pts = np.asarray(pts, dtype=float)
+        out = np.zeros_like(pts)
+        out[..., 0] = scale * pts[..., 1]
+        out[..., 1] = -scale * pts[..., 0]
+        return out
 
-        return fields.sample_function(rot, n=n, N=N, L=L, components=n)
-    raise ConfigError(f"unknown drift type {kind!r}")
+    return rot
 
 
 def _field_from_config(spec: dict) -> fields.GridField:
@@ -256,13 +260,15 @@ def _run_solve(cfg: dict, outdir: Path, seed: int) -> int:
     op = _parse_operator(_need(cfg, "operator"))
     grid = _need(cfg, "grid")
     N, L = int(_need(grid, "N")), float(grid.get("L", 1.0))
-    u_star = _parse_solution(_need(cfg, "u_star"))
-    drift = _parse_drift(cfg.get("drift"), op.n, N, L)
+    u_star = _parse_solution(_need(cfg, "u_star"), op.n)
+    drift_fn = _rotation_drift(cfg.get("drift"))
+    drift = None if drift_fn is None else fields.sample_function(
+        drift_fn, n=op.n, N=N, L=L, components=op.n)
     inst = solver.mms_generate(op, u_star, N=N, L=L, drift=drift)
     u0 = fields.GridField(op.n, N, L, inst.boundary.copy())
     rep = solver.solve_newton(inst, u0, tol=float(cfg.get("tol", 1e-10)),
                               max_iter=int(cfg.get("max_iter", 30)))
-    pts = np.stack(inst.grid.meshgrid(), axis=-1)
+    pts = np.stack(inst.source.meshgrid(), axis=-1)
     sup_err = float(np.max(np.abs(rep.solution.values - u_star.value(pts))))
     report = {"config": cfg, "solve": rep.describe(), "sup_error_vs_exact": sup_err,
               "passed": bool(rep.converged)}
@@ -273,24 +279,10 @@ def _run_solve(cfg: dict, outdir: Path, seed: int) -> int:
 
 def _run_mms(cfg: dict, outdir: Path, seed: int) -> int:
     op = _parse_operator(_need(cfg, "operator"))
-    u_star = _parse_solution(_need(cfg, "u_star"))
+    u_star = _parse_solution(_need(cfg, "u_star"), op.n)
     N_list = [int(v) for v in cfg.get("N_list", [33, 65, 129])]
-    drift_spec = cfg.get("drift")
-    drift_fn = None
-    if drift_spec is not None:
-        scale = float(drift_spec.get("scale", 0.1))
-        if _need(drift_spec, "type") != "rotation":
-            raise ConfigError("only the rotation drift is config-addressable")
-
-        def drift_fn(pts):
-            pts = np.asarray(pts, dtype=float)
-            out = np.zeros_like(pts)
-            out[..., 0] = scale * pts[..., 1]
-            out[..., 1] = -scale * pts[..., 0]
-            return out
-
     study = solver.convergence_study(op, u_star, N_list=N_list,
-                                     drift_fn=drift_fn,
+                                     drift_fn=_rotation_drift(cfg.get("drift")),
                                      tol=float(cfg.get("tol", 1e-10)))
     min_order = float(cfg.get("min_order", 1.8))
     numeric = [o for o in study.orders if isinstance(o, float)]

@@ -3,15 +3,15 @@
 Scalar fields (solutions, sources) and n-component fields (drifts) live
 on a uniform grid over [-L, L]^n with an odd node count per side, so the
 origin is always a node.  The module provides L^p ball-averaged norms,
-modulus-constant estimation from those averages, central-difference jets,
-and a plain-text file format with bit-exact round trips.
+modulus-constant estimation from those averages, the central-difference
+stencil table behind every jet (and behind the solver's residual and
+Jacobian), and a plain-text file format with bit-exact round trips.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,11 +104,13 @@ def sample_function(f: Callable, n: int = 2, N: int = 65, L: float = 1.0,
 # -- ball-averaged L^p norms ----------------------------------------------
 
 
-def _ball_mask(field: GridField, x0_idx, r: float) -> np.ndarray:
+def ball_nodes(field: GridField, x0_idx, r: float):
+    """Displacements x - x0, shape (m, n), and field values at the m grid
+    nodes of the closed ball B_r(x0), in row-major node order."""
     x0 = field.node_coords(x0_idx)
-    pts = np.stack(field.meshgrid(), axis=-1)
-    dist = np.linalg.norm(pts - x0, axis=-1)
-    return dist <= r + 1e-12
+    d = np.stack(field.meshgrid(), axis=-1) - x0
+    mask = np.linalg.norm(d, axis=-1) <= r + 1e-12
+    return d[mask], field.values[mask]
 
 
 def ball_average_lp(field: GridField, x0_idx, r: float, p0: float | None = None) -> float:
@@ -126,25 +128,22 @@ def ball_average_lp(field: GridField, x0_idx, r: float, p0: float | None = None)
         raise DomainError("ball extends outside the grid square")
     if r < 2.0 * field.h:
         raise DomainError("radius must be at least 2h")
-    mask = _ball_mask(field, x0_idx, r)
-    if not mask.any():
-        raise DomainError("ball contains no grid nodes")
-    diff = field.values - field.values[tuple(int(i) for i in x0_idx)]
-    if field.components == 1:
-        mag = np.abs(diff)
-    else:
-        mag = np.linalg.norm(diff, axis=-1)
-    return float(np.mean(mag[mask] ** p0) ** (1.0 / p0))
+    mag = _ball_increments(field, x0_idx, r)
+    return float(np.mean(mag ** p0) ** (1.0 / p0))
 
 
 def sup_over_ball(field: GridField, x0_idx, r: float) -> float:
     """Max of |f - f(x0)| over nodes in the closed ball."""
-    mask = _ball_mask(field, x0_idx, r)
-    if not mask.any():
+    return float(np.max(_ball_increments(field, x0_idx, r)))
+
+
+def _ball_increments(field: GridField, x0_idx, r: float) -> np.ndarray:
+    """|f - f(x0)| at the nodes of B_r(x0); Euclidean norm for n-component fields."""
+    _, vals = ball_nodes(field, x0_idx, r)
+    if len(vals) == 0:
         raise DomainError("ball contains no grid nodes")
-    diff = field.values - field.values[tuple(int(i) for i in x0_idx)]
-    mag = np.abs(diff) if field.components == 1 else np.linalg.norm(diff, axis=-1)
-    return float(np.max(mag[mask]))
+    diff = vals - field.values[tuple(int(i) for i in x0_idx)]
+    return np.abs(diff) if field.components == 1 else np.linalg.norm(diff, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -197,18 +196,73 @@ def _require_interior(field: GridField, idx, ring: int = 1):
     return idx
 
 
-def gradient_central(field: GridField, idx) -> np.ndarray:
-    """Second-order central-difference gradient at an interior node."""
+class StencilEntry(NamedTuple):
+    """One jet entry: the derivative along the axes in ``index`` (one axis
+    for a gradient component, two for a Hessian entry) is
+    sum_k weights[k] * u(x + h offsets[k]) / (c h^p), p = len(index)."""
+
+    index: tuple
+    offsets: tuple
+    weights: tuple
+    c: float
+
+    @property
+    def p(self) -> int:
+        return len(self.index)
+
+
+def central_stencil(n: int) -> list:
+    """Second-order central differences for the Hessian (diagonal entries,
+    then the 4-point cross for a < b) and the gradient.
+
+    Exact on quadratics up to round-off.  The offset order is part of the
+    contract: it fixes the floating-point summation order of every jet.
+    """
+    e = np.eye(n, dtype=int)
+    rows = [StencilEntry((a, a), (e[a], 0 * e[a], -e[a]), (1.0, -2.0, 1.0), 1.0)
+            for a in range(n)]
+    rows += [StencilEntry((a, b), (e[a] + e[b], e[a] - e[b], e[b] - e[a], -e[a] - e[b]),
+                        (1.0, -1.0, -1.0, 1.0), 4.0)
+             for a in range(n) for b in range(a + 1, n)]
+    rows += [StencilEntry((a,), (e[a], -e[a]), (1.0, -1.0), 2.0) for a in range(n)]
+    return rows
+
+
+def shifted_interior(vals: np.ndarray, offset) -> np.ndarray:
+    """vals at the interior nodes moved by ``offset``, shape (N-2,)*n."""
+    N = vals.shape[0]
+    return vals[tuple(slice(1 + o, N - 1 + o) for o in offset)]
+
+
+def interior_jets(vals: np.ndarray, n: int, h: float):
+    """Hessians (..., n, n) and gradients (..., n) at all interior nodes
+    of a grid-shaped array (N,)*n, from ``central_stencil(n)``."""
+    shape = (vals.shape[0] - 2,) * n
+    H = np.zeros(shape + (n, n))
+    G = np.zeros(shape + (n,))
+    for entry in central_stencil(n):
+        terms = [w * shifted_interior(vals, off) for off, w in zip(entry.offsets, entry.weights)]
+        d = sum(terms[1:], terms[0]) / (entry.c * h**entry.p)
+        if entry.p == 1:
+            G[..., entry.index[0]] = d
+        else:
+            a, b = entry.index
+            H[..., a, b] = H[..., b, a] = d
+    return H, G
+
+
+def _node_jets(field: GridField, idx):
     if field.components != 1:
         raise ConfigError("jets are defined for scalar fields")
     idx = _require_interior(field, idx)
-    h = field.h
-    grad = np.zeros(field.n)
-    for ax in range(field.n):
-        up = list(idx); up[ax] += 1
-        dn = list(idx); dn[ax] -= 1
-        grad[ax] = (field.values[tuple(up)] - field.values[tuple(dn)]) / (2.0 * h)
-    return grad
+    block = field.values[tuple(slice(i - 1, i + 2) for i in idx)]
+    H, G = interior_jets(block, field.n, field.h)
+    return H.reshape(field.n, field.n), G.reshape(field.n)
+
+
+def gradient_central(field: GridField, idx) -> np.ndarray:
+    """Second-order central-difference gradient at an interior node."""
+    return _node_jets(field, idx)[1]
 
 
 def hessian_central(field: GridField, idx) -> SymMatrix:
@@ -216,27 +270,7 @@ def hessian_central(field: GridField, idx) -> SymMatrix:
 
     Exact on quadratics up to round-off.
     """
-    if field.components != 1:
-        raise ConfigError("jets are defined for scalar fields")
-    idx = _require_interior(field, idx)
-    h = field.h
-    v = field.values
-    H = np.zeros((field.n, field.n))
-    f0 = v[idx]
-    for ax in range(field.n):
-        up = list(idx); up[ax] += 1
-        dn = list(idx); dn[ax] -= 1
-        H[ax, ax] = (v[tuple(up)] - 2.0 * f0 + v[tuple(dn)]) / h**2
-    for a in range(field.n):
-        for b in range(a + 1, field.n):
-            pp = list(idx); pp[a] += 1; pp[b] += 1
-            pm = list(idx); pm[a] += 1; pm[b] -= 1
-            mp = list(idx); mp[a] -= 1; mp[b] += 1
-            mm = list(idx); mm[a] -= 1; mm[b] -= 1
-            H[a, b] = H[b, a] = (
-                v[tuple(pp)] - v[tuple(pm)] - v[tuple(mp)] + v[tuple(mm)]
-            ) / (4.0 * h**2)
-    return SymMatrix.from_matrix(H)
+    return SymMatrix.from_matrix(_node_jets(field, idx)[0])
 
 
 # -- file I/O --------------------------------------------------------------
@@ -282,11 +316,14 @@ class Polynomial2D:
         quad = 0.5 * np.einsum("...i,ij,...j->...", pts, self.M.matrix, pts)
         return self.c + pts @ np.asarray(self.b, dtype=float) + quad
 
-    def gradient(self, x) -> np.ndarray:
-        return np.asarray(self.b, dtype=float) + self.M.matrix @ np.asarray(x, dtype=float)
+    def gradient(self, pts) -> np.ndarray:
+        """Gradients (..., n) at stacked points (..., n)."""
+        return np.asarray(self.b, dtype=float) + np.asarray(pts, dtype=float) @ self.M.matrix
 
-    def hessian(self, x=None) -> SymMatrix:
-        return self.M
+    def hessian(self, pts) -> np.ndarray:
+        """The constant Hessian broadcast to (..., n, n) over stacked points."""
+        mat = self.M.matrix
+        return np.broadcast_to(mat, np.shape(pts)[:-1] + mat.shape).copy()
 
 
 def radial_power(power: float, coeff: float = 1.0) -> Callable:

@@ -231,11 +231,6 @@ def from_dict(d: dict) -> Modulus:
         raise ConfigError(f"missing modulus parameter {exc} for family {fam!r}")
 
 
-def eval_modulus(mod: Modulus, r) -> float:
-    """Evaluate tau(r); exactly 0 at r = 0."""
-    return mod.evaluate(r)
-
-
 # -- singular quadrature -------------------------------------------------
 
 

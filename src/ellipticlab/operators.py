@@ -11,7 +11,6 @@ Matrix norms are Frobenius throughout; every report records this.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 

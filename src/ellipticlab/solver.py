@@ -17,8 +17,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, NumericsError
-from .fields import GridField, sample_function
-from .operators import OperatorSpec, SymMatrix
+from .fields import (GridField, Polynomial2D, central_stencil, interior_jets, sample_function,
+                     shifted_interior)
+from .operators import OperatorSpec, SymMatrix, linear_trace
 
 
 @dataclass(frozen=True)
@@ -36,21 +37,8 @@ class AnalyticSolution:
 
 
 def quadratic_solution(c: float, b, M: SymMatrix) -> AnalyticSolution:
-    b = np.asarray(b, dtype=float)
-    mat = M.matrix
-
-    def val(pts):
-        pts = np.asarray(pts, dtype=float)
-        return c + pts @ b + 0.5 * np.einsum("...i,ij,...j->...", pts, mat, pts)
-
-    def grad(pts):
-        return b + np.asarray(pts, dtype=float) @ mat
-
-    def hess(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.broadcast_to(mat, pts.shape[:-1] + mat.shape).copy()
-
-    return AnalyticSolution(val, grad, hess, name="quadratic")
+    q = Polynomial2D(c, np.asarray(b, dtype=float), M)
+    return AnalyticSolution(q, q.gradient, q.hessian, name="quadratic")
 
 
 def saddle_quartic_solution(delta: float) -> AnalyticSolution:
@@ -131,37 +119,7 @@ class SolveReport:
 
 
 def _interior(n: int, N: int):
-    core = (slice(1, N - 1),) * n
-    return core
-
-
-def _interior_jets(vals: np.ndarray, n: int, h: float):
-    """Hessians (..., n, n) and gradients (..., n) at all interior nodes."""
-    core = _interior(n, N := vals.shape[0])
-    shape = tuple(N - 2 for _ in range(n))
-    H = np.zeros(shape + (n, n))
-    G = np.zeros(shape + (n,))
-    u0 = vals[core]
-
-    def shifted(offsets):
-        sl = tuple(slice(1 + o, N - 1 + o) for o in offsets)
-        return vals[sl]
-
-    for a in range(n):
-        up = [0] * n; up[a] = 1
-        dn = [0] * n; dn[a] = -1
-        G[..., a] = (shifted(up) - shifted(dn)) / (2.0 * h)
-        H[..., a, a] = (shifted(up) - 2.0 * u0 + shifted(dn)) / h**2
-    for a in range(n):
-        for b in range(a + 1, n):
-            pp = [0] * n; pp[a] = 1; pp[b] = 1
-            pm = [0] * n; pm[a] = 1; pm[b] = -1
-            mp = [0] * n; mp[a] = -1; mp[b] = 1
-            mm = [0] * n; mm[a] = -1; mm[b] = -1
-            cross = (shifted(pp) - shifted(pm) - shifted(mp) + shifted(mm)) / (4.0 * h**2)
-            H[..., a, b] = cross
-            H[..., b, a] = cross
-    return H, G
+    return (slice(1, N - 1),) * n
 
 
 def _interior_points(f: GridField) -> np.ndarray:
@@ -176,7 +134,7 @@ def discrete_residual(inst: ProblemInstance, u: GridField) -> GridField:
     if (u.n, u.N, u.L) != (f.n, f.N, f.L) or u.components != 1:
         raise ConfigError("candidate solution must be a scalar field on the problem grid")
     res = u.values - inst.boundary
-    H, G = _interior_jets(u.values, f.n, f.h)
+    H, G = interior_jets(u.values, f.n, f.h)
     pts = _interior_points(f)
     vals = inst.op.evaluate_batch(H, pts)
     if inst.drift is not None:
@@ -186,24 +144,13 @@ def discrete_residual(inst: ProblemInstance, u: GridField) -> GridField:
     return GridField(f.n, f.N, f.L, res)
 
 
-def _hessian_directions(n: int):
-    dirs = []
-    for a in range(n):
-        e = np.zeros((n, n)); e[a, a] = 1.0
-        dirs.append(((a, a), e))
-    for a in range(n):
-        for b in range(a + 1, n):
-            e = np.zeros((n, n)); e[a, b] = e[b, a] = 1.0
-            dirs.append(((a, b), e))
-    return dirs
-
-
 def _assemble_jacobian(inst: ProblemInstance, u: GridField) -> sp.csr_matrix:
     """Sparse Jacobian of the nodewise residual at u.
 
-    dF/dH entries come from one-sided differences of F per distinct
-    Hessian direction, chained through the stencil weights; the drift and
-    boundary rows are exact.
+    Each entry of ``central_stencil`` contributes its weights times the
+    derivative of the residual in that jet entry: dF/dH from a one-sided
+    difference of F per Hessian entry, the drift component B_a (exact)
+    per gradient entry.  Boundary rows are the identity.
     """
     f = inst.source
     n, N, h = f.n, f.N, f.h
@@ -211,41 +158,26 @@ def _assemble_jacobian(inst: ProblemInstance, u: GridField) -> sp.csr_matrix:
     idx_grid = np.arange(total).reshape((N,) * n)
     core = _interior(n, N)
     interior_ids = idx_grid[core].ravel()
-    H, G = _interior_jets(u.values, n, h)
+    H, _ = interior_jets(u.values, n, h)
     pts = _interior_points(f)
     base = inst.op.evaluate_batch(H, pts)
     step = 1e-6 * (1.0 + np.linalg.norm(H, axis=(-2, -1)))
 
     rows, cols, data = [], [], []
-
-    def add(coef_grid: np.ndarray, offsets):
-        sl = tuple(slice(1 + o, N - 1 + o) for o in offsets)
-        rows.append(interior_ids)
-        cols.append(idx_grid[sl].ravel())
-        data.append(coef_grid.ravel())
-
-    for (a, b), e in _hessian_directions(n):
-        perturbed = H + step[..., None, None] * e
-        dF = (inst.op.evaluate_batch(perturbed, pts) - base) / step
-        if a == b:
-            up = [0] * n; up[a] = 1
-            dn = [0] * n; dn[a] = -1
-            add(dF / h**2, up)
-            add(dF / h**2, dn)
-            add(-2.0 * dF / h**2, [0] * n)
+    for entry in central_stencil(n):
+        if entry.p == 2:
+            e = np.zeros((n, n))
+            e[entry.index] = e[entry.index[::-1]] = 1.0
+            perturbed = H + step[..., None, None] * e
+            dF = (inst.op.evaluate_batch(perturbed, pts) - base) / step
+        elif inst.drift is not None:
+            dF = inst.drift.values[core][..., entry.index[0]]
         else:
-            w = dF / (4.0 * h**2)
-            for sa, sb, sign in ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0)):
-                off = [0] * n; off[a] = sa; off[b] = sb
-                add(sign * w, off)
-
-    if inst.drift is not None:
-        B = inst.drift.values[core]
-        for a in range(n):
-            up = [0] * n; up[a] = 1
-            dn = [0] * n; dn[a] = -1
-            add(B[..., a] / (2.0 * h), up)
-            add(-B[..., a] / (2.0 * h), dn)
+            continue
+        for off, w in zip(entry.offsets, entry.weights):
+            rows.append(interior_ids)
+            cols.append(shifted_interior(idx_grid, off).ravel())
+            data.append(((w * dF) / (entry.c * h**entry.p)).ravel())
 
     boundary_mask = np.ones((N,) * n, dtype=bool)
     boundary_mask[core] = False
@@ -318,10 +250,13 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
 
 def solve_linear_tangential(A0: SymMatrix, boundary, N: int, L: float = 1.0,
                             source: Optional[GridField] = None) -> GridField:
-    """One direct solve of tr(A0 D2u) = f with Dirichlet data.
+    """Solve tr(A0 D2u) = f with Dirichlet data by at most three Newton steps.
 
     ``boundary`` is a callback on stacked points or a grid-shaped array.
-    The assembled residual is checked to 1e-10 relative.
+    The assembled residual is checked to 1e-10 relative.  The problem is
+    linear, but one sparse direct solve leaves a residual near 1e-10 times
+    the starting defect (2e-6 relative at N=257 from a zero interior), so
+    the later Newton steps act as iterative refinement.
     """
     eigs = A0.eigenvalues()
     if eigs[0] <= 0:
@@ -336,9 +271,7 @@ def solve_linear_tangential(A0: SymMatrix, boundary, N: int, L: float = 1.0,
             raise ConfigError("boundary array must be grid shaped")
     src = source.values if source is not None else np.zeros((N,) * n)
     f = GridField(n, N, L, src)
-    inst = ProblemInstance(
-        op=_frozen_linear(A0), source=f, boundary=barr
-    )
+    inst = ProblemInstance(op=linear_trace(A0), source=f, boundary=barr)
     zero = GridField(n, N, L, barr.copy())
     report = solve_newton(inst, zero, tol=1e-9, max_iter=3)
     res = discrete_residual(inst, report.solution).values
@@ -346,12 +279,6 @@ def solve_linear_tangential(A0: SymMatrix, boundary, N: int, L: float = 1.0,
     if float(np.max(np.abs(res))) > 1e-10 * scale:
         raise NumericsError("tangential solve residual exceeds 1e-10 relative")
     return report.solution
-
-
-def _frozen_linear(A0: SymMatrix) -> OperatorSpec:
-    from .operators import linear_trace
-
-    return linear_trace(A0)
 
 
 # -- manufactured solutions ---------------------------------------------------
@@ -415,7 +342,7 @@ def convergence_study(op: OperatorSpec, u_star: AnalyticSolution,
         report = solve_newton(inst, u0, tol=tol)
         if not report.converged:
             raise NumericsError(f"Newton failed to converge at N={N}")
-        pts = np.stack(inst.grid.meshgrid(), axis=-1)
+        pts = np.stack(inst.source.meshgrid(), axis=-1)
         exact = np.asarray(u_star.value(pts), dtype=float)
         errors.append(float(np.max(np.abs(report.solution.values - exact))))
         iters.append(report.iterations)
@@ -428,6 +355,5 @@ def convergence_study(op: OperatorSpec, u_star: AnalyticSolution,
             orders.append("exact")
         else:
             orders.append(float(np.log2(errors[k] / errors[k + 1])))
-    numeric = [o for o in orders if isinstance(o, float)]
     monotone = all(errors[k + 1] <= errors[k] * 1.05 for k in range(len(errors) - 1))
     return ConvergenceStudy(list(N_list), errors, orders, iters, monotone)

@@ -61,6 +61,20 @@ def test_solve_writes_field(tmp_path):
     assert sol.N == 17
 
 
+def test_solve_3d_quadratic_default_b_and_size_mismatch(tmp_path):
+    op3 = {"kind": "linear_trace", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    q3 = {"type": "quadratic", "M": [[2, 0, 0], [0, -1, 0], [0, 0, -1]]}
+    ok = write(tmp_path / "ok.yaml", {"operator": op3, "grid": {"N": 9}, "u_star": q3})
+    assert main(["solve", "--config", ok, "--out", str(tmp_path / "ok")]) == 0
+    op2 = {"kind": "linear_trace", "matrix": [[1, 0], [0, 1]]}
+    for name, op, u_star in [("short_b", op3, dict(q3, b=[0.1, 0.2])),
+                             ("M_vs_operator", op2, q3),
+                             ("saddle_3d", op3, {"type": "saddle_quartic", "delta": 0.1})]:
+        bad = write(tmp_path / f"{name}.yaml", {"operator": op, "grid": {"N": 9},
+                                                "u_star": u_star})
+        assert main(["solve", "--config", bad, "--out", str(tmp_path / name)]) == 2, name
+
+
 def test_mms_order_gate(tmp_path):
     base = {
         "operator": {"kind": "perturbed_trace", "eps": 0.05},

@@ -149,17 +149,24 @@ class TestDiniConstant:
 
 
 class TestJets:
-    def test_exact_on_quadratics(self):
-        M = SymMatrix.from_matrix([[2.0, 0.7], [0.7, -1.0]])
-        b = np.array([0.3, -0.4])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exact_on_quadratics(self, n):
+        N, idx = {2: (33, (20, 9)), 3: (17, (5, 11, 8))}[n]
+        M = SymMatrix.from_matrix(np.array([[2.0, 0.7, 0.1], [0.7, -1.0, 0.4],
+                                            [0.1, 0.4, 0.5]])[:n, :n])
+        b = np.array([0.3, -0.4, 0.2])[:n]
         q = fields.Polynomial2D(1.0, b, M)
-        u = grid(N=33, f=q)
-        idx = (20, 9)
+        u = fields.sample_function(q, n=n, N=N)
         x = u.node_coords(idx)
         np.testing.assert_allclose(fields.hessian_central(u, idx).matrix,
                                    M.matrix, atol=1e-11)
         np.testing.assert_allclose(fields.gradient_central(u, idx),
                                    q.gradient(x), atol=1e-11)
+        # the vectorized jets agree at every interior node
+        H, G = fields.interior_jets(u.values, n, u.h)
+        pts = np.stack(u.meshgrid(), axis=-1)[(slice(1, -1),) * n]
+        np.testing.assert_allclose(H, q.hessian(pts), atol=1e-11)
+        np.testing.assert_allclose(G, q.gradient(pts), atol=1e-11)
 
     def test_constant_field(self):
         u = grid(N=9, f=lambda pts: np.full(np.asarray(pts).shape[:-1], 4.0))
