@@ -45,7 +45,7 @@ class QuadraticJet(Polynomial2D):
         return {
             "c": float(self.c),
             "b": [float(v) for v in self.b],
-            "M": [[float(v) for v in row] for row in self.M.matrix],
+            "M": self.M.matrix.tolist(),
         }
 
 
@@ -137,15 +137,10 @@ def constrained_quadratic_fit(u: GridField, op: OperatorSpec, rho: float,
         raise NumericsError("rank-deficient quadratic fit (degenerate node set)")
     c = float(coef[0])
     b = coef[1 : 1 + n]
-    M = np.zeros((n, n))
-    for i in range(n):
-        M[i, i] = coef[1 + n + i]
-    k = 1 + 2 * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            M[i, j] = M[j, i] = coef[k]
-            k += 1
-    jet = QuadraticJet(c, b, SymMatrix.from_matrix(M))
+    M = np.diag(coef[1 + n : 1 + 2 * n])
+    upper = np.triu_indices(n, 1)   # the order of the basis' cross columns
+    M[upper] = M[upper[::-1]] = coef[1 + 2 * n :]
+    jet = QuadraticJet(c, b, SymMatrix(n, M))
     x0 = u.node_coords(x0_idx)
     a = root_correct(op, jet.M, x0)
     return jet.shift_identity(a)
@@ -185,6 +180,7 @@ class DecayAudit:
     fitted_C0: float
     fitted_psi_seminorm: float  # the same fit as fitted_C0; reports carry both keys
     cauchy_ok: bool
+    x0_idx: tuple               # the audited centre; not part of describe()
 
     def ratios(self) -> list:
         return [rec.normalized_ratio for rec in self.records]
@@ -218,8 +214,7 @@ def decay_audit(u: GridField, op: OperatorSpec, mod: Modulus, rho0: float = 0.5,
         raise ConfigError("rho0 must lie in (0, 1/2]")
     if delta <= 0.0:
         raise ConfigError("delta must be positive")
-    if x0_idx is None:
-        x0_idx = u.origin_index()
+    x0_idx = u.origin_index() if x0_idx is None else tuple(int(i) for i in x0_idx)
     records = []
     truncated = False
     prev_M = None
@@ -244,7 +239,7 @@ def decay_audit(u: GridField, op: OperatorSpec, mod: Modulus, rho0: float = 0.5,
         raise DomainError("no scale was resolvable on this grid")
     C0, cauchy = _final_jet_decay(u, mod, records, x0_idx)
     return DecayAudit(rho0, delta, mod, records, len(records) - 1, truncated,
-                      C0, C0, cauchy)
+                      C0, C0, cauchy, x0_idx)
 
 
 def _final_jet_decay(u: GridField, mod: Modulus, records, x0_idx):
@@ -278,8 +273,7 @@ def c2psi_seminorm(u: GridField, audit: DecayAudit, mod: Optional[Modulus] = Non
         raise ConfigError("seminorm needs an audit of depth K >= 3")
     if mod is None:
         mod = audit.mod
-    x0_idx = u.origin_index()
-    return _final_jet_decay(u, mod, audit.records, x0_idx)
+    return _final_jet_decay(u, mod, audit.records, audit.x0_idx)
 
 
 # -- scale equivariance --------------------------------------------------------
@@ -298,6 +292,8 @@ def rescale_field(u: GridField, audit: DecayAudit, k: int = 1) -> GridField:
         raise ConfigError("exact rescaling is implemented for rho0 = 1/2, k = 1")
     if (u.N - 1) % 4 != 0:
         raise ConfigError("exact rescaling needs N = 1 (mod 4)")
+    if audit.x0_idx != u.origin_index():
+        raise ConfigError("exact rescaling needs an audit at the origin")
     if len(audit.records) <= k:
         raise ConfigError("audit too shallow to rescale")
     jet = audit.records[k].jet
@@ -320,9 +316,16 @@ class FlatnessSearch:
     table: list          # rows {delta, passed, worst_ratio}
     refinements: int
 
+    @property
+    def monotone(self) -> bool:
+        """False when some amplitude passes above one that fails."""
+        passed = [row["passed"] for row in sorted(self.table, key=lambda r: r["delta"])]
+        return passed == sorted(passed, reverse=True)
+
     def describe(self) -> dict:
         return {
             "delta_star": self.delta_star,
+            "monotone": self.monotone,
             "refinements": self.refinements,
             "table": list(self.table),
         }
@@ -337,7 +340,8 @@ def flatness_threshold_search(field_family: Callable[[float], GridField],
 
     ``field_family(delta)`` must return the exact-solution field with sup
     norm delta.  After sweeping the sampled amplitudes, the bracket
-    between the last pass and the first fail is bisected.  An empirical
+    between the first fail and the last pass below it is bisected; with
+    no pass below the first fail, delta_star is None.  An empirical
     analogue of a smallness threshold, not a proof constant.
     """
     deltas = sorted(float(d) for d in deltas)
@@ -355,14 +359,14 @@ def flatness_threshold_search(field_family: Callable[[float], GridField],
         ok, worst = probe(d)
         table.append({"delta": d, "passed": bool(ok), "worst_ratio": worst})
 
-    passes = [row["delta"] for row in table if row["passed"]]
-    fails = [row["delta"] for row in table if not row["passed"]]
+    hi = min((row["delta"] for row in table if not row["passed"]), default=None)
+    passes = [row["delta"] for row in table
+              if row["passed"] and (hi is None or row["delta"] < hi)]
     if not passes:
         return FlatnessSearch(None, table, 0)
-    if not fails:
-        return FlatnessSearch(max(passes), table, 0)
-    lo = max(d for d in passes if d < min(fails))
-    hi = min(fails)
+    lo = max(passes)
+    if hi is None:
+        return FlatnessSearch(lo, table, 0)
     steps = 0
     for _ in range(refine_steps):
         mid = 0.5 * (lo + hi)

@@ -94,19 +94,16 @@ def _parse_operator(spec: dict) -> operators.OperatorSpec:
         raise ConfigError("operator spec must be a mapping")
     kind = _need(spec, "kind")
     n = int(spec.get("n", 2))
+    pair = _parse_pair(spec["pair"]) if "pair" in spec else None
     if kind == "linear_trace":
-        return operators.linear_trace(
-            np.asarray(_need(spec, "matrix"), dtype=float),
-            pair=_parse_pair(spec["pair"]) if "pair" in spec else None,
-        )
-    if kind in ("pucci_plus", "pucci_minus"):
-        pair = _parse_pair(_need(spec, "pair"))
-        maker = operators.pucci_plus_op if kind == "pucci_plus" else operators.pucci_minus_op
-        return maker(pair, n=n)
+        return operators.linear_trace(np.asarray(_need(spec, "matrix"), dtype=float), pair=pair)
     if kind == "perturbed_trace":
-        pair = _parse_pair(spec["pair"]) if "pair" in spec else None
         return operators.perturbed_trace(float(_need(spec, "eps")), n=n, pair=pair)
-    raise ConfigError(f"unsupported operator kind {kind!r} in configs")
+    if kind not in ("pucci_plus", "pucci_minus"):
+        raise ConfigError(f"unsupported operator kind {kind!r} in configs")
+    if pair is None:
+        raise ConfigError("config key 'pair' is required")
+    return operators.OperatorSpec(kind, n, pair)
 
 
 def _parse_solution(spec: dict, n: int) -> solver.AnalyticSolution:
@@ -235,7 +232,7 @@ def _run_operator_verify(cfg: dict, outdir: Path, seed: int) -> int:
         try:
             A0 = operators.tangential_limit(op, seed=seed)
             report["results"]["tangential"] = {
-                "matrix": [[float(v) for v in row] for row in A0.matrix],
+                "matrix": A0.matrix.tolist(),
                 "differentiable": True,
             }
         except (NonDifferentiableError,) as exc:

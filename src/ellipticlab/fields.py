@@ -132,11 +132,6 @@ def ball_average_lp(field: GridField, x0_idx, r: float, p0: float | None = None)
     return float(np.mean(mag ** p0) ** (1.0 / p0))
 
 
-def sup_over_ball(field: GridField, x0_idx, r: float) -> float:
-    """Max of |f - f(x0)| over nodes in the closed ball."""
-    return float(np.max(_ball_increments(field, x0_idx, r)))
-
-
 def _ball_increments(field: GridField, x0_idx, r: float) -> np.ndarray:
     """|f - f(x0)| at the nodes of B_r(x0); Euclidean norm for n-component fields."""
     _, vals = ball_nodes(field, x0_idx, r)

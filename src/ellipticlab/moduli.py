@@ -88,8 +88,12 @@ class Modulus:
             return -p["kappa"] * t + p["zeta"] * np.log(t)
         if self.family == "inverse_log":
             return -p["gamma"] * np.log(t)
+        # table: tau is linear below the first knot, where e^{-t} and tau
+        # underflow long before their logarithms do
+        r0, tau0 = self.table_r[0], self.table_tau[0]
         with np.errstate(divide="ignore"):
-            return np.log(self._interp_table(np.exp(-t)))
+            knots = np.log(self._interp_table(np.exp(-t)))
+            return np.where(t > -np.log(r0), np.log(tau0 / r0) - t, knots)
 
     def _interp_table(self, r):
         rs, taus = self.table_r, self.table_tau

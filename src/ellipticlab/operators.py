@@ -21,59 +21,49 @@ from .errors import ConfigError, DomainError, NonDifferentiableError, NumericsEr
 MATRIX_NORM = "frobenius"
 
 
-def _packed_indices(n: int):
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 @dataclass(frozen=True)
 class SymMatrix:
-    """A real symmetric n x n matrix in packed (upper-triangle) storage."""
+    """A real symmetric n x n matrix, stored as a read-only n x n array."""
 
     n: int
-    packed: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self):
         if not 2 <= self.n <= 4:
             raise ConfigError("SymMatrix supports dimensions 2..4")
-        packed = np.asarray(self.packed, dtype=float)
-        if packed.shape != (self.n * (self.n + 1) // 2,):
-            raise ConfigError("packed length must be n(n+1)/2")
-        if not np.all(np.isfinite(packed)):
+        mat = np.array(self.matrix, dtype=float)
+        if mat.shape != (self.n, self.n):
+            raise ConfigError("SymMatrix needs an n x n array")
+        if not np.all(np.isfinite(mat)):
             raise DomainError("SymMatrix entries must be finite")
-        object.__setattr__(self, "packed", packed)
+        if not (mat == mat.T).all():
+            raise ConfigError("SymMatrix needs a symmetric array")
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def from_matrix(cls, arr) -> "SymMatrix":
+        """The symmetric part (A + A^T) / 2 of a square array."""
         arr = np.asarray(arr, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigError("expected a square matrix")
-        n = arr.shape[0]
-        sym = 0.5 * (arr + arr.T)
-        packed = np.array([sym[i, j] for i, j in _packed_indices(n)])
-        return cls(n, packed)
+        return cls(arr.shape[0], 0.5 * (arr + arr.T))
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":
-        return cls.from_matrix(np.eye(n))
+        return cls(n, np.eye(n))
 
     @classmethod
     def zero(cls, n: int) -> "SymMatrix":
-        return cls(n, np.zeros(n * (n + 1) // 2))
+        return cls(n, np.zeros((n, n)))
 
     @classmethod
     def diagonal(cls, entries) -> "SymMatrix":
         return cls.from_matrix(np.diag(np.asarray(entries, dtype=float)))
 
     # -- views -----------------------------------------------------------
-
-    @property
-    def matrix(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        for k, (i, j) in enumerate(_packed_indices(self.n)):
-            out[i, j] = out[j, i] = self.packed[k]
-        return out
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -87,21 +77,21 @@ class SymMatrix:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        return SymMatrix(self.n, self.packed + other.packed)
+        return SymMatrix(self.n, self.matrix + other.matrix)
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        return SymMatrix(self.n, self.packed - other.packed)
+        return SymMatrix(self.n, self.matrix - other.matrix)
 
     def __mul__(self, c: float) -> "SymMatrix":
-        return SymMatrix(self.n, self.packed * float(c))
+        return SymMatrix(self.n, self.matrix * float(c))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SymMatrix":
-        return SymMatrix(self.n, -self.packed)
+        return SymMatrix(self.n, -self.matrix)
 
     def add_identity(self, a: float) -> "SymMatrix":
-        return SymMatrix.from_matrix(self.matrix + a * np.eye(self.n))
+        return SymMatrix(self.n, self.matrix + a * np.eye(self.n))
 
 
 @dataclass(frozen=True)
@@ -128,22 +118,24 @@ def _as_matrix_batch(M) -> np.ndarray:
     return np.asarray(M, dtype=float)
 
 
-def pucci_plus(M, pair: EllipticityPair):
-    """P^+(M) = Lambda * sum e_i^+ - lambda * sum e_i^-, batched over leading axes."""
+def _pucci(M, up: float, down: float):
+    """up * sum e_i^+ - down * sum e_i^- over the eigenvalues of M, batched
+    over leading axes."""
     eigs = np.linalg.eigvalsh(_as_matrix_batch(M))
-    val = pair.Lam * np.sum(np.maximum(eigs, 0.0), axis=-1) - pair.lam * np.sum(
+    val = up * np.sum(np.maximum(eigs, 0.0), axis=-1) - down * np.sum(
         np.maximum(-eigs, 0.0), axis=-1
     )
     return float(val) if np.ndim(val) == 0 else val
+
+
+def pucci_plus(M, pair: EllipticityPair):
+    """P^+(M) = Lambda * sum e_i^+ - lambda * sum e_i^-, batched over leading axes."""
+    return _pucci(M, pair.Lam, pair.lam)
 
 
 def pucci_minus(M, pair: EllipticityPair):
     """P^-(M) = lambda * sum e_i^+ - Lambda * sum e_i^-."""
-    eigs = np.linalg.eigvalsh(_as_matrix_batch(M))
-    val = pair.lam * np.sum(np.maximum(eigs, 0.0), axis=-1) - pair.Lam * np.sum(
-        np.maximum(-eigs, 0.0), axis=-1
-    )
-    return float(val) if np.ndim(val) == 0 else val
+    return _pucci(M, pair.lam, pair.Lam)
 
 
 def pucci_sup_sampled(
@@ -193,7 +185,16 @@ def pucci_sup_sampled(
 
 # -- operator descriptors -----------------------------------------------
 
-_KINDS = ("linear_trace", "pucci_plus", "pucci_minus", "perturbed_trace", "extension")
+# kind -> (F on stacked matrices (..., n, n), the field describe() reports)
+_KINDS = {
+    "linear_trace": (lambda op, H: np.einsum("...ij,ij->...", H, op.matrix.matrix), "matrix"),
+    "pucci_plus": (lambda op, H: pucci_plus(H, op.pair), None),
+    "pucci_minus": (lambda op, H: pucci_minus(H, op.pair), None),
+    # the grouping of the perturbation is part of the reported values
+    "perturbed_trace": (lambda op, H: np.trace(H, axis1=-2, axis2=-1) + op.eps * (
+        np.sin(H[..., 0, 0]) * (1.0 - np.cos(H[..., 1, 1]))), "eps"),
+    "extension": (lambda op, H: op.callback(H), "callback_id"),
+}
 
 
 @dataclass(frozen=True)
@@ -226,23 +227,10 @@ class OperatorSpec:
 
     # -- evaluation ------------------------------------------------------
 
-    def _core(self, mats: np.ndarray) -> np.ndarray:
-        if self.kind == "linear_trace":
-            return np.einsum("...ij,ij->...", mats, self.matrix.matrix)
-        if self.kind == "pucci_plus":
-            return pucci_plus(mats, self.pair)
-        if self.kind == "pucci_minus":
-            return pucci_minus(mats, self.pair)
-        if self.kind == "perturbed_trace":
-            tr = np.trace(mats, axis1=-2, axis2=-1)
-            g = np.sin(mats[..., 0, 0]) * (1.0 - np.cos(mats[..., 1, 1]))
-            return tr + self.eps * g
-        return self.callback(mats)
-
     def evaluate_batch(self, mats: np.ndarray, xs: Optional[np.ndarray] = None):
         """Evaluate F over stacked matrices (..., n, n) at points (..., n)."""
         mats = np.asarray(mats, dtype=float)
-        vals = self._core(mats)
+        vals = _KINDS[self.kind][0](self, mats)
         if self.x_dependence is not None:
             if xs is None:
                 xs = np.zeros(mats.shape[:-2] + (self.n,))
@@ -260,12 +248,10 @@ class OperatorSpec:
     def describe(self) -> dict:
         d = {"kind": self.kind, "n": self.n, "matrix_norm": MATRIX_NORM}
         d.update(self.pair.describe())
-        if self.kind == "linear_trace":
-            d["matrix"] = [[float(v) for v in row] for row in self.matrix.matrix]
-        if self.kind == "perturbed_trace":
-            d["eps"] = self.eps
-        if self.kind == "extension":
-            d["callback_id"] = self.callback_id
+        reported = _KINDS[self.kind][1]
+        if reported is not None:
+            value = getattr(self, reported)
+            d[reported] = value.matrix.tolist() if isinstance(value, SymMatrix) else value
         if self.x_dependence is not None:
             d["x_dependence"] = getattr(self.x_dependence, "__name__", "callable")
         return d
@@ -453,17 +439,12 @@ def tangential_limit(op: OperatorSpec, x=None, seed: int = 0,
     """
     n = op.n
     A0 = np.zeros((n, n))
-    for i in range(n):
+    for i, j in zip(*np.triu_indices(n)):
         e = np.zeros((n, n))
-        e[i, i] = 1.0
-        A0[i, i] = _directional_derivative(op, SymMatrix.from_matrix(e), x)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = 1.0
-            A0[i, j] = A0[j, i] = 0.5 * _directional_derivative(
-                op, SymMatrix.from_matrix(e), x
-            )
+        e[i, j] = e[j, i] = 1.0
+        # an off-diagonal direction carries the entry twice
+        weight = 1.0 if i == j else 0.5
+        A0[i, j] = A0[j, i] = weight * _directional_derivative(op, SymMatrix(n, e), x)
     rng = np.random.default_rng(seed)
     for _ in range(4):
         g = rng.standard_normal((n, n))

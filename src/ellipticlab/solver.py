@@ -273,9 +273,9 @@ def solve_linear_tangential(A0: SymMatrix, boundary, N: int, L: float = 1.0,
     f = GridField(n, N, L, src)
     inst = ProblemInstance(op=linear_trace(A0), source=f, boundary=barr)
     zero = GridField(n, N, L, barr.copy())
-    report = solve_newton(inst, zero, tol=1e-9, max_iter=3)
-    res = discrete_residual(inst, report.solution).values
     scale = max(float(np.max(np.abs(src))), float(np.max(np.abs(barr))), 1.0)
+    report = solve_newton(inst, zero, tol=1e-10 * scale, max_iter=3)
+    res = discrete_residual(inst, report.solution).values
     if float(np.max(np.abs(res))) > 1e-10 * scale:
         raise NumericsError("tangential solve residual exceeds 1e-10 relative")
     return report.solution

@@ -71,6 +71,12 @@ class TestQuadraticFit:
         # sup_{B_r}|x1^3 - 3 x1 x2^2| = r^3, jets near zero
         assert sups[0] / sups[1] == pytest.approx(8.0, rel=0.15)
 
+    def test_recovers_off_diagonal_hessian(self):
+        M = SymMatrix.from_matrix([[1.0, 0.7], [0.7, -1.0]])  # tr = 0
+        u = fields.sample_function(fields.Polynomial2D(0.0, np.zeros(2), M), N=65)
+        jet = campanato.constrained_quadratic_fit(u, LAPLACE, 0.5, u.origin_index())
+        np.testing.assert_allclose(jet.M.matrix, M.matrix, atol=1e-10)
+
     def test_too_small_ball_rejected(self):
         u = sample("harmonic_cubic", N=17)
         with pytest.raises(DomainError):
@@ -164,6 +170,12 @@ class TestSeminorm:
         ratios = audit.ratios()
         assert ratios[-1] > ratios[0]
 
+    def test_off_centre_audit_measures_its_own_ball(self):
+        u = sample("radial_5_2")
+        audit = campanato.decay_audit(u, LAPLACE, moduli.power(0.5), K=4, x0_idx=(80, 64))
+        val, _ = campanato.c2psi_seminorm(u, audit)
+        assert val == audit.fitted_psi_seminorm
+
     def test_needs_depth(self):
         u = sample("harmonic_cubic", N=33)
         audit = campanato.decay_audit(u, LAPLACE, moduli.power(0.5), K=2)
@@ -194,6 +206,13 @@ class TestRescaling:
     def test_requires_compatible_grid(self):
         u = sample("harmonic_cubic", N=67)  # 66 not divisible by 4
         audit = campanato.decay_audit(u, LAPLACE, moduli.power(0.5), K=2)
+        with pytest.raises(ConfigError):
+            campanato.rescale_field(u, audit)
+
+
+    def test_requires_origin_audit(self):
+        u = sample("harmonic_cubic")
+        audit = campanato.decay_audit(u, LAPLACE, moduli.power(0.5), K=3, x0_idx=(72, 64))
         with pytest.raises(ConfigError):
             campanato.rescale_field(u, audit)
 
@@ -231,6 +250,21 @@ class TestFlatness:
         search = campanato.flatness_threshold_search(
             fam, op, moduli.power(1.0), [1e-6], K=3, refine_steps=0)
         assert search.table[0]["passed"]
+
+    def test_no_pass_below_first_fail(self):
+        # perturbed_trace(0.5) on N=65, K=3 fails at 0.8 and passes at 1.6
+        search = campanato.flatness_threshold_search(
+            self.family(N=65), operators.perturbed_trace(0.5), moduli.power(1.0),
+            [1.6, 0.8], K=3)
+        assert [row["passed"] for row in search.table] == [False, True]
+        assert search.delta_star is None and search.refinements == 0
+        assert search.monotone is False and search.describe()["monotone"] is False
+
+    def test_monotone_flag(self):
+        rows = [{"delta": 0.2, "passed": False}, {"delta": 0.1, "passed": True}]
+        assert campanato.FlatnessSearch(0.1, rows, 0).monotone
+        rows.append({"delta": 0.4, "passed": True})
+        assert not campanato.FlatnessSearch(0.1, rows, 0).monotone
 
 
 class TestExponentFit:

@@ -118,6 +118,24 @@ def test_flatness(tmp_path):
     assert report["search"]["delta_star"] is not None
 
 
+def test_flatness_without_pass_below_first_fail(tmp_path):
+    base = {
+        "operator": {"kind": "perturbed_trace", "eps": 0.5},
+        "modulus": {"family": "power", "alpha": 1.0},
+        "grid": {"N": 65},
+        "deltas": [0.8, 1.6],
+        "K": 3,
+    }
+    out = tmp_path / "out"
+    assert main(["flatness", "--config", write(tmp_path / "c.yaml", base),
+                 "--out", str(out)]) == 0
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["search"]["delta_star"] is None
+    assert report["search"]["monotone"] is False
+    strict = write(tmp_path / "s.yaml", dict(base, require_finite_delta_star=True))
+    assert main(["flatness", "--config", strict, "--out", str(tmp_path / "s")]) == 1
+
+
 def test_config_error_exit_2(tmp_path):
     assert main(["audit", "--config", str(tmp_path / "missing.yaml"),
                  "--out", str(tmp_path / "o")]) == 2

@@ -150,6 +150,15 @@ class TestA4:
         vals = [v for _, v in cert.cond_i_profile]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_table_profiles_finite_past_underflow(self):
+        # tau(e^{-t}) underflows at deep radii; below the first knot the
+        # table is linear, so every ratio stays finite
+        mod = moduli.from_table([0.1, 0.5, 1.0], [0.2, 0.6, 1.0])
+        cert = moduli.check_A4(mod, 0.5)
+        for _, v in cert.cond_i_profile + cert.cond_ii_profile:
+            assert np.isfinite(v)
+        assert mod.log_eval_neglog(800.0) == pytest.approx(np.log(2.0) - 800.0, rel=1e-15)
+
     def test_numeric_verdict_never_contradicts_override(self):
         # a numeric "pass" is kept; overrides only resolve inconclusives
         cert = moduli.check_A4(moduli.power_log(0.3, 1.0), 0.5)

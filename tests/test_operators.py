@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipticlab import operators as ops
-from ellipticlab.errors import ConfigError, NonDifferentiableError, NumericsError
+from ellipticlab.errors import ConfigError, DomainError, NonDifferentiableError, NumericsError
 
 PAIR = ops.EllipticityPair(1.0, 2.0)
 
@@ -34,6 +34,26 @@ class TestSymMatrix:
         assert (M + N).trace() == 5.0
         assert (2.0 * M).frobenius() == pytest.approx(2.0 * M.frobenius())
         np.testing.assert_allclose(M.add_identity(-1.0).matrix, np.diag([0.0, 1.0]))
+
+    def test_rejects_bad_arrays(self):
+        with pytest.raises(ConfigError):
+            ops.SymMatrix(2, [[0.0, 1.0], [3.0, 0.0]])   # not symmetric
+        with pytest.raises(ConfigError):
+            ops.SymMatrix(2, np.zeros(3))                 # packed-length vector
+        with pytest.raises(ConfigError):
+            ops.SymMatrix(3, np.eye(2))
+        with pytest.raises(ConfigError):
+            ops.SymMatrix.from_matrix(np.zeros((2, 3)))
+        with pytest.raises(DomainError):
+            ops.SymMatrix(2, [[np.inf, 0.0], [0.0, 1.0]])
+
+    def test_matrix_read_only_and_owned(self):
+        A = np.eye(2)
+        M = ops.SymMatrix(2, A)
+        with pytest.raises(ValueError):
+            M.matrix[0, 0] = 5.0
+        A[0, 0] = 5.0   # the caller's array stays writable and detached
+        assert M.matrix[0, 0] == 1.0
 
 
 class TestPucci:
@@ -104,6 +124,26 @@ class TestOperatorSpec:
         op = ops.extension(lambda H: np.trace(H, axis1=-2, axis2=-1),
                            PAIR, callback_id="trace")
         assert op(ops.SymMatrix.identity(2)) == pytest.approx(2.0)
+
+    def test_describe_per_kind(self):
+        def bump(xs):
+            return 1.0 + np.asarray(xs)[..., 0] ** 2
+
+        common = {"n": 2, "matrix_norm": "frobenius", "lambda": 1.0, "Lambda": 2.0}
+        trace = lambda H: np.trace(H, axis1=-2, axis2=-1)
+        cases = [
+            (ops.linear_trace(np.diag([1.0, 2.0])), {"matrix": [[1.0, 0.0], [0.0, 2.0]]}),
+            (ops.pucci_plus_op(PAIR), {}),
+            (ops.pucci_minus_op(PAIR), {}),
+            (ops.perturbed_trace(0.25, pair=PAIR), {"eps": 0.25}),
+            (ops.extension(trace, PAIR, callback_id="trace"), {"callback_id": "trace"}),
+            (ops.linear_trace(np.diag([1.0, 2.0]), x_dependence=bump),
+             {"matrix": [[1.0, 0.0], [0.0, 2.0]], "x_dependence": "bump"}),
+        ]
+        for op, extra in cases:
+            assert op.describe() == dict(common, kind=op.kind, **extra)
+        matrix = cases[0][0].describe()["matrix"]
+        assert all(type(v) is float for row in matrix for v in row)
 
 
 class TestEllipticity:

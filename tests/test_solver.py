@@ -182,6 +182,15 @@ class TestTangentialSolve:
                                            np.zeros((N, N)), N=N, source=f)
         assert np.max(u.values[1:-1, 1:-1]) <= 1e-12
 
+    def test_smooth_boundary_data_accepted(self):
+        # O(1) data: Newton must stop at the same 1e-10 relative residual
+        # that the final gate asks for
+        bnd = lambda pts: np.exp(pts[..., 0]) * np.cos(2.0 * pts[..., 1])
+        for N in (33, 65):
+            u = solver.solve_linear_tangential(SymMatrix.identity(2), bnd, N=N)
+            pts = np.stack(u.meshgrid(), axis=-1)
+            np.testing.assert_array_equal(u.values[0], bnd(pts[0]))
+
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(ConfigError):
             solver.solve_linear_tangential(SymMatrix.diagonal([1.0, -1.0]),
