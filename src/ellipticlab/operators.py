@@ -49,6 +49,8 @@ class SymMatrix:
         arr = np.asarray(arr, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigError("expected a square matrix")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("SymMatrix entries must be finite")
         return cls(arr.shape[0], 0.5 * (arr + arr.T))
 
     @classmethod

@@ -46,6 +46,8 @@ class TestSymMatrix:
             ops.SymMatrix.from_matrix(np.zeros((2, 3)))
         with pytest.raises(DomainError):
             ops.SymMatrix(2, [[np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(DomainError):   # mirrored infinities: inf + (-inf)
+            ops.SymMatrix.from_matrix([[np.inf, -np.inf], [np.inf, 0.0]])
 
     def test_matrix_read_only_and_owned(self):
         A = np.eye(2)

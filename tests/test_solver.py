@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from ellipticlab import fields, operators, solver
 from ellipticlab.errors import ConfigError
@@ -116,13 +117,46 @@ class TestNewton:
         assert not rep.converged
         assert len(rep.residual_norm_history) >= 1
 
+    @pytest.mark.parametrize("op, u_star, n, N, drift_fn", [
+        (operators.perturbed_trace(0.05), solver.saddle_quartic_solution(1e-2), 2, 33,
+         rotation_drift()),
+        (operators.pucci_minus_op(operators.EllipticityPair(1.0, 2.0)),
+         solver.saddle_quartic_solution(1e-2), 2, 33, None),
+        (operators.pucci_plus_op(operators.EllipticityPair(1.0, 2.0), n=3),
+         solver.quadratic_solution(0.1, [0.2, -0.1, 0.3],
+                                   SymMatrix.diagonal([1.0, -0.5, 0.3])), 3, 9, None),
+    ], ids=["perturbed_trace_2d_drift", "pucci_minus_2d", "pucci_plus_3d"])
+    def test_converges_from_zero_interior(self, op, u_star, n, N, drift_fn):
+        drift = None if drift_fn is None else fields.sample_function(
+            drift_fn, n=n, N=N, components=n)
+        inst = solver.mms_generate(op, u_star, N=N, drift=drift)
+        u0 = inst.boundary.copy()
+        u0[(slice(1, -1),) * n] = 0.0
+        rep = solver.solve_newton(inst, fields.GridField(n, N, 1.0, u0), tol=1e-10)
+        assert rep.converged and rep.iterations <= 8
+        pts = np.stack(inst.grid.meshgrid(), axis=-1)
+        assert np.max(np.abs(rep.solution.values - u_star.value(pts))) < 1e-4
+
+    def test_all_zero_start_takes_full_steps(self):
+        # the Dirichlet data is imposed on the start, so the sup-norm merit
+        # never trades boundary rows against h^-2-scaled interior rows
+        op = operators.pucci_minus_op(operators.EllipticityPair(1.0, 2.0))
+        inst = solver.mms_generate(op, solver.saddle_quartic_solution(1e-2), N=129)
+        zero = fields.GridField(2, 129, 1.0, np.zeros((129, 129)))
+        rep = solver.solve_newton(inst, zero, tol=1e-10)
+        assert rep.converged and rep.iterations <= 8
+        assert not any("halvings" in e for e in rep.damping_events)
+        np.testing.assert_array_equal(rep.solution.values[0], inst.boundary[0])
+
 
 class TestJacobian:
-    """J @ v against the central directional difference of the residual.
+    """J @ v against the central directional difference of the interior
+    residual, for v zero on the boundary ring.
 
     u is a quadratic with Hessian eigenvalues away from 0 plus grid-scale
     noise, so Pucci's eigenvalue kinks lie beyond every difference step
-    and the one-sided dF/dH steps in J stay small.
+    and the one-sided dF/dH steps in J stay small.  J is numbered in the
+    dissected order of ``_interior_pattern``.
     """
 
     @pytest.mark.parametrize("op, n, N, drift_fn", [
@@ -139,16 +173,45 @@ class TestJacobian:
         q = fields.Polynomial2D(0.0, np.zeros(n), SymMatrix.diagonal([1.0, -0.5, 0.3][:n]))
         u = fields.sample_function(q, n=n, N=N)
         u = u.values + 0.01 * u.h**2 * rng.standard_normal(shape)
-        v = rng.standard_normal(shape)
+        core = (slice(1, -1),) * n
+        v = np.zeros(shape)
+        v[core] = rng.standard_normal((N - 2,) * n)
 
         def residual(w):
-            return solver.discrete_residual(inst, fields.GridField(n, N, 1.0, w)).values
+            return solver.discrete_residual(inst, fields.GridField(n, N, 1.0, w)).values[core]
 
+        perm, inv, _ = solver._interior_pattern(n, N)
         J = solver._assemble_jacobian(inst, fields.GridField(n, N, 1.0, u))
-        Jv = (J @ v.ravel()).reshape(shape)
+        Jv = (J @ v[core].ravel()[perm])[inv].reshape(v[core].shape)
         eps = 1e-6
         fd = (residual(u + eps * v) - residual(u - eps * v)) / (2.0 * eps)
         assert np.max(np.abs(Jv - fd)) <= 1e-6 * np.max(np.abs(Jv))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("N", [3, 5, 17, 33])
+    def test_dissection_order_is_a_permutation(self, n, N):
+        perm, inv, _ = solver._interior_pattern(n, N)
+        np.testing.assert_array_equal(np.sort(perm), np.arange((N - 2) ** n))
+        np.testing.assert_array_equal(inv[perm], np.arange((N - 2) ** n))
+
+    def test_dissected_step_matches_natural_solve(self):
+        # one Newton step from a zero interior against a natural-order
+        # solve of the same interior system
+        op = operators.perturbed_trace(0.05)
+        drift = fields.sample_function(rotation_drift(), N=33, components=2)
+        inst = solver.mms_generate(op, solver.saddle_quartic_solution(1e-2),
+                                   N=33, drift=drift)
+        u0 = inst.boundary.copy()
+        u0[1:-1, 1:-1] = 0.0
+        u0 = fields.GridField(2, 33, 1.0, u0)
+        rep = solver.solve_newton(inst, u0, tol=1e-300, max_iter=1)
+        assert rep.damping_events == []
+        _, inv, _ = solver._interior_pattern(2, 33)
+        J = solver._assemble_jacobian(inst, u0)[inv][:, inv]
+        r = solver.discrete_residual(inst, u0).values[1:-1, 1:-1]
+        natural = spla.spsolve(J.tocsc(), -r.ravel()).reshape(r.shape)
+        step = rep.solution.values[1:-1, 1:-1] - u0.values[1:-1, 1:-1]
+        assert np.max(np.abs(step - natural)) <= 1e-12 * np.max(np.abs(natural))
 
 
 class TestTangentialSolve:
