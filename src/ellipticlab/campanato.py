@@ -1,8 +1,9 @@
 """Dyadic quadratic-approximation audits for grid fields.
 
-At each scale r_k = rho0^k a quadratic jet is fitted to the field over
-the ball B_{r_k}(x0) by least squares, then corrected by a multiple of
-the identity so the operator vanishes on its Hessian.  The audit records
+At each scale r_k = r0 rho0^k, r0 = min(1, domain cap of the modulus), a
+quadratic jet is fitted to the field over the ball B_{r_k}(x0) by least
+squares, then corrected by a multiple of the identity so the operator
+vanishes on its Hessian.  The audit records
 residual decay against delta * r^2 tau(r), Hessian increments between
 consecutive scales, an empirical second-order seminorm against the
 transform psi(t) = tau(t) + int_0^t tau(s)/s ds, a flatness-threshold
@@ -101,7 +102,11 @@ def root_correct(op: OperatorSpec, Mbar: SymMatrix, x0=None,
 
 
 def sup_residual(u: GridField, jet: QuadraticJet, x0_idx, r: float) -> float:
-    d, vals = ball_nodes(u, x0_idx, r)
+    return _sup_residual(jet, *ball_nodes(u, x0_idx, r))
+
+
+def _sup_residual(jet: QuadraticJet, d: np.ndarray, vals: np.ndarray) -> float:
+    """sup |u - P| over the ball nodes (d, vals) from ``ball_nodes``."""
     if len(vals) == 0:
         raise DomainError("ball contains no grid nodes")
     return float(np.max(np.abs(vals - jet.evaluate(d))))
@@ -124,9 +129,14 @@ def constrained_quadratic_fit(u: GridField, op: OperatorSpec, rho: float,
     Least squares replaces sup-norm fitting; the sup residual is still
     measured exactly afterwards, so audits stay sound.
     """
+    return _constrained_fit(u, op, rho, x0_idx, *ball_nodes(u, x0_idx, rho))
+
+
+def _constrained_fit(u: GridField, op: OperatorSpec, rho: float, x0_idx,
+                     d: np.ndarray, vals: np.ndarray) -> QuadraticJet:
+    """constrained_quadratic_fit on the nodes (d, vals) of B_rho(x0)."""
     if rho < 3.0 * u.h:
         raise DomainError("fit radius below 3h is not resolvable")
-    d, vals = ball_nodes(u, x0_idx, rho)
     n = u.n
     n_basis = 1 + n + n * (n + 1) // 2
     if len(vals) < max(15, n_basis):
@@ -204,51 +214,58 @@ class DecayAudit:
 
 def decay_audit(u: GridField, op: OperatorSpec, mod: Modulus, rho0: float = 0.5,
                 K: int = 4, delta: float = 1.0, x0_idx=None) -> DecayAudit:
-    """Fit corrected jets at radii rho0^k, k = 0..K, and measure decay.
+    """Fit corrected jets at radii r0 rho0^k, k = 0..K, and measure decay.
 
-    normalized_ratio is sup_{B_r}|u - P_k| / (delta r^2 tau(r)); the
+    The ladder starts at r0 = min(1, mod.domain_cap), so log-type moduli,
+    defined only on (0, cap], are audited from their cap down.
+    normalized_ratio is sup_{B_r}|u - P_k| / (delta r^2 tau(r)), and the
+    Hessian increment to scale k is normalized by delta tau(r_{k-1}).  The
     audit truncates with a flag (not an error) once a ball has too few
-    nodes to fit.  Each scale is fitted independently.
+    nodes to fit.  Each scale is fitted independently; its ball is
+    extracted once and shared by the fit and both sup residuals.
     """
     if not 0.0 < rho0 <= 0.5:
         raise ConfigError("rho0 must lie in (0, 1/2]")
     if delta <= 0.0:
         raise ConfigError("delta must be positive")
     x0_idx = u.origin_index() if x0_idx is None else tuple(int(i) for i in x0_idx)
-    records = []
+    r0 = min(1.0, mod.domain_cap)
+    records, balls = [], []
     truncated = False
-    prev_M = None
     for k in range(K + 1):
-        r = rho0**k
+        r = r0 * rho0**k
         try:
-            jet = constrained_quadratic_fit(u, op, r, x0_idx)
+            ball = ball_nodes(u, x0_idx, r)
+            jet = _constrained_fit(u, op, r, x0_idx, *ball)
         except DomainError:
             truncated = True
             break
-        sup = sup_residual(u, jet, x0_idx, r)
+        sup = _sup_residual(jet, *ball)
         tau = mod.evaluate(r)
         ratio = sup / (delta * r**2 * tau)
-        if prev_M is None:
+        if not records:
             inc = inc_ratio = None
         else:
-            inc = float(np.linalg.norm(jet.M.matrix - prev_M))
-            inc_ratio = inc / (delta * mod.evaluate(rho0 ** (k - 1)))
+            prev = records[-1]
+            inc = float(np.linalg.norm(jet.M.matrix - prev.jet.M.matrix))
+            inc_ratio = inc / (delta * mod.evaluate(prev.radius))
         records.append(ScaleRecord(k, r, jet, sup, ratio, inc, inc_ratio))
-        prev_M = jet.M.matrix
+        balls.append(ball)
     if not records:
         raise DomainError("no scale was resolvable on this grid")
-    C0, cauchy = _final_jet_decay(u, mod, records, x0_idx)
+    C0, cauchy = _final_jet_decay(mod, records, balls)
     return DecayAudit(rho0, delta, mod, records, len(records) - 1, truncated,
                       C0, C0, cauchy, x0_idx)
 
 
-def _final_jet_decay(u: GridField, mod: Modulus, records, x0_idx):
-    """Residual decay of the last jet against r^2 psi(r), plus the Cauchy
-    check that Hessian increments shrink like tau at the audited scales."""
+def _final_jet_decay(mod: Modulus, records, balls):
+    """Residual decay of the last jet against r^2 psi(r) over each record's
+    ball nodes, plus the Cauchy check that Hessian increments shrink like
+    tau at the audited scales."""
     last = records[-1].jet
     worst = 0.0
-    for rec in records:
-        sup = sup_residual(u, last, x0_idx, rec.radius)
+    for rec, ball in zip(records, balls):
+        sup = _sup_residual(last, *ball)
         psi = psi_transform(mod, rec.radius)
         worst = max(worst, sup / (rec.radius**2 * psi))
     incs = [rec.hessian_increment for rec in records if rec.hessian_increment is not None]
@@ -273,7 +290,8 @@ def c2psi_seminorm(u: GridField, audit: DecayAudit, mod: Optional[Modulus] = Non
         raise ConfigError("seminorm needs an audit of depth K >= 3")
     if mod is None:
         mod = audit.mod
-    return _final_jet_decay(u, mod, audit.records, audit.x0_idx)
+    balls = [ball_nodes(u, audit.x0_idx, rec.radius) for rec in audit.records]
+    return _final_jet_decay(mod, audit.records, balls)
 
 
 # -- scale equivariance --------------------------------------------------------
@@ -286,10 +304,12 @@ def rescale_field(u: GridField, audit: DecayAudit, k: int = 1) -> GridField:
     u-grid nodes, so auditing v reproduces the u audit shifted by k
     indices (exactly for power moduli, which satisfy
     tau(a) tau(b) = tau(ab)).  Requires rho0 = 1/2, k = 1, audits at the
-    origin, and N = 1 mod 4.
+    origin whose ladder starts at r = 1, and N = 1 mod 4.
     """
     if audit.rho0 != 0.5 or k != 1:
         raise ConfigError("exact rescaling is implemented for rho0 = 1/2, k = 1")
+    if audit.records[0].radius != 1.0:
+        raise ConfigError("exact rescaling needs an audit ladder starting at r = 1")
     if (u.N - 1) % 4 != 0:
         raise ConfigError("exact rescaling needs N = 1 (mod 4)")
     if audit.x0_idx != u.origin_index():
@@ -302,7 +322,8 @@ def rescale_field(u: GridField, audit: DecayAudit, k: int = 1) -> GridField:
     quarter = (u.N - 1) // 4
     Np = (u.N - 1) // 2 + 1
     sub = (slice(quarter, u.N - quarter),) * u.n
-    pts = np.stack(u.meshgrid(), axis=-1)[sub]
+    c = u.axis_coords()[sub[0]]
+    pts = np.stack(np.meshgrid(*([c] * u.n), indexing="ij"), axis=-1)
     vals = (u.values[sub] - jet.evaluate(pts)) / scale
     return GridField(u.n, Np, u.L, vals)
 

@@ -10,6 +10,7 @@ Jacobian), and a plain-text file format with bit-exact round trips.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -106,11 +107,20 @@ def sample_function(f: Callable, n: int = 2, N: int = 65, L: float = 1.0,
 
 def ball_nodes(field: GridField, x0_idx, r: float):
     """Displacements x - x0, shape (m, n), and field values at the m grid
-    nodes of the closed ball B_r(x0), in row-major node order."""
+    nodes of the closed ball B_r(x0), in row-major node order.
+
+    Only the index box x0_idx +- (floor(r/h) + 1), clipped to the grid, is
+    searched, so the cost is O((r/h)^n), not O(N^n).  Balls reaching past
+    the square keep the nodes inside it.
+    """
     x0 = field.node_coords(x0_idx)
-    d = np.stack(field.meshgrid(), axis=-1) - x0
+    reach = math.floor(r / field.h) + 1 if r < 2.0 * field.L else field.N
+    box = tuple(slice(max(int(i) - reach, 0), int(i) + reach + 1) for i in x0_idx)
+    c = field.axis_coords()
+    d = np.stack(np.meshgrid(*(c[w] - x0[a] for a, w in enumerate(box)), indexing="ij"),
+                 axis=-1)
     mask = np.linalg.norm(d, axis=-1) <= r + 1e-12
-    return d[mask], field.values[mask]
+    return d[mask], field.values[box][mask]
 
 
 def ball_average_lp(field: GridField, x0_idx, r: float, p0: float | None = None) -> float:

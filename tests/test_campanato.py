@@ -134,6 +134,27 @@ class TestDecayAudit:
         for ra, rb in zip(a_shift.records[1:], a_origin.records[1:]):
             assert ra.sup_residual == pytest.approx(rb.sup_residual, rel=1e-10)
 
+    def test_log_modulus_ladder_starts_at_its_cap(self):
+        mod = moduli.power_log(0.5, 1.0)   # domain_cap = e^-2 < 1
+        audit = campanato.decay_audit(sample("radial_5_2"), LAPLACE, mod, K=4)
+        assert [rec.radius for rec in audit.records] == [
+            mod.domain_cap * 0.5**k for k in range(audit.K_max + 1)]
+        assert audit.K_max >= 1 and np.isfinite(audit.fitted_C0)
+        first, second = audit.records[:2]
+        assert second.increment_ratio == (
+            second.hessian_increment / mod.evaluate(first.radius))
+
+    def test_shared_balls_match_public_calls(self):
+        op = operators.pucci_minus_op(PAIR)
+        u = sample("radial_5_2")
+        for x0 in (u.origin_index(), (80, 64), (110, 40)):
+            audit = campanato.decay_audit(u, op, moduli.power(0.5), K=4, x0_idx=x0)
+            for rec in audit.records:
+                jet = campanato.constrained_quadratic_fit(u, op, rec.radius, x0)
+                assert rec.jet.describe() == jet.describe()
+                assert rec.sup_residual == campanato.sup_residual(u, jet, x0, rec.radius)
+            assert audit.fitted_C0 == campanato.c2psi_seminorm(u, audit)[0]
+
     def test_bad_rho0(self):
         with pytest.raises(ConfigError):
             campanato.decay_audit(sample("harmonic_cubic", N=33), LAPLACE,
@@ -192,8 +213,12 @@ class TestRescaling:
         # node (0,0) of v sits on node (32,32) of u
         jet = audit.records[1].jet
         x = u.node_coords((32, 32))
-        want = (u.values[32, 32] - jet.evaluate(x)) / (0.25 * moduli.power(0.5).evaluate(0.5))
-        assert v.values[0, 0] == pytest.approx(want, rel=1e-14)
+        scale = 0.25 * moduli.power(0.5).evaluate(0.5)
+        assert v.values[0, 0] == (u.values[32, 32] - jet.evaluate(x)) / scale
+        # every node, against the centre quarter of the full-grid points
+        sub = (slice(32, 97),) * 2
+        pts = np.stack(u.meshgrid(), axis=-1)[sub]
+        np.testing.assert_array_equal(v.values, (u.values[sub] - jet.evaluate(pts)) / scale)
 
     def test_shifted_ratio_agreement(self):
         u = sample("harmonic_cubic")
@@ -209,6 +234,13 @@ class TestRescaling:
         with pytest.raises(ConfigError):
             campanato.rescale_field(u, audit)
 
+
+    def test_requires_ladder_from_one(self):
+        u = sample("harmonic_cubic")
+        audit = campanato.decay_audit(u, LAPLACE, moduli.power_log(0.5, 0.0), K=3)
+        assert audit.records[0].radius == 0.5
+        with pytest.raises(ConfigError):
+            campanato.rescale_field(u, audit)
 
     def test_requires_origin_audit(self):
         u = sample("harmonic_cubic")

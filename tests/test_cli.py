@@ -102,6 +102,21 @@ def test_audit_and_determinism(tmp_path):
     assert (o1 / "audit.csv").read_bytes() == (o2 / "audit.csv").read_bytes()
 
 
+def test_audit_log_modulus(tmp_path):
+    cfg = write(tmp_path / "c.yaml", {
+        "field": {"profile": "radial_5_2", "N": 129},
+        "operator": {"kind": "linear_trace", "matrix": [[1, 0], [0, 1]]},
+        "modulus": {"family": "power_log", "alpha": 0.5, "beta": 1.0},
+        "K": 4,
+    })
+    out = tmp_path / "out"
+    assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    cap = report["audit"]["modulus"]["domain_cap"]
+    assert cap < 1.0
+    assert report["audit"]["records"][0]["r"] == cap
+
+
 def test_flatness(tmp_path):
     cfg = write(tmp_path / "c.yaml", {
         "operator": {"kind": "perturbed_trace", "eps": 0.5},

@@ -39,6 +39,34 @@ class TestGridField:
             grid(N=9, f=bad)
 
 
+def full_grid_ball(u, x0_idx, r):
+    """Reference ball extraction over the whole grid, row-major."""
+    d = np.stack(u.meshgrid(), axis=-1) - u.node_coords(x0_idx)
+    mask = np.linalg.norm(d, axis=-1) <= r + 1e-12
+    return d[mask], u.values[mask]
+
+
+class TestBallNodes:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_window_matches_full_grid(self, data):
+        n = data.draw(st.sampled_from([2, 3]))
+        N = data.draw(st.sampled_from([3, 5, 9, 17, 33] if n == 2 else [3, 5, 9, 17]))
+        L = data.draw(st.sampled_from([1.0, 1.5]))
+        components = data.draw(st.sampled_from([1, 2]))
+        x0 = tuple(data.draw(st.integers(0, N - 1)) for _ in range(n))
+        # negative radii give empty balls; 2.5 L sqrt(n) reaches past every corner
+        r = data.draw(st.one_of(
+            st.floats(-0.2, 2.5 * L * n**0.5),
+            st.integers(0, N).map(lambda k: k * 2.0 * L / (N - 1))))
+        shape = (N,) * n + (() if components == 1 else (components,))
+        vals = np.random.default_rng(N + n).standard_normal(shape)
+        u = fields.GridField(n, N, L, vals, components)
+        d, v = fields.ball_nodes(u, x0, r)
+        d_ref, v_ref = full_grid_ball(u, x0, r)
+        assert np.array_equal(d, d_ref) and np.array_equal(v, v_ref)
+
+
 class TestBallAverage:
     def test_constant_field_zero(self):
         u = grid(N=33, f=lambda pts: np.full(np.asarray(pts).shape[:-1], 3.7))
