@@ -67,12 +67,18 @@ def root_correct(op: OperatorSpec, Mbar: SymMatrix, x0=None,
         tol = 1e-10 * (1.0 + abs(F0))
     if abs(F0) <= tol:
         return 0.0
+    xs = None if x0 is None else np.asarray(x0, dtype=float)
+    eye = np.eye(Mbar.n)
+
+    def F(a):
+        # the raw array: Mbar + a Id is symmetric and finite by construction
+        return op.evaluate_batch(Mbar.matrix + a * eye, xs)
+
     # widened a hair: for linear F the exact root sits on the endpoint and
     # round-off could flip its sign there
     half = abs(F0) / (op.n * op.pair.lam) * (1.0 + 1e-9)
     lo, hi = -half, half
-    f_lo = op.evaluate(Mbar.add_identity(lo), x0)
-    f_hi = op.evaluate(Mbar.add_identity(hi), x0)
+    f_lo, f_hi = F(lo), F(hi)
     if f_lo > tol or f_hi < -tol:
         raise NumericsError(
             "identity-direction bracket failed; operator is not elliptic as declared"
@@ -85,7 +91,7 @@ def root_correct(op: OperatorSpec, Mbar: SymMatrix, x0=None,
         if hi - lo <= 4e-16 * half:
             break
         mid = 0.5 * (lo + hi)
-        f_mid = op.evaluate(Mbar.add_identity(mid), x0)
+        f_mid = F(mid)
         if f_mid == 0.0:
             return mid
         if f_mid > 0.0:
@@ -93,7 +99,7 @@ def root_correct(op: OperatorSpec, Mbar: SymMatrix, x0=None,
         else:
             lo = mid
     a = 0.5 * (lo + hi)
-    if abs(op.evaluate(Mbar.add_identity(a), x0)) > tol:
+    if abs(F(a)) > tol:
         raise NumericsError("identity-direction bisection did not reach tolerance")
     return a
 

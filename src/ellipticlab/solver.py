@@ -2,7 +2,8 @@
 
 Dirichlet problems on the square are discretized with central differences
 (second order, exact on quadratics) and solved by a damped Newton
-iteration on the nodewise residual.  A constant-coefficient tangential
+iteration on the nodewise residual that reuses each LU factorization for
+chord steps while the residual contracts.  A constant-coefficient tangential
 solver and a manufactured-solutions harness give independent ground
 truth for accuracy studies.
 """
@@ -94,10 +95,6 @@ class ProblemInstance:
             if (d.n, d.N, d.L, d.components) != (f.n, f.N, f.L, f.n):
                 raise ConfigError("drift must be an n-component field on the source grid")
 
-    @property
-    def grid(self) -> GridField:
-        return self.source
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -106,10 +103,12 @@ class SolveReport:
     iterations: int
     converged: bool
     damping_events: list = field(default_factory=list)
+    factorizations: int = 0
 
     def describe(self) -> dict:
         return {
             "iterations": self.iterations,
+            "factorizations": self.factorizations,
             "converged": bool(self.converged),
             "residual_norm_history": [float(v) for v in self.residual_norm_history],
             "damping_events": list(self.damping_events),
@@ -123,9 +122,13 @@ def _interior(n: int, N: int):
     return (slice(1, N - 1),) * n
 
 
-def _interior_points(f: GridField) -> np.ndarray:
-    pts = np.stack(f.meshgrid(), axis=-1)
-    return pts[_interior(f.n, f.N)]
+def _interior_points(inst: ProblemInstance) -> Optional[np.ndarray]:
+    """Interior node coordinates, or None when the operator has no
+    ``x_dependence``: ``evaluate_batch`` reads the points for nothing else."""
+    if inst.op.x_dependence is None:
+        return None
+    f = inst.source
+    return np.stack(f.meshgrid(), axis=-1)[_interior(f.n, f.N)]
 
 
 def _check_on_grid(inst: ProblemInstance, u: GridField) -> None:
@@ -141,7 +144,7 @@ def discrete_residual(inst: ProblemInstance, u: GridField) -> GridField:
     _check_on_grid(inst, u)
     res = u.values - inst.boundary
     H, G = interior_jets(u.values, f.n, f.h)
-    pts = _interior_points(f)
+    pts = _interior_points(inst)
     vals = inst.op.evaluate_batch(H, pts)
     if inst.drift is not None:
         vals = vals + np.einsum("...i,...i->...", inst.drift.values[_interior(f.n, f.N)], G)
@@ -215,7 +218,7 @@ def _assemble_jacobian(inst: ProblemInstance, u: GridField) -> sp.csc_matrix:
     n, N, h = f.n, f.N, f.h
     perm, _, pairs = _interior_pattern(n, N)
     H, _ = interior_jets(u.values, n, h)
-    pts = _interior_points(f)
+    pts = _interior_points(inst)
     base = inst.op.evaluate_batch(H, pts)
     step = 1e-6 * (1.0 + np.linalg.norm(H, axis=(-2, -1)))
 
@@ -243,17 +246,32 @@ def _assemble_jacobian(inst: ProblemInstance, u: GridField) -> sp.csc_matrix:
     return J.tocsc()
 
 
+# An accepted step that leaves more than this fraction of the residual
+# sup-norm drops the LU factor, so the next iteration refactors (Kelley,
+# 1995).  Measured: at 0.25 the zero-interior Pucci solves need more than 8
+# steps, and 0.5 is no faster than 0.1.
+_CHORD_RATE = 0.1
+
+
 def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
                  max_iter: int = 30) -> SolveReport:
-    """Damped Newton on the nodewise residual.
+    """Damped Newton on the nodewise residual, reusing each LU factor for
+    chord steps while the residual keeps contracting (Shamanskii's method).
 
     The Dirichlet data is imposed on the boundary ring of the start, and
     the unknowns are the interior nodes only, solved in the
     nested-dissection order of ``_interior_pattern``.  So
     ``residual_norm_history[0]`` is the residual sup-norm of the start
     after the boundary is imposed, and every later residual is zero on
-    the ring.  The step is halved (at most 20 times) until the residual
-    sup-norm decreases; the Jacobian is refreshed every iteration.
+    the ring.
+
+    While a factor is kept, each iteration first takes the full chord
+    step with it.  If that does not lower the residual sup-norm, the step
+    is discarded and the Jacobian is refactored at the same iterate for a
+    Newton step, halved (at most 20 times) until the residual sup-norm
+    decreases.  The factor is dropped after a step that needed halvings or
+    that left more than ``_CHORD_RATE`` of the residual.  ``iterations``
+    counts accepted steps and ``factorizations`` the LU factorizations.
     Deterministic for a fixed instance and starting guess.
     """
     if tol <= 0:
@@ -264,46 +282,69 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
     perm, inv, _ = _interior_pattern(f.n, f.N)
     u = inst.boundary.copy()
     u[core] = np.asarray(u0.values, dtype=float)[core]
-    history = []
     damping_events = []
+    lu, factorizations, it = None, 0, 0
 
     def resid(vals):
         return discrete_residual(inst, GridField(f.n, f.N, f.L, vals)).values
 
+    def lu_step():
+        step = np.zeros_like(u)
+        step[core] = lu.solve(-r[core].ravel()[perm])[inv].reshape(u[core].shape)
+        return step
+
+    def report(converged, event=None):
+        events = damping_events + ([] if event is None else [{"iteration": it, "event": event}])
+        return SolveReport(GridField(f.n, f.N, f.L, u), history, it, converged, events,
+                           factorizations)
+
     r = resid(u)
     rnorm = float(np.max(np.abs(r)))
-    history.append(rnorm)
-    for it in range(1, max_iter + 1):
-        if rnorm <= tol:
-            return SolveReport(GridField(f.n, f.N, f.L, u), history, it - 1, True,
-                               damping_events)
-        J = _assemble_jacobian(inst, GridField(f.n, f.N, f.L, u))
-        try:
-            x = spla.spsolve(J, -r[core].ravel()[perm], permc_spec="NATURAL")
-        except Exception as exc:
-            raise NumericsError(f"linear solve failed in Newton iteration {it}: {exc}")
-        step = np.zeros_like(u)
-        step[core] = x[inv].reshape(u[core].shape)
-        if not np.all(np.isfinite(step)):
-            return SolveReport(GridField(f.n, f.N, f.L, u), history, it, False,
-                               damping_events + [{"iteration": it, "event": "singular"}])
-        alpha = 1.0
-        for halving in range(21):
-            trial = u + alpha * step
-            r_trial = resid(trial)
-            t_norm = float(np.max(np.abs(r_trial)))
-            if t_norm < rnorm or t_norm <= tol:
-                break
-            alpha *= 0.5
-        else:
-            return SolveReport(GridField(f.n, f.N, f.L, u), history, it, False,
-                               damping_events + [{"iteration": it, "event": "stalled"}])
-        if halving:
-            damping_events.append({"iteration": it, "halvings": halving})
+    history = [rnorm]
+    while rnorm > tol and it < max_iter:
+        it += 1
+        halving = 0
+        if lu is not None:
+            step = lu_step()
+            accepted = False
+            if np.all(np.isfinite(step)):   # GridField rejects a non-finite trial
+                trial = u + step
+                r_trial = resid(trial)
+                t_norm = float(np.max(np.abs(r_trial)))
+                accepted = t_norm < rnorm or t_norm <= tol
+            if not accepted:
+                lu = None
+        if lu is None:
+            # assemble after the stale factor is freed: two live factors
+            # would double the solve's peak memory
+            J = _assemble_jacobian(inst, GridField(f.n, f.N, f.L, u))
+            try:
+                lu = spla.splu(J, permc_spec="NATURAL")
+            except RuntimeError as exc:
+                if "singular" in str(exc):
+                    return report(False, "singular")
+                raise NumericsError(f"LU factorization failed in Newton iteration {it}: {exc}")
+            factorizations += 1
+            step = lu_step()
+            if not np.all(np.isfinite(step)):
+                return report(False, "singular")
+            alpha = 1.0
+            for halving in range(21):
+                trial = u + alpha * step
+                r_trial = resid(trial)
+                t_norm = float(np.max(np.abs(r_trial)))
+                if t_norm < rnorm or t_norm <= tol:
+                    break
+                alpha *= 0.5
+            else:
+                return report(False, "stalled")
+            if halving:
+                damping_events.append({"iteration": it, "halvings": halving})
+        if halving or t_norm > _CHORD_RATE * rnorm:
+            lu = None
         u, r, rnorm = trial, r_trial, t_norm
         history.append(rnorm)
-    return SolveReport(GridField(f.n, f.N, f.L, u), history, max_iter,
-                       rnorm <= tol, damping_events)
+    return report(rnorm <= tol)
 
 
 # -- constant-coefficient tangential solve ----------------------------------
@@ -311,14 +352,16 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
 
 def solve_linear_tangential(A0: SymMatrix, boundary, N: int, L: float = 1.0,
                             source: Optional[GridField] = None) -> GridField:
-    """Solve tr(A0 D2u) = f with Dirichlet data by at most three Newton steps.
+    """Solve tr(A0 D2u) = f with Dirichlet data by one LU factorization and
+    at most three steps with it.
 
     ``boundary`` is a callback on stacked points or a grid-shaped array.
     The assembled residual is checked to 1e-10 relative.  The problem is
     linear, but one sparse direct solve leaves a residual near 1e-10 times
     the starting defect (2e-6 relative for exp(x1) cos(2 x2) data with
-    A0 = I at N=257 from a zero interior), so the later Newton steps act
-    as iterative refinement.
+    A0 = I at N=257 from a zero interior).  Each step cuts the residual far
+    below ``_CHORD_RATE``, so ``solve_newton`` keeps the factor and the
+    later steps are chord steps: iterative refinement on the one factor.
     """
     eigs = A0.eigenvalues()
     if eigs[0] <= 0:

@@ -39,6 +39,51 @@ class TestRootCorrect:
             a = campanato.root_correct(op, M)
             assert abs(op.evaluate(M.add_identity(a))) <= abs(op.evaluate(M)) + 1e-12
 
+    @pytest.mark.parametrize("op", [
+        operators.linear_trace(np.array([[2.0, 0.4], [0.4, 1.0]]),
+                               x_dependence=lambda x: 1.0 + 0.5 * x[..., 0] ** 2),
+        operators.pucci_plus_op(PAIR, n=3),
+        operators.pucci_minus_op(PAIR),
+        operators.perturbed_trace(0.2),
+        operators.extension(lambda H: np.trace(H, axis1=-2, axis2=-1)
+                            + 0.1 * np.sin(H[..., 0, 0]), operators.EllipticityPair(0.9, 1.1),
+                            callback_id="trace_plus_sin"),
+    ], ids=["linear_trace_x", "pucci_plus_3d", "pucci_minus", "perturbed_trace", "extension"])
+    def test_matches_reference_bisection(self, op):
+        # the bisection written over validated SymMatrix evaluations; the
+        # roots must agree bit for bit
+        def reference(M, x0):
+            F0 = op.evaluate(M, x0)
+            tol = 1e-10 * (1.0 + abs(F0))
+            if abs(F0) <= tol:
+                return 0.0
+            half = abs(F0) / (op.n * op.pair.lam) * (1.0 + 1e-9)
+            lo, hi = -half, half
+            if op.evaluate(M.add_identity(lo), x0) > 0.0:
+                return lo
+            if op.evaluate(M.add_identity(hi), x0) < 0.0:
+                return hi
+            for _ in range(200):
+                if hi - lo <= 4e-16 * half:
+                    break
+                mid = 0.5 * (lo + hi)
+                f_mid = op.evaluate(M.add_identity(mid), x0)
+                if f_mid == 0.0:
+                    return mid
+                if f_mid > 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            return 0.5 * (lo + hi)
+
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            g = rng.standard_normal((op.n, op.n))
+            M = SymMatrix.from_matrix(g + g.T)
+            x0 = rng.uniform(-1.0, 1.0, op.n)
+            assert campanato.root_correct(op, M, x0) == reference(M, x0)
+        assert campanato.root_correct(op, M) == reference(M, None)
+
     def test_non_elliptic_bracket_detected(self):
         # declared pair wildly overstates lambda: bracket too narrow
         lying = operators.OperatorSpec("linear_trace", 2,

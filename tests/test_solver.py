@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -34,7 +36,7 @@ class TestResidual:
         u_star = solver.quadratic_solution(0.3, [0.1, -0.2],
                                            SymMatrix.from_matrix([[1.0, 0.5], [0.5, -2.0]]))
         inst = solver.mms_generate(LAPLACE, u_star, N=17)
-        pts = np.stack(inst.grid.meshgrid(), axis=-1)
+        pts = np.stack(inst.source.meshgrid(), axis=-1)
         u = fields.GridField(2, 17, 1.0, np.asarray(u_star.value(pts)))
         res = solver.discrete_residual(inst, u)
         assert np.max(np.abs(res.values)) < 1e-12
@@ -44,7 +46,7 @@ class TestResidual:
         defects = []
         for N in (17, 33):
             inst = solver.mms_generate(LAPLACE, u_star, N=N)
-            pts = np.stack(inst.grid.meshgrid(), axis=-1)
+            pts = np.stack(inst.source.meshgrid(), axis=-1)
             u = fields.GridField(2, N, 1.0, np.asarray(u_star.value(pts)))
             defects.append(np.max(np.abs(solver.discrete_residual(inst, u).values)))
         assert defects[0] / defects[1] == pytest.approx(4.0, rel=0.1)
@@ -77,14 +79,14 @@ class TestNewton:
         rep = solver.solve_newton(inst, u0, tol=1e-12)
         assert rep.converged
         assert rep.iterations <= 1
-        pts = np.stack(inst.grid.meshgrid(), axis=-1)
+        pts = np.stack(inst.source.meshgrid(), axis=-1)
         assert np.max(np.abs(rep.solution.values - h_star.value(pts))) < 1e-11
 
     def test_mms_closure_from_exact_start(self):
         op = operators.perturbed_trace(0.05)
         u_star = solver.saddle_quartic_solution(1e-2)
         inst = solver.mms_generate(op, u_star, N=33)
-        pts = np.stack(inst.grid.meshgrid(), axis=-1)
+        pts = np.stack(inst.source.meshgrid(), axis=-1)
         exact = fields.GridField(2, 33, 1.0, np.asarray(u_star.value(pts)))
         rep = solver.solve_newton(inst, exact, tol=1e-8)
         assert rep.converged and rep.iterations <= 2
@@ -134,7 +136,7 @@ class TestNewton:
         u0[(slice(1, -1),) * n] = 0.0
         rep = solver.solve_newton(inst, fields.GridField(n, N, 1.0, u0), tol=1e-10)
         assert rep.converged and rep.iterations <= 8
-        pts = np.stack(inst.grid.meshgrid(), axis=-1)
+        pts = np.stack(inst.source.meshgrid(), axis=-1)
         assert np.max(np.abs(rep.solution.values - u_star.value(pts))) < 1e-4
 
     def test_all_zero_start_takes_full_steps(self):
@@ -147,6 +149,71 @@ class TestNewton:
         assert rep.converged and rep.iterations <= 8
         assert not any("halvings" in e for e in rep.damping_events)
         np.testing.assert_array_equal(rep.solution.values[0], inst.boundary[0])
+
+    def test_reuses_factorizations(self):
+        # every perturbed_trace step after the first cuts the residual by
+        # more than _CHORD_RATE, so one factorization serves the whole solve
+        op = operators.perturbed_trace(0.05)
+        inst = solver.mms_generate(op, solver.saddle_quartic_solution(1e-2), N=65)
+        u0 = inst.boundary.copy()
+        u0[1:-1, 1:-1] = 0.0
+        rep = solver.solve_newton(inst, fields.GridField(2, 65, 1.0, u0), tol=1e-10)
+        assert rep.converged and rep.iterations <= 8
+        assert rep.factorizations == 1
+        assert rep.describe()["factorizations"] == 1
+
+    def test_failed_chord_step_refactors_uncounted(self, monkeypatch):
+        # with the factor never dropped for slow contraction, the second
+        # factorization comes from a chord step that did not lower the
+        # residual; that trial is discarded, so it is neither an iteration
+        # nor a history entry
+        monkeypatch.setattr(solver, "_CHORD_RATE", 1.0)
+        op = operators.pucci_minus_op(operators.EllipticityPair(1.0, 2.0))
+        inst = solver.mms_generate(op, solver.saddle_quartic_solution(1e-2), N=33)
+        u0 = inst.boundary.copy()
+        u0[1:-1, 1:-1] = 0.0
+        rep = solver.solve_newton(inst, fields.GridField(2, 33, 1.0, u0), tol=1e-10)
+        assert rep.converged and rep.damping_events == []
+        assert rep.factorizations == 2
+        hist = rep.residual_norm_history
+        assert len(hist) == rep.iterations + 1
+        assert all(b < a for a, b in zip(hist, hist[1:]))
+
+    def test_damped_step_drops_factor(self, monkeypatch):
+        # the first step needs a halving, so the next iteration refactors
+        # at the iterate that step reached instead of taking a chord step;
+        # with _CHORD_RATE = 1 only the halving can drop the factor
+        monkeypatch.setattr(solver, "_CHORD_RATE", 1.0)
+        assembled = []
+        assemble = solver._assemble_jacobian
+
+        def recording(inst, u):
+            assembled.append(u.values.copy())
+            return assemble(inst, u)
+
+        monkeypatch.setattr(solver, "_assemble_jacobian", recording)
+        inst = solver.mms_generate(operators.perturbed_trace(0.5),
+                                   solver.saddle_quartic_solution(1.0), N=17)
+        u0 = 0.01 * np.random.default_rng(0).standard_normal((17, 17))
+        rep = solver.solve_newton(inst, fields.GridField(2, 17, 1.0, u0), max_iter=2)
+        assert rep.damping_events[0] == {"iteration": 1, "halvings": 1}
+        assert rep.factorizations == 2
+        res = solver.discrete_residual(inst, fields.GridField(2, 17, 1.0, assembled[1]))
+        assert np.max(np.abs(res.values)) == rep.residual_norm_history[1]
+
+    def test_singular_jacobian_reported(self):
+        # F = 0 has a zero Jacobian: the factorization fails, and the solve
+        # reports it instead of raising or warning
+        op = operators.extension(lambda H: np.zeros(np.shape(H)[:-2]),
+                                 operators.EllipticityPair(1.0, 2.0), callback_id="zero")
+        N = 17
+        inst = solver.ProblemInstance(op, fields.GridField(2, N, 1.0, np.ones((N, N))),
+                                      np.zeros((N, N)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", spla.MatrixRankWarning)
+            rep = solver.solve_newton(inst, fields.GridField(2, N, 1.0, np.zeros((N, N))))
+        assert not rep.converged
+        assert rep.damping_events == [{"iteration": 1, "event": "singular"}]
 
 
 class TestJacobian:
@@ -253,6 +320,19 @@ class TestTangentialSolve:
             u = solver.solve_linear_tangential(SymMatrix.identity(2), bnd, N=N)
             pts = np.stack(u.meshgrid(), axis=-1)
             np.testing.assert_array_equal(u.values[0], bnd(pts[0]))
+
+    def test_refinement_reuses_one_factorization(self, monkeypatch):
+        calls = []
+        splu = solver.spla.splu
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "splu", counted)
+        bnd = lambda pts: np.exp(pts[..., 0]) * np.cos(2.0 * pts[..., 1])
+        solver.solve_linear_tangential(SymMatrix.identity(2), bnd, N=129)
+        assert len(calls) == 1
 
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(ConfigError):
