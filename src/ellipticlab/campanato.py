@@ -53,9 +53,12 @@ class QuadraticJet(Polynomial2D):
 # -- identity-direction root correction -------------------------------------
 
 
-def root_correct(op: OperatorSpec, Mbar: SymMatrix, x0=None,
-                 tol: Optional[float] = None, max_iter: int = 200) -> float:
-    """The a with F(Mbar + a Id, x0) = 0, by bisection.
+_BISECT_MAX = 200   # bisection steps; the 4e-16 bracket test ends it first
+
+
+def root_correct(op: OperatorSpec, Mbar: SymMatrix, x0=None) -> float:
+    """The a with F(Mbar + a Id, x0) = 0, by bisection to
+    |F| <= 1e-10 (1 + |F(Mbar, x0)|).
 
     Uniform ellipticity pins the root inside [-|F|/(n lam), |F|/(n lam)]
     because the increment in the identity direction is squeezed between
@@ -63,8 +66,7 @@ def root_correct(op: OperatorSpec, Mbar: SymMatrix, x0=None,
     elliptic as declared.
     """
     F0 = op.evaluate(Mbar, x0)
-    if tol is None:
-        tol = 1e-10 * (1.0 + abs(F0))
+    tol = 1e-10 * (1.0 + abs(F0))
     if abs(F0) <= tol:
         return 0.0
     xs = None if x0 is None else np.asarray(x0, dtype=float)
@@ -87,7 +89,7 @@ def root_correct(op: OperatorSpec, Mbar: SymMatrix, x0=None,
         return lo
     if f_hi < 0.0:
         return hi
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX):
         if hi - lo <= 4e-16 * half:
             break
         mid = 0.5 * (lo + hi)
@@ -193,8 +195,7 @@ class DecayAudit:
     records: list
     K_max: int
     truncated: bool
-    fitted_C0: float
-    fitted_psi_seminorm: float  # the same fit as fitted_C0; reports carry both keys
+    fitted_C0: float            # reported under both fitted_C0 and fitted_psi_seminorm
     cauchy_ok: bool
     x0_idx: tuple               # the audited centre; not part of describe()
 
@@ -212,7 +213,7 @@ class DecayAudit:
             "K_max": self.K_max,
             "truncated": bool(self.truncated),
             "fitted_C0": self.fitted_C0,
-            "fitted_psi_seminorm": self.fitted_psi_seminorm,
+            "fitted_psi_seminorm": self.fitted_C0,
             "cauchy_ok": bool(self.cauchy_ok),
             "records": self.table(),
         }
@@ -261,7 +262,7 @@ def decay_audit(u: GridField, op: OperatorSpec, mod: Modulus, rho0: float = 0.5,
         raise DomainError("no scale was resolvable on this grid")
     C0, cauchy = _final_jet_decay(mod, records, balls)
     return DecayAudit(rho0, delta, mod, records, len(records) - 1, truncated,
-                      C0, C0, cauchy, x0_idx)
+                      C0, cauchy, x0_idx)
 
 
 def _final_jet_decay(mod: Modulus, records, balls):
@@ -285,7 +286,7 @@ def _final_jet_decay(mod: Modulus, records, balls):
     return worst, cauchy
 
 
-def c2psi_seminorm(u: GridField, audit: DecayAudit, mod: Optional[Modulus] = None):
+def c2psi_seminorm(u: GridField, audit: DecayAudit):
     """Max over audited radii of sup_{B_r}|u - P_final| / (r^2 psi(r)).
 
     Returns (value, cauchy_ok); cauchy_ok is False when the Hessian
@@ -294,10 +295,8 @@ def c2psi_seminorm(u: GridField, audit: DecayAudit, mod: Optional[Modulus] = Non
     """
     if audit.K_max < 3:
         raise ConfigError("seminorm needs an audit of depth K >= 3")
-    if mod is None:
-        mod = audit.mod
     balls = [ball_nodes(u, audit.x0_idx, rec.radius) for rec in audit.records]
-    return _final_jet_decay(mod, audit.records, balls)
+    return _final_jet_decay(audit.mod, audit.records, balls)
 
 
 # -- scale equivariance --------------------------------------------------------
@@ -426,13 +425,16 @@ class ExponentFit:
         }
 
 
-def fit_decay_exponent(audit: DecayAudit, floor: float = 1e-13) -> ExponentFit:
+_RESIDUAL_FLOOR = 1e-13   # sup residuals at or below this are round-off
+
+
+def fit_decay_exponent(audit: DecayAudit) -> ExponentFit:
     """Least-squares slope of log(sup_residual / r^2) against log r.
 
     Flagged undefined on perfect quadratics (all residuals at round-off).
     """
     pts = [(rec.radius, rec.sup_residual) for rec in audit.records
-           if rec.sup_residual > floor]
+           if rec.sup_residual > _RESIDUAL_FLOOR]
     if len(pts) < 4:
         return ExponentFit(None, None, False, len(pts))
     x = np.log([r for r, _ in pts])

@@ -258,15 +258,9 @@ def _run_solve(cfg: dict, outdir: Path, seed: int) -> int:
     grid = _need(cfg, "grid")
     N, L = int(_need(grid, "N")), float(grid.get("L", 1.0))
     u_star = _parse_solution(_need(cfg, "u_star"), op.n)
-    drift_fn = _rotation_drift(cfg.get("drift"))
-    drift = None if drift_fn is None else fields.sample_function(
-        drift_fn, n=op.n, N=N, L=L, components=op.n)
-    inst = solver.mms_generate(op, u_star, N=N, L=L, drift=drift)
-    u0 = fields.GridField(op.n, N, L, inst.boundary.copy())
-    rep = solver.solve_newton(inst, u0, tol=float(cfg.get("tol", 1e-10)),
-                              max_iter=int(cfg.get("max_iter", 30)))
-    pts = np.stack(inst.source.meshgrid(), axis=-1)
-    sup_err = float(np.max(np.abs(rep.solution.values - u_star.value(pts))))
+    rep, sup_err = solver.mms_solve(op, u_star, N, L, _rotation_drift(cfg.get("drift")),
+                                    tol=float(cfg.get("tol", 1e-10)),
+                                    max_iter=int(cfg.get("max_iter", 30)))
     report = {"config": cfg, "solve": rep.describe(), "sup_error_vs_exact": sup_err,
               "passed": bool(rep.converged)}
     _write_report(outdir, report)

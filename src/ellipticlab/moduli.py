@@ -28,7 +28,32 @@ from .errors import (
 
 LN2 = math.log(2.0)
 
-_FAMILIES = ("power", "power_log", "power_ln_z", "inverse_log", "table")
+# family -> (tau(e^{-t}), log tau(e^{-t}), the known asymptotic A4 verdicts
+# (condition i, condition ii) at alpha0), each a function of the params.
+# The table family interpolates its knots instead and has no verdicts.
+_FAMILIES = {
+    "power": (
+        lambda p, t: np.exp(-p["alpha"] * t),
+        lambda p, t: -p["alpha"] * t,
+        lambda p, alpha0: ("pass", "pass" if p["alpha"] < alpha0 else "fail"),
+    ),
+    "power_log": (
+        lambda p, t: np.exp(-p["alpha"] * t) / t ** p["beta"],
+        lambda p, t: -p["alpha"] * t - p["beta"] * np.log(t),
+        lambda p, alpha0: ("pass", "pass" if p["alpha"] < alpha0 else "fail"),
+    ),
+    "power_ln_z": (
+        lambda p, t: np.exp(-p["kappa"] * t) * t ** p["zeta"],
+        lambda p, t: -p["kappa"] * t + p["zeta"] * np.log(t),
+        lambda p, alpha0: ("pass", "pass" if p["kappa"] < alpha0 else "fail"),
+    ),
+    "inverse_log": (
+        lambda p, t: t ** (-p["gamma"]),
+        lambda p, t: -p["gamma"] * np.log(t),
+        # ratio tau(rs)/tau(r) tends to 1 as r -> 0 for every fixed s
+        lambda p, alpha0: ("fail", "pass"),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -49,7 +74,7 @@ class Modulus:
     table_tau: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family != "table" and self.family not in _FAMILIES:
             raise ConfigError(f"unknown modulus family {self.family!r}")
         if not 0.0 < self.domain_cap <= 1.0:
             raise ConfigError("domain_cap must lie in (0, 1]")
@@ -63,31 +88,16 @@ class Modulus:
         form in t, so radii far below the float range of e^{-t} are fine.
         """
         t = np.asarray(t, dtype=float)
-        p = self.params
-        if self.family == "power":
-            return np.exp(-p["alpha"] * t)
-        if self.family == "power_log":
-            return np.exp(-p["alpha"] * t) / t ** p["beta"]
-        if self.family == "power_ln_z":
-            return np.exp(-p["kappa"] * t) * t ** p["zeta"]
-        if self.family == "inverse_log":
-            return t ** (-p["gamma"])
-        # table: fall back to direct interpolation (bounded radii only)
-        r = np.exp(-t)
-        return self._interp_table(r)
+        if self.family == "table":
+            # direct interpolation (bounded radii only)
+            return self._interp_table(np.exp(-t))
+        return _FAMILIES[self.family][0](self.params, t)
 
     def log_eval_neglog(self, t):
         """log tau(e^{-t}); ratio-safe far past the underflow range of tau."""
         t = np.asarray(t, dtype=float)
-        p = self.params
-        if self.family == "power":
-            return -p["alpha"] * t
-        if self.family == "power_log":
-            return -p["alpha"] * t - p["beta"] * np.log(t)
-        if self.family == "power_ln_z":
-            return -p["kappa"] * t + p["zeta"] * np.log(t)
-        if self.family == "inverse_log":
-            return -p["gamma"] * np.log(t)
+        if self.family != "table":
+            return _FAMILIES[self.family][1](self.params, t)
         # table: tau is linear below the first knot, where e^{-t} and tau
         # underflow long before their logarithms do
         r0, tau0 = self.table_r[0], self.table_tau[0]
@@ -126,18 +136,9 @@ class Modulus:
 
     def a4_override(self, alpha0: float) -> Optional[tuple]:
         """Known asymptotic nullity-condition verdicts, or None for table moduli."""
-        p = self.params
-        if self.family == "power":
-            a = p["alpha"]
-            return ("pass", "pass" if a < alpha0 else "fail")
-        if self.family == "power_log":
-            return ("pass", "pass" if p["alpha"] < alpha0 else "fail")
-        if self.family == "power_ln_z":
-            return ("pass", "pass" if p["kappa"] < alpha0 else "fail")
-        if self.family == "inverse_log":
-            # ratio tau(rs)/tau(r) tends to 1 as r -> 0 for every fixed s
-            return ("fail", "pass")
-        return None
+        if self.family == "table":
+            return None
+        return _FAMILIES[self.family][2](self.params, alpha0)
 
     def describe(self) -> dict:
         d = {"family": self.family, "domain_cap": self.domain_cap}
@@ -217,14 +218,14 @@ def from_table(rs: Sequence[float], taus: Sequence[float]) -> Modulus:
 
 def from_dict(d: dict) -> Modulus:
     """Rebuild a modulus from its ``describe()`` dictionary."""
-    d = dict(d)
-    fam = d.pop("family", None)
-    cap = d.pop("domain_cap", None)
+    fam = d.get("family")
+    # only a cap the dictionary gives is passed on: each default is the constructor's
+    caps = {} if d.get("domain_cap") is None else {"domain_cap": d["domain_cap"]}
     builders: dict[str, Callable] = {
-        "power": lambda: power(d["alpha"], cap if cap is not None else 1.0),
-        "power_log": lambda: power_log(d["alpha"], d["beta"], cap),
-        "power_ln_z": lambda: power_ln_z(d["kappa"], d["zeta"], cap),
-        "inverse_log": lambda: inverse_log(d["gamma"], cap if cap is not None else 0.5),
+        "power": lambda: power(d["alpha"], **caps),
+        "power_log": lambda: power_log(d["alpha"], d["beta"], **caps),
+        "power_ln_z": lambda: power_ln_z(d["kappa"], d["zeta"], **caps),
+        "inverse_log": lambda: inverse_log(d["gamma"], **caps),
         "table": lambda: from_table(d["table_r"], d["table_tau"]),
     }
     if fam not in builders:
@@ -261,9 +262,11 @@ def _integrate_window(f, a: float, b: float) -> float:
     return sum(_gauss_panel(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
 
 
-def _neglog_tail_integral(
-    mod: Modulus, t_start: float, rel_tol: float, max_levels: int = 60
-) -> DiniResult:
+_REL_TOL = 1e-8     # a tail below this fraction of the total counts as converged
+_MAX_LEVELS = 60    # dyadic windows, out to t_start + 2^60 - 1
+
+
+def _neglog_tail_integral(mod: Modulus, t_start: float) -> DiniResult:
     """Integrate tau(e^{-t}) dt from t_start to infinity.
 
     This equals the Dini integral of tau over (0, e^{-t_start}] after the
@@ -276,7 +279,7 @@ def _neglog_tail_integral(
     prev_inc = None
     stall = 0
     boundary = t_start
-    for level in range(max_levels):
+    for level in range(_MAX_LEVELS):
         next_boundary = t_start + (2.0 ** (level + 1) - 1.0)
         inc = _integrate_window(f, boundary, next_boundary)
         total += inc
@@ -287,7 +290,7 @@ def _neglog_tail_integral(
             q = inc / prev_inc if prev_inc > 0 else 0.0
             if q < 0.95:
                 tail = inc * q / (1.0 - q)
-                if tail <= rel_tol * max(abs(total), 1e-300):
+                if tail <= _REL_TOL * max(abs(total), 1e-300):
                     return DiniResult(total + tail, True, level + 1, tail)
                 stall = 0
             else:
@@ -295,26 +298,23 @@ def _neglog_tail_integral(
                 if stall >= 8:
                     return DiniResult(total, False, level + 1, math.inf)
         prev_inc = inc
-    return DiniResult(total, False, max_levels, math.inf)
+    return DiniResult(total, False, _MAX_LEVELS, math.inf)
 
 
-def dini_integral(mod: Modulus, rel_tol: float = 1e-8) -> DiniResult:
+def dini_integral(mod: Modulus) -> DiniResult:
     """Integrate tau(r)/r over (0, domain_cap].
 
     Returns (value, converged, ...); ``converged=False`` flags a tail that
     keeps growing across refinement levels, i.e. a divergent integral.
     """
-    if rel_tol <= 0:
-        raise ConfigError("rel_tol must be positive")
-    t_start = -math.log(mod.domain_cap)
-    return _neglog_tail_integral(mod, t_start, rel_tol)
+    return _neglog_tail_integral(mod, -math.log(mod.domain_cap))
 
 
-def psi_transform(mod: Modulus, t: float, rel_tol: float = 1e-8) -> float:
+def psi_transform(mod: Modulus, t: float) -> float:
     """psi(t) = tau(t) + integral_0^t tau(s)/s ds, for Dini moduli."""
     if not 0.0 < t <= mod.domain_cap * (1 + 1e-12):
         raise DomainError(f"psi argument must lie in (0, {mod.domain_cap}]")
-    res = _neglog_tail_integral(mod, -math.log(t), rel_tol)
+    res = _neglog_tail_integral(mod, -math.log(t))
     if not res.converged:
         raise DivergentIntegralError(
             "psi-transform requires a Dini modulus; tail integral diverges"
@@ -322,43 +322,25 @@ def psi_transform(mod: Modulus, t: float, rel_tol: float = 1e-8) -> float:
     return mod.evaluate(min(t, mod.domain_cap)) + res.value
 
 
-# -- finite certification plans -----------------------------------------
+# -- finite certification grids ------------------------------------------
+
+# nullity conditions: s = 2^-j, j = 1..40; r = 2^-i, i <= 60 with
+# r <= min(1/2, cap); k = 1..50
+_A4_S_MAX, _A4_R_MAX, _A4_K_MAX = 40, 60, 50
+_THRESHOLD = 1e-3   # "vanishing" proxy for decaying profiles and ratios
+_RATIO_MAX = 60     # limiting ratios sample t = 2^-j, j <= 60
+_HOLDER_MAX = 200   # the Hölder witness samples r = 2^-j, j <= 200
+_WINDOW = 12        # monotone-tail acceptance window
+_BOUND = 1e3        # "unbounded" proxy for growing ratios
 
 
-@dataclass(frozen=True)
-class A4Plan:
-    """Geometric sample grids for the nullity conditions."""
-
-    s_exponent_max: int = 40   # s = 2^-j, j = 1..s_exponent_max
-    r_exponent_max: int = 60   # r = 2^-i, i restricted to r <= min(1/2, cap)
-    k_max: int = 50
-    threshold: float = 1e-3
-
-    def describe(self) -> dict:
-        return {
-            "s_grid": f"2^-j, j=1..{self.s_exponent_max}",
-            "r_grid": f"2^-i, i<={self.r_exponent_max}, r <= min(1/2, cap)",
-            "k_range": f"1..{self.k_max}",
-            "threshold": self.threshold,
-        }
-
-
-@dataclass(frozen=True)
-class RatioPlan:
-    """Geometric grid t = 2^-j plus a monotone-tail acceptance window."""
-
-    exponent_max: int = 60
-    window: int = 12
-    bound: float = 1e3        # "unbounded" proxy for growing ratios
-    threshold: float = 1e-3   # "vanishing" proxy for decaying ratios
-
-    def describe(self) -> dict:
-        return {
-            "grid": f"2^-j, j=1..{self.exponent_max}",
-            "window": self.window,
-            "bound": self.bound,
-            "threshold": self.threshold,
-        }
+def _ratio_plan(exponent_max: int) -> dict:
+    return {
+        "grid": f"2^-j, j=1..{exponent_max}",
+        "window": _WINDOW,
+        "bound": _BOUND,
+        "threshold": _THRESHOLD,
+    }
 
 
 @dataclass(frozen=True)
@@ -396,7 +378,7 @@ class A4Certificate:
         }
 
 
-def check_A4(mod: Modulus, alpha0: float, plan: A4Plan = A4Plan()) -> A4Certificate:
+def check_A4(mod: Modulus, alpha0: float) -> A4Certificate:
     """Certify the nullity conditions on finite geometric grids.
 
     Condition (i): liminf over s of sup_{r} tau(rs)/tau(r) = 0 with r
@@ -405,24 +387,22 @@ def check_A4(mod: Modulus, alpha0: float, plan: A4Plan = A4Plan()) -> A4Certific
     """
     if not 0.0 < alpha0 <= 1.0:
         raise ConfigError("alpha0 must lie in (0, 1]")
-    if plan.s_exponent_max < 1 or plan.r_exponent_max < 1 or plan.k_max < 1:
-        raise ConfigError("empty A4 sample plan")
 
     cap = min(0.5, mod.domain_cap)
     i_min = max(1, math.ceil(-math.log2(cap) - 1e-9))
-    r_t = np.arange(i_min, plan.r_exponent_max + 1) * LN2   # t = -log r
+    r_t = np.arange(i_min, _A4_R_MAX + 1) * LN2   # t = -log r
 
     # ratios in log space: the raw tau values underflow long before the
     # ratios become degenerate
     profile_i = []
-    for j in range(1, plan.s_exponent_max + 1):
+    for j in range(1, _A4_S_MAX + 1):
         s_t = j * LN2
         log_ratios = mod.log_eval_neglog(r_t + s_t) - mod.log_eval_neglog(r_t)
         profile_i.append((2.0 ** (-j), float(np.exp(np.max(log_ratios)))))
 
     profile_ii = []
-    ks = np.arange(1, plan.k_max + 1)
-    for j in range(1, plan.s_exponent_max + 1):
+    ks = np.arange(1, _A4_K_MAX + 1)
+    for j in range(1, _A4_S_MAX + 1):
         s_t = j * LN2
         log_vals = (
             -alpha0 * s_t
@@ -439,7 +419,7 @@ def check_A4(mod: Modulus, alpha0: float, plan: A4Plan = A4Plan()) -> A4Certific
         profile_ii.append((2.0 ** (-j), math.exp(min(top, 700.0))))
 
     def numeric_verdict(profile):
-        return "pass" if profile[-1][1] <= plan.threshold else "inconclusive"
+        return "pass" if profile[-1][1] <= _THRESHOLD else "inconclusive"
 
     nv_i = numeric_verdict(profile_i)
     nv_ii = numeric_verdict(profile_ii)
@@ -460,7 +440,12 @@ def check_A4(mod: Modulus, alpha0: float, plan: A4Plan = A4Plan()) -> A4Certific
         verdict_i=v_i,
         verdict_ii=v_ii,
         override=override_note,
-        plan=plan.describe(),
+        plan={
+            "s_grid": f"2^-j, j=1..{_A4_S_MAX}",
+            "r_grid": f"2^-i, i<={_A4_R_MAX}, r <= min(1/2, cap)",
+            "k_range": f"1..{_A4_K_MAX}",
+            "threshold": _THRESHOLD,
+        },
     )
 
 
@@ -494,24 +479,24 @@ def _geometric_grid(mod: Modulus, exponent_max: int):
     return js, 2.0 ** (-js.astype(float))
 
 
-def check_LCC(mod: Modulus, plan: RatioPlan = RatioPlan()) -> RatioCheck:
+def check_LCC(mod: Modulus) -> RatioCheck:
     """Pass iff tau(t)/t grows without bound along the sampled grid."""
-    js, ts = _geometric_grid(mod, plan.exponent_max)
+    js, ts = _geometric_grid(mod, _RATIO_MAX)
     ratios = mod.eval_neglog(js * LN2) / ts
-    w = min(plan.window, len(ratios) - 1)
+    w = min(_WINDOW, len(ratios) - 1)
     tail_monotone = bool(np.all(np.diff(ratios[-w - 1:]) > 0)) if w > 0 else False
-    passed = tail_monotone and ratios[-1] > plan.bound
-    return RatioCheck(passed, ts, ratios, plan.describe(), "tau(t)/t -> infinity")
+    passed = tail_monotone and ratios[-1] > _BOUND
+    return RatioCheck(passed, ts, ratios, _ratio_plan(_RATIO_MAX), "tau(t)/t -> infinity")
 
 
-def check_s_over_tau(mod: Modulus, plan: RatioPlan = RatioPlan()) -> RatioCheck:
+def check_s_over_tau(mod: Modulus) -> RatioCheck:
     """Pass iff s/tau(s) decays to zero along the sampled grid."""
-    js, ss = _geometric_grid(mod, plan.exponent_max)
+    js, ss = _geometric_grid(mod, _RATIO_MAX)
     ratios = ss / mod.eval_neglog(js * LN2)
-    w = min(plan.window, len(ratios) - 1)
+    w = min(_WINDOW, len(ratios) - 1)
     tail_monotone = bool(np.all(np.diff(ratios[-w - 1:]) < 0)) if w > 0 else False
-    passed = tail_monotone and ratios[-1] < plan.threshold
-    return RatioCheck(passed, ss, ratios, plan.describe(), "s/tau(s) -> 0")
+    passed = tail_monotone and ratios[-1] < _THRESHOLD
+    return RatioCheck(passed, ss, ratios, _ratio_plan(_RATIO_MAX), "s/tau(s) -> 0")
 
 
 @dataclass(frozen=True)
@@ -534,9 +519,7 @@ class HolderReport:
         }
 
 
-def holder_witness(
-    mod: Modulus, gamma: float, plan: RatioPlan = RatioPlan(exponent_max=200, window=12)
-) -> HolderReport:
+def holder_witness(mod: Modulus, gamma: float) -> HolderReport:
     """Decide gamma-Hölder behaviour of tau near 0 on a geometric grid.
 
     Non-Hölder when tau(r)/r^gamma keeps increasing along the tail of the
@@ -545,9 +528,9 @@ def holder_witness(
     """
     if not 0.0 < gamma <= 1.0:
         raise ConfigError("gamma must lie in (0, 1]")
-    js, rs = _geometric_grid(mod, plan.exponent_max)
+    js, rs = _geometric_grid(mod, _HOLDER_MAX)
     ratios = mod.eval_neglog(js * LN2) / rs ** gamma
-    w = min(plan.window, len(ratios) - 1)
+    w = min(_WINDOW, len(ratios) - 1)
     tail_increasing = bool(np.all(np.diff(ratios[-w - 1:]) > 0)) if w > 0 else False
     grew = ratios[-1] >= 10.0 * np.min(ratios)
     non_holder = tail_increasing and grew
@@ -557,5 +540,5 @@ def holder_witness(
         witness=rs[-w - 1:] if non_holder else None,
         ratios=ratios,
         grid=rs,
-        plan=plan.describe(),
+        plan=_ratio_plan(_HOLDER_MAX),
     )

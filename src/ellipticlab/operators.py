@@ -140,13 +140,11 @@ def pucci_minus(M, pair: EllipticityPair):
     return _pucci(M, pair.lam, pair.Lam)
 
 
-def pucci_sup_sampled(
-    M,
-    pair: EllipticityPair,
-    n_samples: int = 10_000,
-    seed: int = 0,
-    refine_rounds: int = 3,
-) -> float:
+_REFINE_ROUNDS = 3   # local frame refinements in pucci_sup_sampled
+
+
+def pucci_sup_sampled(M, pair: EllipticityPair, n_samples: int = 10_000,
+                      seed: int = 0) -> float:
     """Sampled sup of tr(A M) over admissible A, independent of eigensolves.
 
     Random orthonormal frames Q are drawn (QR of Gaussians); for each
@@ -158,7 +156,7 @@ def pucci_sup_sampled(
     mat = _as_matrix_batch(M)
     n = mat.shape[-1]
     rng = np.random.default_rng(seed)
-    budget = max(n_samples // (refine_rounds + 1), 1)
+    budget = max(n_samples // (_REFINE_ROUNDS + 1), 1)
 
     def frame_values(qs: np.ndarray) -> np.ndarray:
         diag = np.einsum("kij,jl,kil->ki", qs, mat, qs)
@@ -172,7 +170,7 @@ def pucci_sup_sampled(
     best_q = qs[int(np.argmax(vals))]
 
     spread = 0.3
-    for _ in range(refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         skews = rng.standard_normal((budget, n, n)) * spread
         skews = 0.5 * (skews - np.swapaxes(skews, 1, 2))
         perturbed = np.linalg.qr(best_q[None] + best_q[None] @ skews)[0]
@@ -304,29 +302,31 @@ def extension(callback: Callable, pair: EllipticityPair, n: int = 2,
 # -- sampling plans ------------------------------------------------------
 
 
+_SCALES = (0.1, 1.0, 10.0)   # Gaussian sample scales
+_RAY_T_MAX = 1e3             # largest ray multiple in oscillation_theta
+_SAMPLE_TOL = 1e-8           # slack of the sampled ellipticity and structure checks
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     """Seeded mixture of symmetric-matrix samples for sampled suprema."""
 
     seed: int = 0
     count: int = 400
-    scales: tuple = (0.1, 1.0, 10.0)
-    ray_t_max: float = 1e3
-    tolerance: float = 1e-8
 
     def describe(self) -> dict:
         return {
             "seed": self.seed,
             "count": self.count,
-            "scales": list(self.scales),
-            "ray_t_max": self.ray_t_max,
-            "tolerance": self.tolerance,
+            "scales": list(_SCALES),
+            "ray_t_max": _RAY_T_MAX,
+            "tolerance": _SAMPLE_TOL,
             "matrix_norm": MATRIX_NORM,
         }
 
 
 def sample_symmetric(rng: np.random.Generator, n: int, count: int,
-                     scales=(0.1, 1.0, 10.0)) -> np.ndarray:
+                     scales=_SCALES) -> np.ndarray:
     """Gaussian symmetric matrices, rank-one rays, and scaled identities."""
     per_scale = max(count // (len(scales) + 2), 1)
     blocks = []
@@ -370,7 +370,7 @@ def verify_ellipticity(op: OperatorSpec, plan: SamplePlan = SamplePlan()) -> Ell
     """Sampled check of P^-(N) <= F(M+N, x) - F(M, x) <= P^+(N) for N >= 0."""
     rng = np.random.default_rng(plan.seed)
     n = op.n
-    mats = sample_symmetric(rng, n, plan.count, plan.scales)
+    mats = sample_symmetric(rng, n, plan.count)
     psd = _sample_psd(rng, n, len(mats))
     xs = rng.uniform(-0.7, 0.7, size=(len(mats), n))
     diff = op.evaluate_batch(mats + psd, xs) - op.evaluate_batch(mats, xs)
@@ -380,7 +380,7 @@ def verify_ellipticity(op: OperatorSpec, plan: SamplePlan = SamplePlan()) -> Ell
     upper_viol = float(np.max(diff - hi))
     worst = max(lower_viol, upper_viol)
     return EllipticityReport(
-        passed=worst <= plan.tolerance,
+        passed=worst <= _SAMPLE_TOL,
         max_lower_violation=lower_viol,
         max_upper_violation=upper_viol,
         samples=len(mats),
@@ -406,15 +406,16 @@ def scaling_family(op: OperatorSpec, sigma: float, X: SymMatrix, x=None) -> floa
 
 
 _H_LADDER = (1e-2, 1e-3, 1e-4)
+_RICH_TOL = 1e-7      # relative agreement of the last two Richardson values
+_BRACKET_TOL = 1e-6   # slack of the tangential matrix against the declared pair
 
 
-def _directional_derivative(op: OperatorSpec, direction: SymMatrix, x,
-                            rich_tol: float = 1e-7) -> float:
+def _directional_derivative(op: OperatorSpec, direction: SymMatrix, x) -> float:
     """Richardson-extrapolated derivative at the zero matrix, with
     one-sided consistency check."""
     d = [gateaux(op, SymMatrix.zero(op.n), direction, x, h) for h in _H_LADDER]
     extr = [(100.0 * d[k + 1] - d[k]) / 99.0 for k in range(len(d) - 1)]
-    if abs(extr[-1] - extr[-2]) > rich_tol * (1.0 + abs(extr[-1])):
+    if abs(extr[-1] - extr[-2]) > _RICH_TOL * (1.0 + abs(extr[-1])):
         raise NonDifferentiableError(
             "Richardson extrapolation of the Gateaux derivative did not settle"
         )
@@ -430,8 +431,7 @@ def _directional_derivative(op: OperatorSpec, direction: SymMatrix, x,
     return extr[-1]
 
 
-def tangential_limit(op: OperatorSpec, x=None, seed: int = 0,
-                     bracket_tol: float = 1e-6) -> SymMatrix:
+def tangential_limit(op: OperatorSpec, x=None, seed: int = 0) -> SymMatrix:
     """Coefficient matrix of the linearization of F at the zero matrix.
 
     Assembles tr(A0 M) = DF(0)(M) over the symmetric basis with Richardson
@@ -458,7 +458,7 @@ def tangential_limit(op: OperatorSpec, x=None, seed: int = 0,
                 "directional derivatives are not linear in the direction"
             )
     eigs = np.linalg.eigvalsh(A0)
-    if eigs[0] < op.pair.lam - bracket_tol or eigs[-1] > op.pair.Lam + bracket_tol:
+    if eigs[0] < op.pair.lam - _BRACKET_TOL or eigs[-1] > op.pair.Lam + _BRACKET_TOL:
         raise NumericsError(
             "tangential coefficient matrix escapes the declared ellipticity bracket"
         )
@@ -472,14 +472,14 @@ def oscillation_theta(op: OperatorSpec, x, x0, plan: SamplePlan = SamplePlan()) 
     """Sampled sup of |F(X,x) - F(X,x0)| / (1 + ||X||_F).
 
     A lower bound of the true supremum; the sample mixes the standard
-    matrix mixture with large-norm rays t * Xhat, t up to plan.ray_t_max,
+    matrix mixture with large-norm rays t * Xhat, t up to 1e3,
     which is where the sup is approached for coefficient-type operators.
     """
     rng = np.random.default_rng(plan.seed)
     n = op.n
-    mats = sample_symmetric(rng, n, plan.count, plan.scales)
+    mats = sample_symmetric(rng, n, plan.count)
     rays = sample_symmetric(rng, n, max(plan.count // 4, 8), (1.0,))
-    ts = np.geomspace(1.0, plan.ray_t_max, 12)
+    ts = np.geomspace(1.0, _RAY_T_MAX, 12)
     ray_mats = (ts[:, None, None, None] * rays[None]).reshape(-1, n, n)
     mats = np.concatenate([mats, ray_mats], axis=0)
     x = np.asarray(x, dtype=float)
@@ -525,9 +525,8 @@ def check_SC(op: OperatorSpec, plan: SamplePlan = SamplePlan()) -> StructureRepo
     """
     rng = np.random.default_rng(plan.seed)
     n = op.n
-    mats = sample_symmetric(rng, n, plan.count, plan.scales)
+    mats = sample_symmetric(rng, n, plan.count)
     vals = op.evaluate_batch(mats)
-    tol = plan.tolerance
 
     pairs_a = mats[: len(mats) // 2]
     pairs_b = mats[len(mats) // 2 : 2 * (len(mats) // 2)]
@@ -536,12 +535,12 @@ def check_SC(op: OperatorSpec, plan: SamplePlan = SamplePlan()) -> StructureRepo
         op.evaluate_batch(pairs_a) + op.evaluate_batch(pairs_b)
     )
     k = int(np.argmax(gap))
-    convex = bool(np.max(gap) <= tol)
+    convex = bool(np.max(gap) <= _SAMPLE_TOL)
     witness = None if convex else np.stack([pairs_a[k], pairs_b[k]])
 
-    zero_at_origin = abs(op.evaluate(SymMatrix.zero(n))) <= tol
+    zero_at_origin = abs(op.evaluate(SymMatrix.zero(n))) <= _SAMPLE_TOL
     trace_minorant = bool(
-        np.max(np.trace(mats, axis1=1, axis2=2) - vals) <= tol
+        np.max(np.trace(mats, axis1=1, axis2=2) - vals) <= _SAMPLE_TOL
     )
 
     try:
@@ -556,7 +555,7 @@ def check_SC(op: OperatorSpec, plan: SamplePlan = SamplePlan()) -> StructureRepo
         op.evaluate_batch(scaled).reshape(len(mus), -1)
         - mus[:, None] * vals[None, : 64]
     )
-    one_homog = bool(np.max(homog_gap) <= tol * np.max(1.0 + np.abs(vals[:64])))
+    one_homog = bool(np.max(homog_gap) <= _SAMPLE_TOL * np.max(1.0 + np.abs(vals[:64])))
 
     return StructureReport(
         convex=convex,

@@ -240,7 +240,7 @@ class TestSeminorm:
         u = sample("radial_5_2")
         audit = campanato.decay_audit(u, LAPLACE, moduli.power(0.5), K=4, x0_idx=(80, 64))
         val, _ = campanato.c2psi_seminorm(u, audit)
-        assert val == audit.fitted_psi_seminorm
+        assert val == audit.fitted_C0
 
     def test_needs_depth(self):
         u = sample("harmonic_cubic", N=33)

@@ -61,6 +61,20 @@ def test_solve_writes_field(tmp_path):
     assert sol.N == 17
 
 
+def test_solve_starts_from_zero_interior(tmp_path):
+    cfg = write(tmp_path / "c.yaml", {
+        "operator": {"kind": "perturbed_trace", "eps": 0.05},
+        "grid": {"N": 33},
+        "u_star": {"type": "saddle_quartic", "delta": 0.01},
+        "drift": {"type": "rotation", "scale": 0.1},
+    })
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["solve"]["iterations"] >= 2
+    assert report["sup_error_vs_exact"] < 1e-5
+
+
 def test_solve_3d_quadratic_default_b_and_size_mismatch(tmp_path):
     op3 = {"kind": "linear_trace", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
     q3 = {"type": "quadratic", "M": [[2, 0, 0], [0, -1, 0], [0, 0, -1]]}

@@ -63,6 +63,25 @@ class TestEvaluation:
             assert clone.evaluate(mod.domain_cap / 3) == pytest.approx(
                 mod.evaluate(mod.domain_cap / 3), rel=1e-14)
 
+    def test_from_dict_default_caps(self):
+        # without domain_cap, each family gets its constructor's default
+        cases = [
+            ({"family": "power", "alpha": 0.5}, moduli.power(0.5), 1.0),
+            ({"family": "power_log", "alpha": 0.3, "beta": 1.0},
+             moduli.power_log(0.3, 1.0), math.exp(-1.0 / 0.3)),
+            ({"family": "power_ln_z", "kappa": 0.4, "zeta": 2.0},
+             moduli.power_ln_z(0.4, 2.0), math.exp(-2.0 / 0.4)),
+            ({"family": "inverse_log", "gamma": 1.5}, moduli.inverse_log(1.5), 0.5),
+            ({"family": "table", "table_r": [0.1, 0.5], "table_tau": [0.1, 0.3]},
+             moduli.from_table([0.1, 0.5], [0.1, 0.3]), 0.5),
+        ]
+        for spec, mod, cap in cases:
+            clone = moduli.from_dict(spec)
+            assert clone == mod
+            assert clone.domain_cap == mod.domain_cap == cap
+        with pytest.raises(ConfigError):
+            moduli.from_dict({"family": "power_log", "alpha": 0.3})
+
     def test_bad_params(self):
         with pytest.raises(ConfigError):
             moduli.power(0.0)
@@ -159,6 +178,14 @@ class TestA4:
             assert np.isfinite(v)
         assert mod.log_eval_neglog(800.0) == pytest.approx(np.log(2.0) - 800.0, rel=1e-15)
 
+    def test_plan_block(self):
+        assert moduli.check_A4(moduli.power(0.5), 0.5).describe()["plan"] == {
+            "s_grid": "2^-j, j=1..40",
+            "r_grid": "2^-i, i<=60, r <= min(1/2, cap)",
+            "k_range": "1..50",
+            "threshold": 1e-3,
+        }
+
     def test_numeric_verdict_never_contradicts_override(self):
         # a numeric "pass" is kept; overrides only resolve inconclusives
         cert = moduli.check_A4(moduli.power_log(0.3, 1.0), 0.5)
@@ -187,3 +214,11 @@ class TestRatioChecks:
     def test_inverse_log_never_holder(self):
         mod = moduli.inverse_log(2.0)
         assert moduli.holder_witness(mod, 0.1).is_gamma_holder_near_0 == "fail"
+
+    def test_plan_blocks(self):
+        mod = moduli.power(0.5)
+        plan = {"grid": "2^-j, j=1..60", "window": 12, "bound": 1e3, "threshold": 1e-3}
+        assert moduli.check_LCC(mod).describe()["plan"] == plan
+        assert moduli.check_s_over_tau(mod).describe()["plan"] == plan
+        assert moduli.holder_witness(mod, 0.5).describe()["plan"] == dict(
+            plan, grid="2^-j, j=1..200")

@@ -169,6 +169,16 @@ class TestEllipticity:
         assert not rep.passed
         assert max(rep.max_lower_violation, rep.max_upper_violation) > 0.01
 
+    def test_plan_block(self):
+        assert ops.SamplePlan(seed=0).describe() == {
+            "seed": 0,
+            "count": 400,
+            "scales": [0.1, 1.0, 10.0],
+            "ray_t_max": 1e3,
+            "tolerance": 1e-8,
+            "matrix_norm": "frobenius",
+        }
+
     def test_deterministic(self):
         r1 = ops.verify_ellipticity(ops.perturbed_trace(0.1))
         r2 = ops.verify_ellipticity(ops.perturbed_trace(0.1))

@@ -355,6 +355,8 @@ class TestConvergenceStudy:
         numeric = [o for o in study.orders if isinstance(o, float)]
         assert numeric and all(1.8 <= o <= 2.2 for o in numeric)
         assert study.monotone
+        # each rung starts from a zero interior, not from u*
+        assert all(it >= 2 for it in study.iterations)
 
     def test_needs_three_levels(self):
         with pytest.raises(ConfigError):
