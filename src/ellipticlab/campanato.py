@@ -3,7 +3,10 @@
 At each scale r_k = r0 rho0^k, r0 = min(1, domain cap of the modulus), a
 quadratic jet is fitted to the field over the ball B_{r_k}(x0) by least
 squares, then corrected by a multiple of the identity so the operator
-vanishes on its Hessian.  The audit records
+vanishes on its Hessian.  The least-squares fit solves scaled normal
+equations with a fit operator built once per ball pattern (grid, centre,
+radius); one flatness search shares its operators, and tau and psi at
+their radii, across all its audits.  The audit records
 residual decay against delta * r^2 tau(r), Hessian increments between
 consecutive scales, an empirical second-order seminorm against the
 transform psi(t) = tau(t) + int_0^t tau(s)/s ds, a flatness-threshold
@@ -12,13 +15,14 @@ search over solution amplitudes, and a decay-exponent fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, DomainError, NumericsError
-from .fields import GridField, Polynomial2D, ball_nodes
+from .fields import GridField, Polynomial2D, ball_index
 from .moduli import Modulus, psi_transform
 from .operators import OperatorSpec, SymMatrix
 
@@ -109,24 +113,105 @@ def root_correct(op: OperatorSpec, Mbar: SymMatrix, x0=None) -> float:
 # -- ball fits ----------------------------------------------------------------
 
 
-def sup_residual(u: GridField, jet: QuadraticJet, x0_idx, r: float) -> float:
-    return _sup_residual(jet, *ball_nodes(u, x0_idx, r))
+def _quadratic_basis(s: np.ndarray) -> np.ndarray:
+    """Columns 1, s_i, s_i^2 / 2, s_i s_j (i < j) at the rows of s."""
+    m, n = s.shape
+    A = np.empty((m, 1 + n + n * (n + 1) // 2), order="F")   # columns contiguous
+    A[:, 0] = 1.0
+    A[:, 1 : 1 + n] = s
+    np.square(s, out=A[:, 1 + n : 1 + 2 * n])
+    A[:, 1 + n : 1 + 2 * n] *= 0.5
+    col = 1 + 2 * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            np.multiply(s[:, i], s[:, j], out=A[:, col])
+            col += 1
+    return A
 
 
-def _sup_residual(jet: QuadraticJet, d: np.ndarray, vals: np.ndarray) -> float:
-    """sup |u - P| over the ball nodes (d, vals) from ``ball_nodes``."""
-    if len(vals) == 0:
+@dataclass(frozen=True)
+class _FitOperator:
+    """Quadratic least squares over the nodes of one ball B_r(x0), for any
+    field on the grid it was built on.
+
+    The basis is that of ``_quadratic_basis`` on the scaled displacements
+    (x - x0) / unit, where unit is the largest coordinate displacement of
+    a ball node (1 for a one-node ball), so every entry lies in [-1, 1]
+    and the Gram matrix G = A^T A stays well conditioned at every radius.
+    A jet's scaled coefficient vector theta holds c, unit b, and unit^2
+    times M's diagonal and upper entries, so A theta is the jet at the
+    nodes.  ``chol`` factors G; it is None for a ball that is only measured.
+    """
+
+    r: float
+    n: int
+    idx: np.ndarray       # row-major flat node indices, from fields.ball_index
+    unit: float
+    A: np.ndarray
+    chol: Optional[tuple]
+
+    def jet(self, vals: np.ndarray) -> QuadraticJet:
+        """The least-squares jet, from the normal equations G theta = A^T vals
+        and one step of iterative refinement, which recovers the accuracy
+        that squaring the condition number of A costs on clipped balls."""
+        n = self.n
+        theta = cho_solve(self.chol, self.A.T @ vals, check_finite=False)
+        theta += cho_solve(self.chol, self.A.T @ (vals - self.A @ theta), check_finite=False)
+        q = theta[1 + n :] / self.unit**2
+        M = np.diag(q[:n])
+        upper = np.triu_indices(n, 1)   # the order of the basis' cross columns
+        M[upper] = M[upper[::-1]] = q[n:]
+        return QuadraticJet(float(theta[0]), theta[1 : 1 + n] / self.unit, SymMatrix(n, M))
+
+    def constrained_jet(self, vals: np.ndarray, op: OperatorSpec, x0) -> QuadraticJet:
+        """The least-squares jet, then M <- M + a Id with a = root_correct."""
+        jet = self.jet(vals)
+        return jet.shift_identity(root_correct(op, jet.M, x0))
+
+    def sup_residual(self, vals: np.ndarray, jet: QuadraticJet) -> float:
+        """sup |u - P| over the ball nodes, as max |vals - A theta(jet)|."""
+        M = jet.M.matrix
+        quad = np.concatenate((np.diag(M), M[np.triu_indices(self.n, 1)]))
+        theta = np.concatenate(([jet.c], self.unit * jet.b, self.unit**2 * quad))
+        res = self.A @ theta
+        np.subtract(vals, res, out=res)
+        return float(np.max(np.abs(res, out=res)))
+
+
+def _ball_operator(r: float, idx: np.ndarray, d: np.ndarray) -> _FitOperator:
+    """The basis over the nodes (flat indices idx, displacements d) of a
+    ball of radius r, for measuring residuals only."""
+    if len(idx) == 0:
         raise DomainError("ball contains no grid nodes")
-    return float(np.max(np.abs(vals - jet.evaluate(d))))
+    unit = float(np.max(np.abs(d))) or 1.0
+    return _FitOperator(r, d.shape[1], idx, unit, _quadratic_basis(d / unit), None)
 
 
-def _quadratic_basis(d: np.ndarray) -> np.ndarray:
-    n = d.shape[-1]
-    cols = [np.ones(len(d))]
-    cols += [d[:, i] for i in range(n)]
-    cols += [0.5 * d[:, i] ** 2 for i in range(n)]
-    cols += [d[:, i] * d[:, j] for i in range(n) for j in range(i + 1, n)]
-    return np.stack(cols, axis=1)
+def _fit_operator(r: float, idx: np.ndarray, d: np.ndarray, h: float) -> _FitOperator:
+    """The fit operator of a ball of radius r on a grid of spacing h, after
+    the guards every fit must pass.
+
+    A radius below 3h or fewer than 15 nodes raise DomainError.  A Gram
+    matrix whose smallest eigenvalue is at most max(m, p) eps times its
+    largest (lstsq's relative rank test, applied to G, whose rounding
+    floor is eps |G|) raises NumericsError.
+    """
+    if r < 3.0 * h:
+        raise DomainError("fit radius below 3h is not resolvable")
+    ball = _ball_operator(r, idx, d)
+    m, p = ball.A.shape
+    if m < max(15, p):
+        raise DomainError(f"only {m} nodes in the fit ball; need >= 15")
+    G = ball.A.T @ ball.A
+    eig = np.linalg.eigvalsh(G)
+    if eig[0] <= max(m, p) * np.finfo(float).eps * eig[-1]:
+        raise NumericsError("rank-deficient quadratic fit (degenerate node set)")
+    return replace(ball, chol=cho_factor(G, lower=True, check_finite=False))
+
+
+def sup_residual(u: GridField, jet: QuadraticJet, x0_idx, r: float) -> float:
+    ball = _ball_operator(r, *ball_index(u, x0_idx, r))
+    return ball.sup_residual(u.node_values(ball.idx), jet)
 
 
 def constrained_quadratic_fit(u: GridField, op: OperatorSpec, rho: float,
@@ -134,34 +219,14 @@ def constrained_quadratic_fit(u: GridField, op: OperatorSpec, rho: float,
     """Least-squares quadratic jet over B_rho(x0), then M <- M + a Id with
     a = root_correct, so the operator vanishes on the fitted Hessian.
 
+    The least-squares fit solves the normal equations of the scaled basis
+    by Cholesky, with one refinement step (see ``_FitOperator``); a
+    flatness search builds each ball's operator once for all its audits.
     Least squares replaces sup-norm fitting; the sup residual is still
     measured exactly afterwards, so audits stay sound.
     """
-    return _constrained_fit(u, op, rho, x0_idx, *ball_nodes(u, x0_idx, rho))
-
-
-def _constrained_fit(u: GridField, op: OperatorSpec, rho: float, x0_idx,
-                     d: np.ndarray, vals: np.ndarray) -> QuadraticJet:
-    """constrained_quadratic_fit on the nodes (d, vals) of B_rho(x0)."""
-    if rho < 3.0 * u.h:
-        raise DomainError("fit radius below 3h is not resolvable")
-    n = u.n
-    n_basis = 1 + n + n * (n + 1) // 2
-    if len(vals) < max(15, n_basis):
-        raise DomainError(f"only {len(vals)} nodes in the fit ball; need >= 15")
-    A = _quadratic_basis(d)
-    coef, _, rank, _ = np.linalg.lstsq(A, vals, rcond=None)
-    if rank < n_basis:
-        raise NumericsError("rank-deficient quadratic fit (degenerate node set)")
-    c = float(coef[0])
-    b = coef[1 : 1 + n]
-    M = np.diag(coef[1 + n : 1 + 2 * n])
-    upper = np.triu_indices(n, 1)   # the order of the basis' cross columns
-    M[upper] = M[upper[::-1]] = coef[1 + 2 * n :]
-    jet = QuadraticJet(c, b, SymMatrix(n, M))
-    x0 = u.node_coords(x0_idx)
-    a = root_correct(op, jet.M, x0)
-    return jet.shift_identity(a)
+    fop = _fit_operator(rho, *ball_index(u, x0_idx, rho), u.h)
+    return fop.constrained_jet(u.node_values(fop.idx), op, u.node_coords(x0_idx))
 
 
 # -- the dyadic audit ---------------------------------------------------------
@@ -219,6 +284,37 @@ class DecayAudit:
         }
 
 
+@dataclass(frozen=True)
+class _Ladder:
+    """What an audit needs besides the field values: a fit operator, tau
+    and psi at each resolvable radius r0 rho0^k, for one grid and centre."""
+
+    rho0: float
+    mod: Modulus
+    x0_idx: tuple
+    fits: list
+    taus: list
+    psis: list
+    truncated: bool
+
+
+def _ladder(u: GridField, mod: Modulus, rho0: float, K: int, x0_idx) -> _Ladder:
+    if not 0.0 < rho0 <= 0.5:
+        raise ConfigError("rho0 must lie in (0, 1/2]")
+    r0 = min(1.0, mod.domain_cap)
+    fits = []
+    for k in range(K + 1):
+        r = r0 * rho0**k
+        try:
+            fits.append(_fit_operator(r, *ball_index(u, x0_idx, r), u.h))
+        except DomainError:
+            break
+    if not fits:
+        raise DomainError("no scale was resolvable on this grid")
+    return _Ladder(rho0, mod, x0_idx, fits, [mod.evaluate(f.r) for f in fits],
+                   [psi_transform(mod, f.r) for f in fits], len(fits) <= K)
+
+
 def decay_audit(u: GridField, op: OperatorSpec, mod: Modulus, rho0: float = 0.5,
                 K: int = 4, delta: float = 1.0, x0_idx=None) -> DecayAudit:
     """Fit corrected jets at radii r0 rho0^k, k = 0..K, and measure decay.
@@ -228,55 +324,46 @@ def decay_audit(u: GridField, op: OperatorSpec, mod: Modulus, rho0: float = 0.5,
     normalized_ratio is sup_{B_r}|u - P_k| / (delta r^2 tau(r)), and the
     Hessian increment to scale k is normalized by delta tau(r_{k-1}).  The
     audit truncates with a flag (not an error) once a ball has too few
-    nodes to fit.  Each scale is fitted independently; its ball is
-    extracted once and shared by the fit and both sup residuals.
+    nodes to fit.  Each scale is fitted independently; its fit operator
+    is built once and serves the fit and both sup residuals.
     """
-    if not 0.0 < rho0 <= 0.5:
-        raise ConfigError("rho0 must lie in (0, 1/2]")
+    x0_idx = u.origin_index() if x0_idx is None else tuple(int(i) for i in x0_idx)
+    return _audit(u, op, delta, _ladder(u, mod, rho0, K, x0_idx))
+
+
+def _audit(u: GridField, op: OperatorSpec, delta: float, lad: _Ladder) -> DecayAudit:
+    """decay_audit of u on a prepared ladder, which may be shared."""
     if delta <= 0.0:
         raise ConfigError("delta must be positive")
-    x0_idx = u.origin_index() if x0_idx is None else tuple(int(i) for i in x0_idx)
-    r0 = min(1.0, mod.domain_cap)
-    records, balls = [], []
-    truncated = False
-    for k in range(K + 1):
-        r = r0 * rho0**k
-        try:
-            ball = ball_nodes(u, x0_idx, r)
-            jet = _constrained_fit(u, op, r, x0_idx, *ball)
-        except DomainError:
-            truncated = True
-            break
-        sup = _sup_residual(jet, *ball)
-        tau = mod.evaluate(r)
-        ratio = sup / (delta * r**2 * tau)
+    x0 = u.node_coords(lad.x0_idx)
+    records, vals = [], []
+    for k, (fop, tau) in enumerate(zip(lad.fits, lad.taus)):
+        v = u.node_values(fop.idx)
+        jet = fop.constrained_jet(v, op, x0)
+        sup = fop.sup_residual(v, jet)
+        ratio = sup / (delta * fop.r**2 * tau)
         if not records:
             inc = inc_ratio = None
         else:
-            prev = records[-1]
-            inc = float(np.linalg.norm(jet.M.matrix - prev.jet.M.matrix))
-            inc_ratio = inc / (delta * mod.evaluate(prev.radius))
-        records.append(ScaleRecord(k, r, jet, sup, ratio, inc, inc_ratio))
-        balls.append(ball)
-    if not records:
-        raise DomainError("no scale was resolvable on this grid")
-    C0, cauchy = _final_jet_decay(mod, records, balls)
-    return DecayAudit(rho0, delta, mod, records, len(records) - 1, truncated,
-                      C0, cauchy, x0_idx)
+            inc = float(np.linalg.norm(jet.M.matrix - records[-1].jet.M.matrix))
+            inc_ratio = inc / (delta * lad.taus[k - 1])
+        records.append(ScaleRecord(k, fop.r, jet, sup, ratio, inc, inc_ratio))
+        vals.append(v)
+    C0, cauchy = _final_jet_decay(records, lad.fits, vals, lad.taus, lad.psis)
+    return DecayAudit(lad.rho0, delta, lad.mod, records, len(records) - 1, lad.truncated,
+                      C0, cauchy, lad.x0_idx)
 
 
-def _final_jet_decay(mod: Modulus, records, balls):
+def _final_jet_decay(records, balls, vals, taus, psis):
     """Residual decay of the last jet against r^2 psi(r) over each record's
-    ball nodes, plus the Cauchy check that Hessian increments shrink like
-    tau at the audited scales."""
+    ball, plus the Cauchy check that Hessian increments shrink like tau at
+    the audited scales.  ``balls``, ``vals``, ``taus`` and ``psis`` run
+    along ``records``."""
     last = records[-1].jet
     worst = 0.0
-    for rec, ball in zip(records, balls):
-        sup = _sup_residual(last, *ball)
-        psi = psi_transform(mod, rec.radius)
-        worst = max(worst, sup / (rec.radius**2 * psi))
+    for rec, ball, v, psi in zip(records, balls, vals, psis):
+        worst = max(worst, ball.sup_residual(v, last) / (rec.radius**2 * psi))
     incs = [rec.hessian_increment for rec in records if rec.hessian_increment is not None]
-    taus = [mod.evaluate(records[k].radius) for k in range(len(records) - 1)]
     scale = max([abs(v) for v in incs], default=0.0)
     if len(incs) >= 2 and scale > 1e-12:
         bound = max(i / t for i, t in zip(incs, taus))
@@ -295,8 +382,11 @@ def c2psi_seminorm(u: GridField, audit: DecayAudit):
     """
     if audit.K_max < 3:
         raise ConfigError("seminorm needs an audit of depth K >= 3")
-    balls = [ball_nodes(u, audit.x0_idx, rec.radius) for rec in audit.records]
-    return _final_jet_decay(audit.mod, audit.records, balls)
+    radii = [rec.radius for rec in audit.records]
+    balls = [_ball_operator(r, *ball_index(u, audit.x0_idx, r)) for r in radii]
+    return _final_jet_decay(audit.records, balls, [u.node_values(b.idx) for b in balls],
+                            [audit.mod.evaluate(r) for r in radii],
+                            [psi_transform(audit.mod, r) for r in radii])
 
 
 # -- scale equivariance --------------------------------------------------------
@@ -367,16 +457,22 @@ def flatness_threshold_search(field_family: Callable[[float], GridField],
     ``field_family(delta)`` must return the exact-solution field with sup
     norm delta.  After sweeping the sampled amplitudes, the bracket
     between the first fail and the last pass below it is bisected; with
-    no pass below the first fail, delta_star is None.  An empirical
-    analogue of a smallness threshold, not a proof constant.
+    no pass below the first fail, delta_star is None.  Every probe is the
+    origin ``decay_audit`` of its field, and probes on one grid share the
+    ladder's fit operators, tau and psi.  An empirical analogue of a
+    smallness threshold, not a proof constant.
     """
     deltas = sorted(float(d) for d in deltas)
     if not deltas:
         raise ConfigError("need at least one amplitude")
+    ladders = {}   # one per grid: the family's fields differ only in their values
 
     def probe(delta: float):
         field = field_family(delta)
-        audit = decay_audit(field, op, mod, rho0=rho0, K=K, delta=delta)
+        grid = (field.n, field.N, field.L)
+        if grid not in ladders:
+            ladders[grid] = _ladder(field, mod, rho0, K, field.origin_index())
+        audit = _audit(field, op, delta, ladders[grid])
         worst = max(audit.ratios())
         return worst <= 1.0, worst
 

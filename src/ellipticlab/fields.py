@@ -78,6 +78,10 @@ class GridField:
         v = self.values[idx]
         return float(v) if self.components == 1 else np.asarray(v)
 
+    def node_values(self, flat) -> np.ndarray:
+        """Values at row-major flat node indices, one row per node."""
+        return self.values.reshape((self.N ** self.n,) + self.values.shape[self.n:])[flat]
+
     def scale(self, c: float) -> "GridField":
         return GridField(self.n, self.N, self.L, self.values * float(c), self.components)
 
@@ -105,9 +109,9 @@ def sample_function(f: Callable, n: int = 2, N: int = 65, L: float = 1.0,
 # -- ball-averaged L^p norms ----------------------------------------------
 
 
-def ball_nodes(field: GridField, x0_idx, r: float):
-    """Displacements x - x0, shape (m, n), and field values at the m grid
-    nodes of the closed ball B_r(x0), in row-major node order.
+def ball_index(field: GridField, x0_idx, r: float):
+    """Row-major flat node indices and displacements x - x0, shape (m, n),
+    of the m grid nodes of the closed ball B_r(x0), in row-major node order.
 
     Only the index box x0_idx +- (floor(r/h) + 1), clipped to the grid, is
     searched, so the cost is O((r/h)^n), not O(N^n).  Balls reaching past
@@ -117,10 +121,22 @@ def ball_nodes(field: GridField, x0_idx, r: float):
     reach = math.floor(r / field.h) + 1 if r < 2.0 * field.L else field.N
     box = tuple(slice(max(int(i) - reach, 0), int(i) + reach + 1) for i in x0_idx)
     c = field.axis_coords()
-    d = np.stack(np.meshgrid(*(c[w] - x0[a] for a, w in enumerate(box)), indexing="ij"),
-                 axis=-1)
-    mask = np.linalg.norm(d, axis=-1) <= r + 1e-12
-    return d[mask], field.values[box][mask]
+    axes = [c[w] - x0[a] for a, w in enumerate(box)]
+    # squared distances summed axis by axis, in np.linalg.norm's order
+    sq = 0.0
+    for a, t in enumerate(axes):
+        sq = sq + (t * t).reshape((-1,) + (1,) * (field.n - 1 - a))
+    local = np.nonzero(np.sqrt(sq) <= r + 1e-12)
+    d = np.stack([t[i] for t, i in zip(axes, local)], axis=-1)
+    nodes = tuple(i + w.start for i, w in zip(local, box))
+    return np.ravel_multi_index(nodes, (field.N,) * field.n), d
+
+
+def ball_nodes(field: GridField, x0_idx, r: float):
+    """Displacements x - x0, shape (m, n), and field values at the m grid
+    nodes of the closed ball B_r(x0), in the order of ``ball_index``."""
+    flat, d = ball_index(field, x0_idx, r)
+    return d, field.node_values(flat)
 
 
 def ball_average_lp(field: GridField, x0_idx, r: float, p0: float | None = None) -> float:

@@ -217,23 +217,36 @@ def from_table(rs: Sequence[float], taus: Sequence[float]) -> Modulus:
 
 
 def from_dict(d: dict) -> Modulus:
-    """Rebuild a modulus from its ``describe()`` dictionary."""
+    """Rebuild a modulus from its ``describe()`` dictionary.
+
+    Parameters are converted with ``float`` (the table's knots elementwise);
+    a missing or non-numeric one raises ConfigError.
+    """
     fam = d.get("family")
+
+    def num(key, convert=float):
+        try:
+            return convert(d[key])
+        except KeyError:
+            raise ConfigError(f"missing modulus parameter {key!r} for family {fam!r}")
+        except (TypeError, ValueError):
+            raise ConfigError(f"modulus parameter {key!r} must be numeric, got {d[key]!r}")
+
+    def knots(key):
+        return num(key, lambda v: np.asarray(v, dtype=float))
+
     # only a cap the dictionary gives is passed on: each default is the constructor's
-    caps = {} if d.get("domain_cap") is None else {"domain_cap": d["domain_cap"]}
+    caps = {} if d.get("domain_cap") is None else {"domain_cap": num("domain_cap")}
     builders: dict[str, Callable] = {
-        "power": lambda: power(d["alpha"], **caps),
-        "power_log": lambda: power_log(d["alpha"], d["beta"], **caps),
-        "power_ln_z": lambda: power_ln_z(d["kappa"], d["zeta"], **caps),
-        "inverse_log": lambda: inverse_log(d["gamma"], **caps),
-        "table": lambda: from_table(d["table_r"], d["table_tau"]),
+        "power": lambda: power(num("alpha"), **caps),
+        "power_log": lambda: power_log(num("alpha"), num("beta"), **caps),
+        "power_ln_z": lambda: power_ln_z(num("kappa"), num("zeta"), **caps),
+        "inverse_log": lambda: inverse_log(num("gamma"), **caps),
+        "table": lambda: from_table(knots("table_r"), knots("table_tau")),
     }
     if fam not in builders:
         raise ConfigError(f"unknown modulus family {fam!r}")
-    try:
-        return builders[fam]()
-    except KeyError as exc:
-        raise ConfigError(f"missing modulus parameter {exc} for family {fam!r}")
+    return builders[fam]()
 
 
 # -- singular quadrature -------------------------------------------------

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellipticlab import campanato, fields, moduli, operators, solver
 from ellipticlab.errors import ConfigError, DomainError, NumericsError
@@ -126,6 +130,58 @@ class TestQuadraticFit:
         u = sample("harmonic_cubic", N=17)
         with pytest.raises(DomainError):
             campanato.constrained_quadratic_fit(u, LAPLACE, 0.05, u.origin_index())
+
+
+def reference_lstsq(d, vals, r):
+    """Reference fit: lstsq (SVD) on the quadratic basis of d / r,
+    so its coefficients are c, r b, r^2 diag(M) and r^2 M_ij (i < j)."""
+    s = d / r
+    n = s.shape[1]
+    cols = [np.ones(len(s))] + [s[:, i] for i in range(n)]
+    cols += [0.5 * s[:, i] ** 2 for i in range(n)]
+    cols += [s[:, i] * s[:, j] for i in range(n) for j in range(i + 1, n)]
+    coef, _, rank, _ = np.linalg.lstsq(np.stack(cols, axis=1), vals, rcond=None)
+    return coef, rank
+
+
+class TestFitOperator:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_jets_match_lstsq_reference(self, data):
+        n = data.draw(st.sampled_from([2, 3]))
+        N = data.draw(st.sampled_from([17, 33, 65] if n == 2 else [9, 17]))
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        # any centre: balls near an edge or corner are clipped to the square
+        x0 = tuple(data.draw(st.integers(0, N - 1)) for _ in range(n))
+        h = 2.0 / (N - 1)
+        r = data.draw(st.floats(3.0 * h, 1.0))
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n))
+        quad = fields.Polynomial2D(rng.standard_normal(), rng.standard_normal(n),
+                                   SymMatrix.from_matrix(g + g.T))
+        noise = data.draw(st.sampled_from([0.0, 1e-3, 0.1]))
+        u = fields.sample_function(
+            lambda pts: quad(pts) + noise * rng.standard_normal(pts.shape[:-1]), n=n, N=N)
+        idx, d = fields.ball_index(u, x0, r)
+        assume(len(idx) >= 15)
+        fop = campanato._fit_operator(r, idx, d, u.h)
+        vals = u.node_values(idx)
+        jet = fop.jet(vals)
+        M = jet.M.matrix
+        upper = np.triu_indices(n, 1)
+        scaled = np.concatenate(([jet.c], r * jet.b, r**2 * np.diag(M), r**2 * M[upper]))
+        coef, rank = reference_lstsq(d, vals, r)
+        assert rank == len(coef)
+        assert np.max(np.abs(scaled - coef)) <= 1e-12 * np.max(np.abs(vals))
+
+    @pytest.mark.parametrize("d", [
+        np.stack([np.linspace(-1.0, 1.0, 21), np.linspace(-0.5, 0.5, 21)], axis=1),
+        np.stack([np.cos(np.linspace(0.0, 6.0, 21)), np.sin(np.linspace(0.0, 6.0, 21))],
+                 axis=1),
+    ], ids=["collinear", "on_a_circle"])
+    def test_degenerate_node_set_raises(self, d):
+        with pytest.raises(NumericsError, match="rank-deficient"):
+            campanato._fit_operator(1.0, np.arange(len(d)), d, 0.1)
 
 
 class TestDecayAudit:
@@ -336,6 +392,36 @@ class TestFlatness:
         assert [row["passed"] for row in search.table] == [False, True]
         assert search.delta_star is None and search.refinements == 0
         assert search.monotone is False and search.describe()["monotone"] is False
+
+    def test_search_shares_one_ladder(self, monkeypatch):
+        built, psis = Counter(), Counter()
+        ball_index, psi_transform = campanato.ball_index, campanato.psi_transform
+
+        def counted_ball(u, x0_idx, r):
+            built[(tuple(x0_idx), r)] += 1
+            return ball_index(u, x0_idx, r)
+
+        def counted_psi(mod, t):
+            psis[t] += 1
+            return psi_transform(mod, t)
+
+        fam = self.family(N=65)
+        op, mod = operators.perturbed_trace(0.5), moduli.power(1.0)
+        monkeypatch.setattr(campanato, "ball_index", counted_ball)
+        monkeypatch.setattr(campanato, "psi_transform", counted_psi)
+        # K = 5 on N = 65 truncates at r = 1/16 < 3h
+        search = campanato.flatness_threshold_search(
+            fam, op, mod, [0.05, 0.2, 0.8, 1.6], K=5, refine_steps=3)
+        monkeypatch.undo()
+        assert len(search.table) == 7
+        centre = fam(1.0).origin_index()
+        assert built == Counter({(centre, 0.5**k): 1 for k in range(5)})
+        assert psis == Counter({0.5**k: 1 for k in range(4)})
+        for row in search.table:
+            audit = campanato.decay_audit(fam(row["delta"]), op, mod, K=5, delta=row["delta"])
+            assert audit.truncated and audit.K_max == 3
+            assert row["worst_ratio"] == max(audit.ratios())
+            assert row["passed"] == (max(audit.ratios()) <= 1.0)
 
     def test_monotone_flag(self):
         rows = [{"delta": 0.2, "passed": False}, {"delta": 0.1, "passed": True}]

@@ -172,6 +172,16 @@ def test_config_error_exit_2(tmp_path):
     assert main(["audit", "--config", bad, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_non_numeric_modulus_parameter_exit_2(tmp_path, capsys):
+    cfg = write(tmp_path / "c.yaml", {
+        "modulus": {"family": "power", "alpha": "abc"},
+        "checks": ["dini"],
+    })
+    assert main(["moduli-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "alpha" in err
+
+
 def test_report_embeds_config(tmp_path):
     cfg = write(tmp_path / "c.yaml", {
         "modulus": {"family": "power", "alpha": 0.5},
