@@ -164,7 +164,10 @@ class _FitOperator:
         return QuadraticJet(float(theta[0]), theta[1 : 1 + n] / self.unit, SymMatrix(n, M))
 
     def constrained_jet(self, vals: np.ndarray, op: OperatorSpec, x0) -> QuadraticJet:
-        """The least-squares jet, then M <- M + a Id with a = root_correct."""
+        """The least-squares jet, then M <- M + a Id with a = root_correct.
+        An operator whose dimension differs from the grid's raises ConfigError."""
+        if op.n != self.n:
+            raise ConfigError(f"a {op.n}-D operator cannot audit a {self.n}-D field")
         jet = self.jet(vals)
         return jet.shift_identity(root_correct(op, jet.M, x0))
 

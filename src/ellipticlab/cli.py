@@ -2,9 +2,12 @@
 
 Subcommands mirror the library modules: ``moduli-check``,
 ``operator-verify``, ``solve``, ``mms``, ``audit``, and ``flatness``.
-Each reads a YAML config, writes a YAML report (embedding the resolved
-config) plus flat CSV tables under ``--out``, and exits 0 when all
-requested checks pass, 1 on a check failure, 2 on a config error.
+Each handler only reads its YAML config and computes: it returns the
+report body, its other files ({file name: CSV rows or a GridField}) and
+whether every requested check passed.  ``main`` alone writes the YAML
+report (body, resolved config and ``passed``) and the files under
+``--out``, and exits 0 when all requested checks pass, 1 on a check
+failure, 2 on a config error; a run that raises writes nothing.
 Identical configs produce byte-identical reports.
 """
 
@@ -48,13 +51,11 @@ def _write_report(outdir: Path, report: dict) -> None:
         yaml.safe_dump(_clean(report), fh, sort_keys=True, default_flow_style=False)
 
 
-def _write_csv(outdir: Path, name: str, rows: list) -> None:
+def _write_csv(path: Path, rows: list) -> None:
     if not rows:
         return
-    outdir.mkdir(parents=True, exist_ok=True)
-    cols = list(rows[0].keys())
-    with open(outdir / f"{name}.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cols)
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _clean(v) for k, v in row.items()})
@@ -71,67 +72,84 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _need(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config key {key!r} is required")
-    return cfg[key]
+def _read(cfg: dict, key: str, convert=lambda v: v, default=...):
+    """The config value at the dotted ``key`` through ``convert``, or
+    ``default`` when absent.  A missing required key, a non-mapping on the
+    path or a value ``convert`` rejects raises ConfigError naming the key."""
+    value = cfg
+    for part in key.split("."):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {key!r}: {value!r} is not a mapping")
+        if part not in value:
+            if default is ...:
+                raise ConfigError(f"config key {key!r} is required")
+            return default
+        value = value[part]
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: cannot read {value!r} ({exc})") from None
 
 
-def _parse_modulus(spec: dict) -> moduli.Modulus:
-    if not isinstance(spec, dict):
-        raise ConfigError("modulus spec must be a mapping")
-    return moduli.from_dict(spec)
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
-def _parse_pair(spec) -> operators.EllipticityPair:
-    if not isinstance(spec, dict) or "lambda" not in spec or "Lambda" not in spec:
-        raise ConfigError("pair spec needs keys lambda and Lambda")
-    return operators.EllipticityPair(float(spec["lambda"]), float(spec["Lambda"]))
+def _list_of(convert):
+    """A converter for a list whose entries each pass ``convert``."""
+    def check(value) -> list:
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return [convert(v) for v in value]
+    return check
 
 
-def _parse_operator(spec: dict) -> operators.OperatorSpec:
-    if not isinstance(spec, dict):
-        raise ConfigError("operator spec must be a mapping")
-    kind = _need(spec, "kind")
-    n = int(spec.get("n", 2))
-    pair = _parse_pair(spec["pair"]) if "pair" in spec else None
+def _parse_operator(cfg: dict) -> operators.OperatorSpec:
+    kind = _read(cfg, "operator.kind")
+    n = _read(cfg, "operator.n", int, None)
+    pair = None
+    if "pair" in cfg["operator"]:
+        pair = operators.EllipticityPair(_read(cfg, "operator.pair.lambda", float),
+                                         _read(cfg, "operator.pair.Lambda", float))
     if kind == "linear_trace":
-        return operators.linear_trace(np.asarray(_need(spec, "matrix"), dtype=float), pair=pair)
+        op = operators.linear_trace(_read(cfg, "operator.matrix", _array), pair=pair)
+        if n not in (None, op.n):
+            raise ConfigError(f"operator n = {n} disagrees with its {op.n} x {op.n} matrix")
+        return op
+    n = 2 if n is None else n
     if kind == "perturbed_trace":
-        return operators.perturbed_trace(float(_need(spec, "eps")), n=n, pair=pair)
+        return operators.perturbed_trace(_read(cfg, "operator.eps", float), n=n, pair=pair)
     if kind not in ("pucci_plus", "pucci_minus"):
         raise ConfigError(f"unsupported operator kind {kind!r} in configs")
     if pair is None:
-        raise ConfigError("config key 'pair' is required")
+        raise ConfigError("config key 'operator.pair' is required")
     return operators.OperatorSpec(kind, n, pair)
 
 
-def _parse_solution(spec: dict, n: int) -> solver.AnalyticSolution:
+def _parse_solution(cfg: dict, n: int) -> solver.AnalyticSolution:
     """The u_star spec as an n-dimensional exact solution."""
-    if not isinstance(spec, dict):
-        raise ConfigError("u_star spec must be a mapping")
-    kind = _need(spec, "type")
+    kind = _read(cfg, "u_star.type")
     if kind == "quadratic":
-        M = operators.SymMatrix.from_matrix(np.asarray(_need(spec, "M"), dtype=float))
-        b = np.asarray(spec.get("b", np.zeros(M.n)), dtype=float)
+        M = operators.SymMatrix.from_matrix(_read(cfg, "u_star.M", _array))
+        b = _read(cfg, "u_star.b", _array, np.zeros(M.n))
         if M.n != n or b.shape != (n,):
             raise ConfigError(f"u_star M must be {n} x {n} and b have {n} entries")
-        return solver.quadratic_solution(float(spec.get("c", 0.0)), b, M)
+        return solver.quadratic_solution(_read(cfg, "u_star.c", float, 0.0), b, M)
     if kind == "saddle_quartic":
         if n != 2:
             raise ConfigError("u_star saddle_quartic needs a 2-D operator")
-        return solver.saddle_quartic_solution(float(_need(spec, "delta")))
+        return solver.saddle_quartic_solution(_read(cfg, "u_star.delta", float))
     raise ConfigError(f"unknown u_star type {kind!r}")
 
 
-def _rotation_drift(spec):
+def _rotation_drift(cfg: dict):
     """The config's drift as a callable on stacked points, or None."""
-    if spec is None:
+    if cfg.get("drift") is None:
         return None
-    kind = _need(spec, "type")
+    kind = _read(cfg, "drift.type")
     if kind != "rotation":
         raise ConfigError(f"unknown drift type {kind!r}")
-    scale = float(spec.get("scale", 0.1))
+    scale = _read(cfg, "drift.scale", float, 0.1)
 
     def rot(pts):
         pts = np.asarray(pts, dtype=float)
@@ -143,32 +161,34 @@ def _rotation_drift(spec):
     return rot
 
 
-def _field_from_config(spec: dict) -> fields.GridField:
-    if "file" in spec:
-        return fields.load_field(spec["file"])
-    name = _need(spec, "profile")
-    N = int(spec.get("N", 129))
-    L = float(spec.get("L", 1.0))
-    coeff = float(spec.get("coeff", 1.0))
-    f = fields.profile(name)
-    g = fields.sample_function(f, n=2, N=N, L=L)
+def _field_from_config(cfg: dict) -> fields.GridField:
+    path = _read(cfg, "field.file", str, None)
+    if path is not None:
+        return fields.load_field(path)
+    name = _read(cfg, "field.profile", str)
+    N = _read(cfg, "field.N", int, 129)
+    L = _read(cfg, "field.L", float, 1.0)
+    coeff = _read(cfg, "field.coeff", float, 1.0)
+    g = fields.sample_function(fields.profile(name), n=2, N=N, L=L)
     return g.scale(coeff) if coeff != 1.0 else g
 
 
 # -- subcommand handlers -------------------------------------------------------
 
+_CHECKS = ("dini", "a4", "lcc", "s_over_tau")
 
-def _run_moduli_check(cfg: dict, outdir: Path, seed: int) -> int:
-    mod = _parse_modulus(_need(cfg, "modulus"))
-    checks = cfg.get("checks", ["dini", "a4", "lcc", "s_over_tau"])
-    report = {"config": cfg, "modulus": mod.describe(), "results": {}}
-    tables = []
-    failed = False
+
+def _run_moduli_check(cfg: dict):
+    mod = moduli.from_dict(_read(cfg, "modulus"))
+    checks = _read(cfg, "checks", _list_of(str), _CHECKS)
+    if not set(checks) <= set(_CHECKS):
+        raise ConfigError(f"checks must be drawn from {list(_CHECKS)}, got {checks}")
+    results, tables, failed = {}, [], False
 
     if "dini" in checks:
         try:
             dini = moduli.dini_integral(mod)
-            report["results"]["dini"] = {
+            results["dini"] = {
                 "value": dini.value,
                 "converged": dini.converged,
                 "tail_estimate": dini.tail_estimate,
@@ -176,149 +196,124 @@ def _run_moduli_check(cfg: dict, outdir: Path, seed: int) -> int:
             if not dini.converged:
                 failed = True
         except DivergentIntegralError as exc:
-            report["results"]["dini"] = {"converged": False, "divergent": True,
-                                         "detail": str(exc)}
+            results["dini"] = {"converged": False, "divergent": True, "detail": str(exc)}
             failed = True
     if "a4" in checks:
-        cert = moduli.check_A4(mod, float(cfg.get("alpha0", 0.5)))
-        report["results"]["a4"] = cert.describe()
+        cert = moduli.check_A4(mod, _read(cfg, "alpha0", float, 0.5))
+        results["a4"] = cert.describe()
         if "fail" in (cert.verdict_i, cert.verdict_ii):
             failed = True
-        for s, v in cert.cond_i_profile:
-            tables.append({"check": "a4_cond_i", "s": s, "value": v})
-        for s, v in cert.cond_ii_profile:
-            tables.append({"check": "a4_cond_ii", "s": s, "value": v})
-    if "lcc" in checks:
-        lcc = moduli.check_LCC(mod)
-        report["results"]["lcc"] = lcc.describe()
-        if not lcc.passed:
-            failed = True
-    if "s_over_tau" in checks:
-        st = moduli.check_s_over_tau(mod)
-        report["results"]["s_over_tau"] = st.describe()
-        if not st.passed:
-            failed = True
-    for gamma in cfg.get("holder_gammas", []):
-        wit = moduli.holder_witness(mod, float(gamma))
-        report["results"][f"holder_{gamma}"] = wit.describe()
+        for label, profile in (("a4_cond_i", cert.cond_i_profile),
+                               ("a4_cond_ii", cert.cond_ii_profile)):
+            tables += [{"check": label, "s": s, "value": v} for s, v in profile]
+    for name, check in (("lcc", moduli.check_LCC), ("s_over_tau", moduli.check_s_over_tau)):
+        if name in checks:
+            res = check(mod)
+            results[name] = res.describe()
+            if not res.passed:
+                failed = True
+    # the result key keeps the config's spelling of gamma
+    for raw, gamma in _read(cfg, "holder_gammas", _list_of(lambda g: (g, float(g))), []):
+        results[f"holder_{raw}"] = moduli.holder_witness(mod, gamma).describe()
 
-    report["passed"] = not failed
-    _write_report(outdir, report)
-    _write_csv(outdir, "profiles", tables)
-    return 1 if failed else 0
+    return {"modulus": mod.describe(), "results": results}, {"profiles.csv": tables}, not failed
 
 
-def _run_operator_verify(cfg: dict, outdir: Path, seed: int) -> int:
-    op = _parse_operator(_need(cfg, "operator"))
-    plan = operators.SamplePlan(seed=seed, count=int(cfg.get("samples", 400)))
-    report = {"config": cfg, "operator": op.describe(), "results": {}}
-    failed = False
-
+def _run_operator_verify(cfg: dict):
+    op = _parse_operator(cfg)
+    plan = operators.SamplePlan(seed=cfg["seed"], count=_read(cfg, "samples", int, 400))
     ell = operators.verify_ellipticity(op, plan)
-    report["results"]["ellipticity"] = ell.describe()
-    if not ell.passed:
-        failed = True
+    results, passed = {"ellipticity": ell.describe()}, ell.passed
 
     if cfg.get("structure", False):
         sc = operators.check_SC(op, plan)
-        report["results"]["structure"] = sc.describe()
+        results["structure"] = sc.describe()
         if cfg.get("require_structure", False) and not (
             sc.convex and sc.zero_at_origin and sc.trace_minorant
             and sc.differentiable_at_origin and sc.one_homogeneous
         ):
-            failed = True
+            passed = False
 
     if cfg.get("tangential", False):
         try:
-            A0 = operators.tangential_limit(op, seed=seed)
-            report["results"]["tangential"] = {
+            A0 = operators.tangential_limit(op, seed=cfg["seed"])
+            results["tangential"] = {
                 "matrix": A0.matrix.tolist(),
                 "differentiable": True,
             }
         except (NonDifferentiableError,) as exc:
-            report["results"]["tangential"] = {"differentiable": False,
-                                               "detail": str(exc)}
+            results["tangential"] = {"differentiable": False, "detail": str(exc)}
 
     if "theta" in cfg:
-        x = np.asarray(cfg["theta"].get("x", [0.3] * op.n), dtype=float)
-        x0 = np.asarray(cfg["theta"].get("x0", [0.0] * op.n), dtype=float)
-        report["results"]["theta"] = {
+        x = _read(cfg, "theta.x", _array, np.full(op.n, 0.3))
+        x0 = _read(cfg, "theta.x0", _array, np.zeros(op.n))
+        if x.shape != (op.n,) or x0.shape != (op.n,):
+            raise ConfigError(f"theta x and x0 must have {op.n} entries, one per dimension")
+        results["theta"] = {
             "value": operators.oscillation_theta(op, x, x0, plan),
             "x": x.tolist(),
             "x0": x0.tolist(),
         }
 
-    report["passed"] = not failed
-    _write_report(outdir, report)
-    return 1 if failed else 0
+    return {"operator": op.describe(), "results": results}, {}, passed
 
 
-def _run_solve(cfg: dict, outdir: Path, seed: int) -> int:
-    op = _parse_operator(_need(cfg, "operator"))
-    grid = _need(cfg, "grid")
-    N, L = int(_need(grid, "N")), float(grid.get("L", 1.0))
-    u_star = _parse_solution(_need(cfg, "u_star"), op.n)
-    rep, sup_err = solver.mms_solve(op, u_star, N, L, _rotation_drift(cfg.get("drift")),
-                                    tol=float(cfg.get("tol", 1e-10)),
-                                    max_iter=int(cfg.get("max_iter", 30)))
-    report = {"config": cfg, "solve": rep.describe(), "sup_error_vs_exact": sup_err,
-              "passed": bool(rep.converged)}
-    _write_report(outdir, report)
-    fields.save_field(rep.solution, outdir / "solution.field")
-    return 0 if rep.converged else 1
+def _run_solve(cfg: dict):
+    op = _parse_operator(cfg)
+    N, L = _read(cfg, "grid.N", int), _read(cfg, "grid.L", float, 1.0)
+    u_star = _parse_solution(cfg, op.n)
+    rep, sup_err = solver.mms_solve(op, u_star, N, L, _rotation_drift(cfg),
+                                    tol=_read(cfg, "tol", float, 1e-10),
+                                    max_iter=_read(cfg, "max_iter", int, 30))
+    return ({"solve": rep.describe(), "sup_error_vs_exact": sup_err},
+            {"solution.field": rep.solution}, bool(rep.converged))
 
 
-def _run_mms(cfg: dict, outdir: Path, seed: int) -> int:
-    op = _parse_operator(_need(cfg, "operator"))
-    u_star = _parse_solution(_need(cfg, "u_star"), op.n)
-    N_list = [int(v) for v in cfg.get("N_list", [33, 65, 129])]
-    study = solver.convergence_study(op, u_star, N_list=N_list,
-                                     drift_fn=_rotation_drift(cfg.get("drift")),
-                                     tol=float(cfg.get("tol", 1e-10)))
-    min_order = float(cfg.get("min_order", 1.8))
-    numeric = [o for o in study.orders if isinstance(o, float)]
-    passed = all(o >= min_order for o in numeric) if numeric else True
-    report = {"config": cfg, "study": study.describe(), "passed": passed}
-    _write_report(outdir, report)
+def _run_mms(cfg: dict):
+    op = _parse_operator(cfg)
+    u_star = _parse_solution(cfg, op.n)
+    N_list = _read(cfg, "N_list", _list_of(int), [33, 65, 129])
+    min_order = _read(cfg, "min_order", float, 1.8)
+    study = solver.convergence_study(op, u_star, N_list=N_list, drift_fn=_rotation_drift(cfg),
+                                     tol=_read(cfg, "tol", float, 1e-10))
+    passed = all(o >= min_order for o in study.orders if isinstance(o, float))
     rows = [
         {"N": N, "sup_error": e, "iterations": it}
         for N, e, it in zip(study.N_list, study.errors, study.iterations)
     ]
-    _write_csv(outdir, "convergence", rows)
-    return 0 if passed else 1
+    return {"study": study.describe()}, {"convergence.csv": rows}, passed
 
 
-def _run_audit(cfg: dict, outdir: Path, seed: int) -> int:
-    field = _field_from_config(_need(cfg, "field"))
-    op = _parse_operator(_need(cfg, "operator"))
-    mod = _parse_modulus(_need(cfg, "modulus"))
+def _run_audit(cfg: dict):
+    field = _field_from_config(cfg)
+    op = _parse_operator(cfg)
+    mod = moduli.from_dict(_read(cfg, "modulus"))
+    max_ratio = _read(cfg, "max_ratio", float, None)
     audit = campanato.decay_audit(
         field, op, mod,
-        rho0=float(cfg.get("rho0", 0.5)),
-        K=int(cfg.get("K", 4)),
-        delta=float(cfg.get("delta", 1.0)),
+        rho0=_read(cfg, "rho0", float, 0.5),
+        K=_read(cfg, "K", int, 4),
+        delta=_read(cfg, "delta", float, 1.0),
     )
-    failed = False
+    passed = True
     ratios = audit.ratios()
     if cfg.get("require_decreasing", False):
         if any(b >= a for a, b in zip(ratios, ratios[1:])):
-            failed = True
-    if "max_ratio" in cfg and max(ratios) > float(cfg["max_ratio"]):
-        failed = True
+            passed = False
+    if max_ratio is not None and max(ratios) > max_ratio:
+        passed = False
     fit = campanato.fit_decay_exponent(audit)
-    report = {"config": cfg, "audit": audit.describe(),
-              "exponent_fit": fit.describe(), "passed": not failed}
-    _write_report(outdir, report)
-    _write_csv(outdir, "audit", audit.table())
-    return 1 if failed else 0
+    return ({"audit": audit.describe(), "exponent_fit": fit.describe()},
+            {"audit.csv": audit.table()}, passed)
 
 
-def _run_flatness(cfg: dict, outdir: Path, seed: int) -> int:
-    op = _parse_operator(_need(cfg, "operator"))
-    mod = _parse_modulus(_need(cfg, "modulus"))
-    grid = cfg.get("grid", {})
-    N, L = int(grid.get("N", 129)), float(grid.get("L", 1.0))
-    deltas = [float(v) for v in _need(cfg, "deltas")]
+def _run_flatness(cfg: dict):
+    op = _parse_operator(cfg)
+    if op.n != 2:
+        raise ConfigError("flatness audits the 2-D saddle_quartic family; it needs a 2-D operator")
+    mod = moduli.from_dict(_read(cfg, "modulus"))
+    N, L = _read(cfg, "grid.N", int, 129), _read(cfg, "grid.L", float, 1.0)
+    deltas = _read(cfg, "deltas", _list_of(float))
 
     base = solver.saddle_quartic_solution(1.0)
     probe = fields.sample_function(base.value, n=op.n, N=N, L=L)
@@ -329,18 +324,15 @@ def _run_flatness(cfg: dict, outdir: Path, seed: int) -> int:
 
     search = campanato.flatness_threshold_search(
         family, op, mod, deltas,
-        rho0=float(cfg.get("rho0", 0.5)), K=int(cfg.get("K", 4)),
-        refine_steps=int(cfg.get("refine_steps", 8)),
+        rho0=_read(cfg, "rho0", float, 0.5), K=_read(cfg, "K", int, 4),
+        refine_steps=_read(cfg, "refine_steps", int, 8),
     )
     passed = True
     if cfg.get("require_finite_delta_star", False) and search.delta_star is None:
         passed = False
     if cfg.get("require_all_pass", False):
         passed = passed and all(row["passed"] for row in search.table)
-    report = {"config": cfg, "search": search.describe(), "passed": passed}
-    _write_report(outdir, report)
-    _write_csv(outdir, "flatness", search.table)
-    return 0 if passed else 1
+    return {"search": search.describe()}, {"flatness.csv": search.table}, passed
 
 
 _HANDLERS = {
@@ -370,15 +362,22 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        cfg["seed"] = seed
-        return _HANDLERS[args.command](cfg, Path(args.out), seed)
+        cfg["seed"] = args.seed if args.seed is not None else _read(cfg, "seed", int, 0)
+        body, files, passed = _HANDLERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except EllipticLabError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    outdir = Path(args.out)
+    _write_report(outdir, {**body, "config": cfg, "passed": passed})
+    for name, data in files.items():
+        if isinstance(data, fields.GridField):
+            fields.save_field(data, outdir / name)
+        else:
+            _write_csv(outdir / name, data)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -308,7 +308,13 @@ def save_field(field: GridField, path) -> None:
 
 
 def load_field(path) -> GridField:
-    with open(path) as fh:
+    """The field saved at ``path``; a file that cannot be opened raises
+    ConfigError."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read field file {path}: {exc}") from None
+    with fh:
         header = fh.readline().split()
         if len(header) != 4:
             raise ConfigError(f"malformed field header in {path}")

@@ -220,8 +220,11 @@ def from_dict(d: dict) -> Modulus:
     """Rebuild a modulus from its ``describe()`` dictionary.
 
     Parameters are converted with ``float`` (the table's knots elementwise);
-    a missing or non-numeric one raises ConfigError.
+    a spec that is not a mapping, or a missing or non-numeric parameter,
+    raises ConfigError.
     """
+    if not isinstance(d, dict):
+        raise ConfigError("modulus spec must be a mapping")
     fam = d.get("family")
 
     def num(key, convert=float):
@@ -244,7 +247,7 @@ def from_dict(d: dict) -> Modulus:
         "inverse_log": lambda: inverse_log(num("gamma"), **caps),
         "table": lambda: from_table(knots("table_r"), knots("table_tau")),
     }
-    if fam not in builders:
+    if not isinstance(fam, str) or fam not in builders:
         raise ConfigError(f"unknown modulus family {fam!r}")
     return builders[fam]()
 

@@ -261,6 +261,19 @@ class TestDecayAudit:
             campanato.decay_audit(sample("harmonic_cubic", N=33), LAPLACE,
                                   moduli.power(0.5), rho0=0.7)
 
+    @pytest.mark.parametrize("entry", ["decay_audit", "flatness", "fit"])
+    def test_operator_dimension_must_match_field(self, entry):
+        # a 3-D operator on 2-D jets used to bracket its root with n = 3 and pass
+        op, mod = operators.pucci_minus_op(PAIR, n=3), moduli.power(0.5)
+        u = sample("harmonic_cubic", N=33)
+        with pytest.raises(ConfigError):
+            if entry == "decay_audit":
+                campanato.decay_audit(u, op, mod, K=2)
+            elif entry == "flatness":
+                campanato.flatness_threshold_search(lambda d: u.scale(d), op, mod, [0.5], K=2)
+            else:
+                campanato.constrained_quadratic_fit(u, op, 0.5, u.origin_index())
+
 
 class TestSeminorm:
     def test_quadratic_zero(self):

@@ -1,6 +1,7 @@
+import pytest
 import yaml
 
-from ellipticlab import fields
+from ellipticlab import cli, fields
 from ellipticlab.cli import main
 
 
@@ -192,3 +193,125 @@ def test_report_embeds_config(tmp_path):
     report = yaml.safe_load((out / "report.yaml").read_text())
     assert report["config"]["modulus"]["alpha"] == 0.5
     assert report["config"]["seed"] == 7
+
+
+PT = {"kind": "perturbed_trace", "eps": 0.05}
+SADDLE = {"type": "saddle_quartic", "delta": 0.01}
+LAPLACE = {"kind": "linear_trace", "matrix": [[1, 0], [0, 1]]}
+BASE = {
+    "moduli-check": {"modulus": {"family": "power", "alpha": 0.5}, "checks": ["dini"]},
+    "operator-verify": {"operator": {"kind": "perturbed_trace", "eps": 0.1}, "samples": 20},
+    "solve": {"operator": PT, "grid": {"N": 9}, "u_star": SADDLE},
+    "mms": {"operator": PT, "u_star": SADDLE, "N_list": [9, 17, 33]},
+    "audit": {"field": {"profile": "harmonic_cubic", "N": 33}, "operator": LAPLACE,
+              "modulus": {"family": "power", "alpha": 0.5}, "K": 2},
+    "flatness": {"operator": PT, "modulus": {"family": "power", "alpha": 1.0},
+                 "grid": {"N": 33}, "deltas": [0.1], "K": 2, "refine_steps": 0},
+}
+
+
+def run(tmp_path, capsys, command, cfg):
+    """Exit code, stderr and output directory of one in-process run."""
+    out = tmp_path / "out"
+    code = main([command, "--config", write(tmp_path / "c.yaml", cfg), "--out", str(out)])
+    return code, capsys.readouterr().err, out
+
+
+def assert_config_error(tmp_path, capsys, command, cfg, names=""):
+    code, err, out = run(tmp_path, capsys, command, cfg)
+    assert code == 2, err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert names in err
+    assert not (out / "report.yaml").exists()
+
+
+@pytest.mark.parametrize("command, change, names", [
+    # a non-numeric entry
+    ("solve", {"grid": {"N": "abc"}}, "grid.N"),
+    ("audit", {"K": "abc"}, "'K'"),
+    ("mms", {"operator": {"kind": "perturbed_trace", "eps": "abc"}}, "operator.eps"),
+    ("solve", {"drift": {"type": "rotation", "scale": "abc"}}, "drift.scale"),
+    ("audit", {"field": {"profile": "harmonic_cubic", "N": 33, "coeff": "abc"}}, "field.coeff"),
+    ("operator-verify", {"operator": {"kind": "pucci_plus",
+                                      "pair": {"lambda": "abc", "Lambda": 2.0}}},
+     "operator.pair.lambda"),
+    ("solve", {"u_star": {"type": "quadratic", "M": [["abc", 0], [0, 1]]}}, "u_star.M"),
+    ("moduli-check", {"holder_gammas": ["abc"]}, "holder_gammas"),
+    # a scalar where a mapping or list belongs
+    ("solve", {"grid": 33}, "grid.N"),
+    ("mms", {"drift": 5}, "drift.type"),
+    ("operator-verify", {"theta": 5}, "theta.x"),
+    ("flatness", {"deltas": 0.5}, "deltas"),
+    ("mms", {"N_list": 17}, "N_list"),
+    ("moduli-check", {"holder_gammas": 0.4}, "holder_gammas"),
+    # a ragged matrix, a missing field file
+    ("audit", {"operator": {"kind": "linear_trace", "matrix": [[1, 0], [0]]}}, "operator.matrix"),
+    ("audit", {"field": {"file": "no/such.field"}}, "no/such.field"),
+])
+def test_malformed_value_exits_2_without_traceback(tmp_path, capsys, command, change, names):
+    assert_config_error(tmp_path, capsys, command, dict(BASE[command], **change), names)
+
+
+@pytest.mark.parametrize("checks", [["dinni"], "dini", ["dini", "lcc", "a5"]])
+def test_unknown_checks_are_config_errors(tmp_path, capsys, checks):
+    # ["dinni"] used to run nothing and pass; the string "dini" matched as a substring
+    assert_config_error(tmp_path, capsys, "moduli-check",
+                        dict(BASE["moduli-check"], checks=checks), "checks")
+
+
+@pytest.mark.parametrize("command, change", [
+    ("audit", {"operator": {"kind": "pucci_minus", "pair": {"lambda": 1, "Lambda": 2}, "n": 3}}),
+    ("operator-verify", {"operator": dict(LAPLACE, n=3)}),
+    ("operator-verify", {"theta": {"x": [0.3]}}),
+    ("operator-verify", {"theta": {"x0": [0.0, 0.0, 0.0]}}),
+    ("flatness", {"operator": {"kind": "pucci_minus", "pair": {"lambda": 1, "Lambda": 2}, "n": 3}}),
+])
+def test_dimension_mismatch_exits_2(tmp_path, capsys, command, change):
+    assert_config_error(tmp_path, capsys, command, dict(BASE[command], **change))
+
+
+@pytest.mark.parametrize("command, change, code", [
+    ("moduli-check", {}, 0),
+    ("moduli-check", {"modulus": {"family": "inverse_log", "gamma": 1.0}}, 1),
+    ("operator-verify", {"theta": {}, "tangential": True}, 0),
+    ("operator-verify", {"operator": dict(PT, pair={"lambda": 1.0, "Lambda": 1.01}),
+                         "samples": 400}, 1),
+    ("solve", {}, 0),
+    ("solve", {"max_iter": 1}, 1),
+    ("mms", {}, 0),
+    ("mms", {"min_order": 3.0}, 1),
+    ("audit", {"require_decreasing": True}, 0),
+    ("audit", {"max_ratio": 1e-9}, 1),
+    ("flatness", {}, 0),
+    ("flatness", {"operator": dict(PT, eps=0.5), "grid": {"N": 65}, "K": 3,
+                  "deltas": [0.8, 1.6], "require_all_pass": True}, 1),
+])
+def test_artefact_contract(tmp_path, capsys, monkeypatch, command, change, code):
+    """The report holds the handler's body plus config and passed, exactly;
+    the exit code is 0 just when passed is true; each file is written."""
+    returned = []
+
+    def spy(cfg):
+        returned.append(handler(cfg))
+        return returned[-1]
+
+    handler = cli._HANDLERS[command]
+    monkeypatch.setitem(cli._HANDLERS, command, spy)
+    assert run(tmp_path, capsys, command, dict(BASE[command], **change))[0] == code
+    (body, files, passed), = returned
+    out = tmp_path / "out"
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert set(report) == set(body) | {"config", "passed"}
+    assert report["passed"] is bool(passed) is (code == 0)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["report.yaml"] + [name for name, data in files.items()
+                           if isinstance(data, fields.GridField) or data])
+
+
+@pytest.mark.parametrize("command, change, code", [
+    (command, {"operator": {"kind": "nope"}}, 2) for command in BASE if command != "moduli-check"
+] + [("moduli-check", {"modulus": {"family": "nope"}}, 2),
+     ("audit", {"field": {"profile": "harmonic_cubic", "N": 5}}, 1)])
+def test_a_run_that_raises_writes_no_report(tmp_path, capsys, command, change, code):
+    assert run(tmp_path, capsys, command, dict(BASE[command], **change))[0] == code
+    assert not (tmp_path / "out").exists()
