@@ -91,6 +91,14 @@ def _read(cfg: dict, key: str, convert=lambda v: v, default=...):
         raise ConfigError(f"config key {key!r}: cannot read {value!r} ({exc})") from None
 
 
+def _bool(value) -> bool:
+    """A gate's value, which must be a YAML boolean: read by truthiness, a
+    quoted "false" would switch the gate on."""
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
 def _array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
@@ -222,19 +230,22 @@ def _run_moduli_check(cfg: dict):
 def _run_operator_verify(cfg: dict):
     op = _parse_operator(cfg)
     plan = operators.SamplePlan(seed=cfg["seed"], count=_read(cfg, "samples", int, 400))
+    structure = _read(cfg, "structure", _bool, False)
+    require_structure = _read(cfg, "require_structure", _bool, False)
+    tangential = _read(cfg, "tangential", _bool, False)
     ell = operators.verify_ellipticity(op, plan)
     results, passed = {"ellipticity": ell.describe()}, ell.passed
 
-    if cfg.get("structure", False):
+    if structure:
         sc = operators.check_SC(op, plan)
         results["structure"] = sc.describe()
-        if cfg.get("require_structure", False) and not (
+        if require_structure and not (
             sc.convex and sc.zero_at_origin and sc.trace_minorant
             and sc.differentiable_at_origin and sc.one_homogeneous
         ):
             passed = False
 
-    if cfg.get("tangential", False):
+    if tangential:
         try:
             A0 = operators.tangential_limit(op, seed=cfg["seed"])
             results["tangential"] = {
@@ -289,6 +300,7 @@ def _run_audit(cfg: dict):
     op = _parse_operator(cfg)
     mod = moduli.from_dict(_read(cfg, "modulus"))
     max_ratio = _read(cfg, "max_ratio", float, None)
+    require_decreasing = _read(cfg, "require_decreasing", _bool, False)
     audit = campanato.decay_audit(
         field, op, mod,
         rho0=_read(cfg, "rho0", float, 0.5),
@@ -297,7 +309,7 @@ def _run_audit(cfg: dict):
     )
     passed = True
     ratios = audit.ratios()
-    if cfg.get("require_decreasing", False):
+    if require_decreasing:
         if any(b >= a for a, b in zip(ratios, ratios[1:])):
             passed = False
     if max_ratio is not None and max(ratios) > max_ratio:
@@ -314,6 +326,8 @@ def _run_flatness(cfg: dict):
     mod = moduli.from_dict(_read(cfg, "modulus"))
     N, L = _read(cfg, "grid.N", int, 129), _read(cfg, "grid.L", float, 1.0)
     deltas = _read(cfg, "deltas", _list_of(float))
+    require_finite_delta_star = _read(cfg, "require_finite_delta_star", _bool, False)
+    require_all_pass = _read(cfg, "require_all_pass", _bool, False)
 
     base = solver.saddle_quartic_solution(1.0)
     probe = fields.sample_function(base.value, n=op.n, N=N, L=L)
@@ -328,9 +342,9 @@ def _run_flatness(cfg: dict):
         refine_steps=_read(cfg, "refine_steps", int, 8),
     )
     passed = True
-    if cfg.get("require_finite_delta_star", False) and search.delta_star is None:
+    if require_finite_delta_star and search.delta_star is None:
         passed = False
-    if cfg.get("require_all_pass", False):
+    if require_all_pass:
         passed = passed and all(row["passed"] for row in search.table)
     return {"search": search.describe()}, {"flatness.csv": search.table}, passed
 

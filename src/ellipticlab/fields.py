@@ -21,6 +21,19 @@ from .moduli import Modulus
 from .operators import SymMatrix
 
 
+def check_grid(n: int, N: int, L: float, components: int = 1) -> None:
+    """Raise ConfigError unless (n, N, L, components) describe a GridField;
+    callers check before they allocate (N,)*n arrays."""
+    if n not in (2, 3):
+        raise ConfigError("GridField supports n = 2 or 3")
+    if N < 3 or N % 2 == 0:
+        raise ConfigError("node count N must be odd and >= 3")
+    if not 1.0 <= L < math.inf:
+        raise ConfigError("half-width L must be finite and >= 1")
+    if components < 1:
+        raise ConfigError("components must be >= 1")
+
+
 @dataclass(frozen=True)
 class GridField:
     """Values sampled on a uniform grid over the square [-L, L]^n.
@@ -37,14 +50,7 @@ class GridField:
     components: int = 1
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise ConfigError("GridField supports n = 2 or 3")
-        if self.N < 3 or self.N % 2 == 0:
-            raise ConfigError("node count N must be odd and >= 3")
-        if self.L < 1.0:
-            raise ConfigError("half-width L must be >= 1")
-        if self.components < 1:
-            raise ConfigError("components must be >= 1")
+        check_grid(self.n, self.N, self.L, self.components)
         vals = np.asarray(self.values, dtype=float)
         want = (self.N,) * self.n + (() if self.components == 1 else (self.components,))
         if vals.shape != want:
@@ -90,6 +96,7 @@ def sample_function(f: Callable, n: int = 2, N: int = 65, L: float = 1.0,
                     components: int = 1) -> GridField:
     """Evaluate ``f`` nodewise.  The callback receives stacked coordinates
     of shape (..., n) and must return (...,) or (..., components)."""
+    check_grid(n, N, L, components)
     dummy = GridField(n, N, L, np.zeros((N,) * n + (() if components == 1 else (components,))),
                       components)
     pts = np.stack(dummy.meshgrid(), axis=-1)
@@ -297,14 +304,25 @@ def hessian_central(field: GridField, idx) -> SymMatrix:
 # -- file I/O --------------------------------------------------------------
 
 
+_ROW = "%.17g " * 7 + "%.17g\n"   # one line of the body: 8 values
+_CHUNK_ROWS = 512                   # lines per formatting call; bounds the temporaries
+
+
 def save_field(field: GridField, path) -> None:
-    """Write `n N L components` header then row-major values, 17 significant
-    digits, so load_field(save_field(f)) reproduces f bit for bit."""
+    """Write `n N L components` header then row-major values, 8 per line with
+    17 significant digits, so load_field(save_field(f)) reproduces f bit for
+    bit.  Full lines are formatted a chunk at a time; a short last line
+    holds the remaining values."""
     flat = field.values.reshape(-1)
+    full = len(flat) - len(flat) % 8
+    rows = flat[:full].reshape(-1, 8)
     with open(path, "w") as fh:
         fh.write(f"{field.n} {field.N} {field.L:.17g} {field.components}\n")
-        for start in range(0, len(flat), 8):
-            fh.write(" ".join(f"{v:.17g}" for v in flat[start : start + 8]) + "\n")
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start : start + _CHUNK_ROWS]
+            fh.write((_ROW * len(chunk)) % tuple(chunk.ravel().tolist()))
+        if full < len(flat):
+            fh.write(" ".join("%.17g" % v for v in flat[full:].tolist()) + "\n")
 
 
 def load_field(path) -> GridField:
@@ -318,8 +336,12 @@ def load_field(path) -> GridField:
         header = fh.readline().split()
         if len(header) != 4:
             raise ConfigError(f"malformed field header in {path}")
-        n, N = int(header[0]), int(header[1])
-        L, components = float(header[2]), int(header[3])
+        try:
+            n, N = int(header[0]), int(header[1])
+            L, components = float(header[2]), int(header[3])
+        except ValueError:
+            raise ConfigError(f"malformed field header in {path}") from None
+        check_grid(n, N, L, components)
         flat = np.fromstring(fh.read(), sep=" ")
     shape = (N,) * n + (() if components == 1 else (components,))
     if flat.size != int(np.prod(shape)):

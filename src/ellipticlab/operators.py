@@ -122,11 +122,25 @@ def _as_matrix_batch(M) -> np.ndarray:
 
 def _pucci(M, up: float, down: float):
     """up * sum e_i^+ - down * sum e_i^- over the eigenvalues of M, batched
-    over leading axes."""
-    eigs = np.linalg.eigvalsh(_as_matrix_batch(M))
-    val = up * np.sum(np.maximum(eigs, 0.0), axis=-1) - down * np.sum(
-        np.maximum(-eigs, 0.0), axis=-1
-    )
+    over leading axes.
+
+    2 x 2 eigenvalues take the closed form m -+ hypot((a - c)/2, b) with
+    m = (a + c)/2, read from the lower triangle like ``np.linalg.eigvalsh``:
+    it skips LAPACK's per-matrix overhead and agrees with it to a few
+    eps * max|M|.  Larger n goes through LAPACK.
+    """
+    mat = _as_matrix_batch(M)
+    if mat.shape[-1] == 2:
+        a, b, c = mat[..., 0, 0], mat[..., 1, 0], mat[..., 1, 1]
+        m = 0.5 * (a + c)
+        r = np.hypot(0.5 * (a - c), b)
+        lo, hi = m - r, m + r
+        val = up * (np.maximum(lo, 0.0) + np.maximum(hi, 0.0)) + down * (
+            np.minimum(lo, 0.0) + np.minimum(hi, 0.0))
+    else:
+        eigs = np.linalg.eigvalsh(mat)
+        val = up * np.sum(np.maximum(eigs, 0.0), axis=-1) - down * np.sum(
+            np.maximum(-eigs, 0.0), axis=-1)
     return float(val) if np.ndim(val) == 0 else val
 
 

@@ -19,8 +19,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, NumericsError
-from .fields import (GridField, Polynomial2D, central_stencil, interior_jets, sample_function,
-                     shifted_interior)
+from .fields import (GridField, Polynomial2D, central_stencil, check_grid, interior_jets,
+                     sample_function, shifted_interior)
 from .operators import OperatorSpec, SymMatrix, linear_trace
 
 
@@ -400,6 +400,7 @@ def mms_generate(op: OperatorSpec, u_star: AnalyticSolution, N: int, L: float = 
         if not callable(getattr(u_star, attr, None)):
             raise ConfigError("u_star needs callable value/gradient/hessian")
     n = op.n
+    check_grid(n, N, L)
     template = GridField(n, N, L, np.zeros((N,) * n))
     pts = np.stack(template.meshgrid(), axis=-1)
     H = np.asarray(u_star.hessian(pts), dtype=float)

@@ -247,9 +247,33 @@ def assert_config_error(tmp_path, capsys, command, cfg, names=""):
     # a ragged matrix, a missing field file
     ("audit", {"operator": {"kind": "linear_trace", "matrix": [[1, 0], [0]]}}, "operator.matrix"),
     ("audit", {"field": {"file": "no/such.field"}}, "no/such.field"),
+    # a boolean gate given as a string or a number: "false" used to switch it on
+    ("audit", {"require_decreasing": "false"}, "require_decreasing"),
+    ("flatness", {"require_all_pass": "no"}, "require_all_pass"),
+    ("flatness", {"require_finite_delta_star": 1}, "require_finite_delta_star"),
+    ("operator-verify", {"structure": "true"}, "structure"),
+    ("operator-verify", {"structure": True, "require_structure": "yes"}, "require_structure"),
+    ("operator-verify", {"tangential": 0}, "tangential"),
+    # a negative node count, rejected before any grid is allocated
+    ("solve", {"grid": {"N": -1}}, "node count N"),
+    ("mms", {"N_list": [-1, 17, 33]}, "node count N"),
+    ("audit", {"field": {"profile": "harmonic_cubic", "N": -1}}, "node count N"),
+    ("flatness", {"grid": {"N": -1}}, "node count N"),
 ])
 def test_malformed_value_exits_2_without_traceback(tmp_path, capsys, command, change, names):
     assert_config_error(tmp_path, capsys, command, dict(BASE[command], **change), names)
+
+
+@pytest.mark.parametrize("header, names", [
+    ("2 abc 1 1", "malformed field header"),
+    ("2 -5 1 1", "node count N"),
+    ("2 5 nan 1", "half-width L"),   # used to audit with h = nan and exit 1
+])
+def test_audit_of_field_with_malformed_header_exits_2(tmp_path, capsys, header, names):
+    path = tmp_path / "bad.field"
+    path.write_text(header + "\n" + "0.0 " * 25 + "\n")
+    assert_config_error(tmp_path, capsys, "audit", dict(BASE["audit"], field={"file": str(path)}),
+                        names)
 
 
 @pytest.mark.parametrize("checks", [["dinni"], "dini", ["dini", "lcc", "a5"]])

@@ -28,6 +28,11 @@ class TestGridField:
         with pytest.raises(ConfigError):
             fields.GridField(2, 5, 0.5, np.zeros((5, 5)))
 
+    @pytest.mark.parametrize("N", [-1, 0, 1])
+    def test_bad_node_count_rejected_before_sampling(self, N):
+        with pytest.raises(ConfigError):
+            fields.sample_function(lambda pts: pts[..., 0], N=N)
+
     def test_sample_corner_value(self):
         u = grid(N=5, f=fields.profile("half_norm_sq"))
         assert u.values[0, 0] == pytest.approx(1.0)
@@ -242,6 +247,34 @@ class TestFileIO:
         fields.save_field(u, path)
         header = path.read_text().splitlines()[0]
         assert header.split() == ["2", "5", "1", "1"]
+
+    @pytest.mark.parametrize("n, N, components", [
+        (2, 9, 8),      # N^n * components % 8 == 0: no short last line
+        (2, 257, 1),    # N^2 % 8 != 0, and more than one chunk of lines
+        (2, 33, 2),
+        (3, 17, 1),
+    ])
+    def test_bytes_match_per_value_writer(self, tmp_path, n, N, components):
+        rng = np.random.default_rng(N)
+        shape = (N,) * n + (() if components == 1 else (components,))
+        vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        vals.reshape(-1)[:6] = [0.0, -0.0, 1.0, 0.1, 5e-324, -1.7976931348623157e308]
+        u = fields.GridField(n, N, 1.25, vals, components)
+        path = tmp_path / "u.field"
+        fields.save_field(u, path)
+        flat = vals.reshape(-1)
+        lines = [f"{n} {N} {1.25:.17g} {components}\n"] + [
+            " ".join(f"{v:.17g}" for v in flat[k : k + 8]) + "\n" for k in range(0, flat.size, 8)]
+        assert path.read_text() == "".join(lines)
+        np.testing.assert_array_equal(fields.load_field(path).values, vals)
+
+    @pytest.mark.parametrize("header", ["2 abc 1 1", "2 5 x 1", "2.0 5 1 1", "2 -5 1 1",
+                                        "2 5 nan 1", "2 5 inf 1"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.field"
+        path.write_text(header + "\n" + "0.0 " * 25 + "\n")
+        with pytest.raises(ConfigError):
+            fields.load_field(path)
 
     def test_truncated_body_rejected(self, tmp_path):
         path = tmp_path / "bad.field"

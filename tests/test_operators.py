@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,66 @@ class TestPucci:
         assert vals.shape == (7,)
         assert vals[3] == pytest.approx(ops.pucci_plus(
             ops.SymMatrix.from_matrix(mats[3]), PAIR))
+
+
+# 2 x 2 symmetric matrices for the closed-form kernel: entries in [-1, 1]
+# (zero or at least 1e-100 in size, so no product below underflows), a
+# structure, and a scale 10^k for |k| <= 150.
+_UNIT = st.floats(min_value=-1.0, max_value=1.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
+
+
+@st.composite
+def sym2(draw, scaled=True):
+    a, b, c = draw(_UNIT), draw(_UNIT), draw(_UNIT)
+    shape = draw(st.sampled_from(["general", "diagonal", "a_eq_c", "zero"]))
+    if shape == "diagonal":
+        b = 0.0
+    elif shape == "a_eq_c":
+        c = a
+    elif shape == "zero":
+        a = b = c = 0.0
+    scale = 10.0 ** draw(st.integers(min_value=-150, max_value=150)) if scaled else 1.0
+    return np.array([[a, b], [b, c]]) * scale
+
+
+def pucci_digits(M, up, down):
+    """The Pucci value of a 2 x 2 float matrix in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b, c = (Decimal(float(v)) for v in (M[0, 0], M[1, 0], M[1, 1]))
+        m, r = (a + c) / 2, (((a - c) / 2) ** 2 + b * b).sqrt()
+        return sum(Decimal(up if e > 0 else down) * e for e in (m - r, m + r))
+
+
+def pucci_eigvalsh(M, up, down):
+    eigs = np.linalg.eigvalsh(M)
+    return up * np.sum(np.maximum(eigs, 0.0)) - down * np.sum(np.maximum(-eigs, 0.0))
+
+
+_EPS = np.finfo(float).eps
+
+
+@given(sym2())
+@settings(max_examples=300, deadline=None)
+def test_pucci_2x2_closed_form_matches_references(M):
+    """Within 8 eps max|M| of the value in exact arithmetic.  LAPACK's own
+    value is off by up to 6.7 eps max|M| on random [-1, 1] entries, so the
+    eigvalsh-based reference is matched within twice that bound."""
+    tol = 8.0 * _EPS * np.max(np.abs(M))
+    for fn, up, down in ((ops.pucci_plus, PAIR.Lam, PAIR.lam),
+                         (ops.pucci_minus, PAIR.lam, PAIR.Lam)):
+        val = fn(M, PAIR)
+        assert type(val) is float and type(fn(ops.SymMatrix(2, M), PAIR)) is float
+        assert abs(Decimal(val) - pucci_digits(M, up, down)) <= Decimal(tol)
+        assert abs(val - pucci_eigvalsh(M, up, down)) <= 2.0 * tol
+        np.testing.assert_array_equal(fn(np.stack([M, -M]), PAIR), [val, fn(-M, PAIR)])
+
+
+@given(sym2(scaled=False), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_pucci_sampled_sup_below_2x2_closed_form(M, seed):
+    assert ops.pucci_sup_sampled(M, PAIR, n_samples=2000, seed=seed) <= (
+        ops.pucci_plus(M, PAIR) + 1e-12)
 
 
 class TestOperatorSpec:

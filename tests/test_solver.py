@@ -362,3 +362,12 @@ class TestConvergenceStudy:
         with pytest.raises(ConfigError):
             solver.convergence_study(LAPLACE, solver.saddle_quartic_solution(1.0),
                                      N_list=(9, 17))
+
+    @pytest.mark.parametrize("N", [-1, 0, 8])
+    @pytest.mark.parametrize("drift_fn", [None, rotation_drift()])
+    def test_bad_node_count_rejected_before_allocation(self, N, drift_fn):
+        u_star = solver.saddle_quartic_solution(1.0)
+        with pytest.raises(ConfigError):
+            solver.mms_generate(LAPLACE, u_star, N=N)
+        with pytest.raises(ConfigError):
+            solver.mms_solve(LAPLACE, u_star, N, 1.0, drift_fn, tol=1e-10)
