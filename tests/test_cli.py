@@ -259,6 +259,12 @@ def assert_config_error(tmp_path, capsys, command, cfg, names=""):
     ("mms", {"N_list": [-1, 17, 33]}, "node count N"),
     ("audit", {"field": {"profile": "harmonic_cubic", "N": -1}}, "node count N"),
     ("flatness", {"grid": {"N": -1}}, "node count N"),
+    # a tolerance or iteration cap that cannot mean anything: nan and a
+    # negative cap ran 0 iterations and exited 1, inf passed after 0
+    ("solve", {"tol": float("nan")}, "tolerance"),
+    ("solve", {"tol": float("inf")}, "tolerance"),
+    ("solve", {"max_iter": -3}, "max_iter"),
+    ("mms", {"tol": float("nan")}, "tolerance"),
 ])
 def test_malformed_value_exits_2_without_traceback(tmp_path, capsys, command, change, names):
     assert_config_error(tmp_path, capsys, command, dict(BASE[command], **change), names)

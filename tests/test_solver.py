@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ellipticlab import fields, operators, solver
@@ -18,6 +19,10 @@ def rotation_drift(scale=0.1):
         return out
 
     return f
+
+
+def cyclic_drift(pts):
+    return 0.1 * np.roll(np.asarray(pts, dtype=float), 1, axis=-1)
 
 
 LAPLACE = operators.linear_trace(np.eye(2))
@@ -201,6 +206,17 @@ class TestNewton:
         res = solver.discrete_residual(inst, fields.GridField(2, 17, 1.0, assembled[1]))
         assert np.max(np.abs(res.values)) == rep.residual_norm_history[1]
 
+    @pytest.mark.parametrize("tol, max_iter", [
+        (float("nan"), 30), (float("inf"), 30), (1e-10, 0), (1e-10, -3),
+    ])
+    def test_meaningless_tolerance_or_cap_rejected(self, tol, max_iter):
+        # nan and a cap below 1 ran no iteration; inf converged at once
+        inst = solver.mms_generate(operators.perturbed_trace(0.05),
+                                   solver.saddle_quartic_solution(1e-2), N=9)
+        u0 = fields.GridField(2, 9, 1.0, np.zeros((9, 9)))
+        with pytest.raises(ConfigError):
+            solver.solve_newton(inst, u0, tol=tol, max_iter=max_iter)
+
     def test_singular_jacobian_reported(self):
         # F = 0 has a zero Jacobian: the factorization fails, and the solve
         # reports it instead of raising or warning
@@ -247,7 +263,7 @@ class TestJacobian:
         def residual(w):
             return solver.discrete_residual(inst, fields.GridField(n, N, 1.0, w)).values[core]
 
-        perm, inv, _ = solver._interior_pattern(n, N)
+        perm, inv, *_ = solver._interior_pattern(n, N)
         J = solver._assemble_jacobian(inst, fields.GridField(n, N, 1.0, u))
         Jv = (J @ v[core].ravel()[perm])[inv].reshape(v[core].shape)
         eps = 1e-6
@@ -257,7 +273,7 @@ class TestJacobian:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("N", [3, 5, 17, 33])
     def test_dissection_order_is_a_permutation(self, n, N):
-        perm, inv, _ = solver._interior_pattern(n, N)
+        perm, inv, *_ = solver._interior_pattern(n, N)
         np.testing.assert_array_equal(np.sort(perm), np.arange((N - 2) ** n))
         np.testing.assert_array_equal(inv[perm], np.arange((N - 2) ** n))
 
@@ -273,12 +289,106 @@ class TestJacobian:
         u0 = fields.GridField(2, 33, 1.0, u0)
         rep = solver.solve_newton(inst, u0, tol=1e-300, max_iter=1)
         assert rep.damping_events == []
-        _, inv, _ = solver._interior_pattern(2, 33)
+        _, inv, *_ = solver._interior_pattern(2, 33)
         J = solver._assemble_jacobian(inst, u0)[inv][:, inv]
         r = solver.discrete_residual(inst, u0).values[1:-1, 1:-1]
         natural = spla.spsolve(J.tocsc(), -r.ravel()).reshape(r.shape)
         step = rep.solution.values[1:-1, 1:-1] - u0.values[1:-1, 1:-1]
         assert np.max(np.abs(step - natural)) <= 1e-12 * np.max(np.abs(natural))
+
+    @staticmethod
+    def triplet_jacobian(inst, u):
+        """The Jacobian assembled the direct way: one COO triplet per
+        stencil term and interior neighbour, duplicates summed by tocsc."""
+        f = inst.source
+        n, N, h = f.n, f.N, f.h
+        core = (slice(1, -1),) * n
+        perm, inv, *_ = solver._interior_pattern(n, N)
+        padded = np.full((N,) * n, -1)
+        padded[core] = inv.reshape((N - 2,) * n)
+        H, _ = fields.interior_jets(u.values, n, h)
+        pts = solver._interior_points(inst)
+        base = inst.op.evaluate_batch(H, pts)
+        step = 1e-6 * (1.0 + np.linalg.norm(H, axis=(-2, -1)))
+        rows, cols, data = [], [], []
+        for entry in fields.central_stencil(n):
+            if entry.p == 2:
+                e = np.zeros((n, n))
+                e[entry.index] = e[entry.index[::-1]] = 1.0
+                dF = (inst.op.evaluate_batch(H + step[..., None, None] * e, pts) - base) / step
+            elif inst.drift is not None:
+                dF = inst.drift.values[core][..., entry.index[0]]
+            else:
+                continue
+            dF = dF.ravel()[perm]
+            for w, off in zip(entry.weights, entry.offsets):
+                c = fields.shifted_interior(padded, off).ravel()[perm]
+                r = np.flatnonzero(c >= 0)
+                rows.append(r)
+                cols.append(c[r])
+                data.append((w * dF[r]) / (entry.c * h**entry.p))
+        J = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(perm.size, perm.size))
+        return J.tocsc()
+
+    @pytest.mark.parametrize("op, n, N, drift_fn", [
+        (operators.perturbed_trace(0.05), 2, 33, rotation_drift()),
+        (operators.pucci_minus_op(operators.EllipticityPair(1.0, 2.0)), 2, 33, None),
+        (operators.pucci_plus_op(operators.EllipticityPair(1.0, 2.0), n=3), 3, 17, None),
+        (operators.pucci_plus_op(operators.EllipticityPair(1.0, 2.0), n=3), 3, 17,
+         cyclic_drift),
+    ], ids=["perturbed_trace_2d_drift", "pucci_minus_2d", "pucci_plus_3d",
+            "pucci_plus_3d_drift"])
+    def test_matches_triplet_assembly(self, op, n, N, drift_fn):
+        # in 2-D no node and offset gets more than two terms, so the sums
+        # are exact in any order; in 3-D the centre gets three, and the
+        # order tocsc sums them in may move the last bit
+        rng = np.random.default_rng(1)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        u_star = solver.quadratic_solution(
+            0.1, rng.uniform(-0.3, 0.3, n),
+            SymMatrix.from_matrix(q @ np.diag([1.0, -0.5, 0.3][:n]) @ q.T))
+        drift = None if drift_fn is None else fields.sample_function(
+            drift_fn, n=n, N=N, components=n)
+        inst = solver.mms_generate(op, u_star, N=N, drift=drift)
+        u = inst.boundary.copy()
+        u[(slice(1, -1),) * n] = 0.3 * rng.standard_normal((N - 2,) * n)
+        u = fields.GridField(n, N, 1.0, u)
+        J = solver._assemble_jacobian(inst, u)
+        ref = self.triplet_jacobian(inst, u)
+        ref.sort_indices()
+        J.sort_indices()
+        np.testing.assert_array_equal(J.indptr, ref.indptr)
+        np.testing.assert_array_equal(J.indices, ref.indices)
+        if n == 2:
+            np.testing.assert_array_equal(J.data, ref.data)
+        else:
+            bound = 4 * np.finfo(float).eps * np.max(np.abs(ref.data))
+            assert np.max(np.abs(J.data - ref.data)) <= bound
+
+    @pytest.mark.parametrize("n, N, bound", [(2, 129, 1_000_000), (3, 17, 630_000)])
+    def test_dissected_laplacian_fill(self, n, N, bound):
+        # leaf blocks of 64 nodes gave 1,100,752 and 678,674
+        zero = fields.GridField(n, N, 1.0, np.zeros((N,) * n))
+        inst = solver.ProblemInstance(operators.linear_trace(np.eye(n)), zero, zero.values)
+        lu = spla.splu(solver._assemble_jacobian(inst, zero), permc_spec="NATURAL")
+        assert lu.L.nnz + lu.U.nnz <= bound
+
+    def test_pattern_is_cached_read_only_and_shared(self):
+        inst = solver.mms_generate(operators.perturbed_trace(0.05),
+                                   solver.saddle_quartic_solution(1e-2), N=17)
+        pattern = solver._interior_pattern(2, 17)
+        assert solver._interior_pattern(2, 17) is pattern
+        _, _, indptr, indices, gather = pattern
+        for arr in pattern:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            gather[0] = 0
+        zero = fields.GridField(2, 17, 1.0, np.zeros((17, 17)))
+        for u in (zero, fields.GridField(2, 17, 1.0, inst.boundary)):
+            J = solver._assemble_jacobian(inst, u)
+            assert np.shares_memory(J.indptr, indptr) and np.shares_memory(J.indices, indices)
+            assert J.data.size == gather.size
 
 
 class TestTangentialSolve:
