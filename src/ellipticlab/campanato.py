@@ -459,8 +459,9 @@ def flatness_threshold_search(field_family: Callable[[float], GridField],
 
     ``field_family(delta)`` must return the exact-solution field with sup
     norm delta.  After sweeping the sampled amplitudes, the bracket
-    between the first fail and the last pass below it is bisected; with
-    no pass below the first fail, delta_star is None.  Every probe is the
+    between the first fail and the last pass below it is bisected
+    ``refine_steps`` times (a negative count raises ConfigError); with no
+    pass below the first fail, delta_star is None.  Every probe is the
     origin ``decay_audit`` of its field, and probes on one grid share the
     ladder's fit operators, tau and psi.  An empirical analogue of a
     smallness threshold, not a proof constant.
@@ -468,21 +469,24 @@ def flatness_threshold_search(field_family: Callable[[float], GridField],
     deltas = sorted(float(d) for d in deltas)
     if not deltas:
         raise ConfigError("need at least one amplitude")
+    if refine_steps < 0:
+        raise ConfigError(f"refine_steps must be nonnegative, got {refine_steps}")
     ladders = {}   # one per grid: the family's fields differ only in their values
+    table = []
 
-    def probe(delta: float):
+    def probe(delta: float) -> bool:
+        """Audit the family at delta, append its row, and return whether it passed."""
         field = field_family(delta)
         grid = (field.n, field.N, field.L)
         if grid not in ladders:
             ladders[grid] = _ladder(field, mod, rho0, K, field.origin_index())
-        audit = _audit(field, op, delta, ladders[grid])
-        worst = max(audit.ratios())
-        return worst <= 1.0, worst
+        worst = max(_audit(field, op, delta, ladders[grid]).ratios())
+        passed = bool(worst <= 1.0)
+        table.append({"delta": delta, "passed": passed, "worst_ratio": worst})
+        return passed
 
-    table = []
     for d in deltas:
-        ok, worst = probe(d)
-        table.append({"delta": d, "passed": bool(ok), "worst_ratio": worst})
+        probe(d)
 
     hi = min((row["delta"] for row in table if not row["passed"]), default=None)
     passes = [row["delta"] for row in table
@@ -492,17 +496,13 @@ def flatness_threshold_search(field_family: Callable[[float], GridField],
     lo = max(passes)
     if hi is None:
         return FlatnessSearch(lo, table, 0)
-    steps = 0
     for _ in range(refine_steps):
         mid = 0.5 * (lo + hi)
-        ok, worst = probe(mid)
-        table.append({"delta": mid, "passed": bool(ok), "worst_ratio": worst})
-        steps += 1
-        if ok:
+        if probe(mid):
             lo = mid
         else:
             hi = mid
-    return FlatnessSearch(lo, sorted(table, key=lambda r: r["delta"]), steps)
+    return FlatnessSearch(lo, sorted(table, key=lambda r: r["delta"]), refine_steps)
 
 
 # -- decay exponent --------------------------------------------------------------

@@ -7,7 +7,8 @@ report body, its other files ({file name: CSV rows or a GridField}) and
 whether every requested check passed.  ``main`` alone writes the YAML
 report (body, resolved config and ``passed``) and the files under
 ``--out``, and exits 0 when all requested checks pass, 1 on a check
-failure, 2 on a config error; a run that raises writes nothing.
+failure, 2 on a config error, a config key the handler never read among
+them; a run that raises writes nothing.
 Identical configs produce byte-identical reports.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import campanato, fields, moduli, operators, solver
-from .errors import ConfigError, DivergentIntegralError, EllipticLabError, NonDifferentiableError
+from .errors import ConfigError, EllipticLabError, NonDifferentiableError
 
 
 # -- plumbing -----------------------------------------------------------------
@@ -72,12 +73,19 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+# each key _read was asked for since ``main`` loaded the config, as a
+# tuple of its parts
+_ASKED: set = set()
+
+
 def _read(cfg: dict, key: str, convert=lambda v: v, default=...):
     """The config value at the dotted ``key`` through ``convert``, or
     ``default`` when absent.  A missing required key, a non-mapping on the
     path or a value ``convert`` rejects raises ConfigError naming the key."""
+    parts = tuple(key.split("."))
+    _ASKED.add(parts)
     value = cfg
-    for part in key.split("."):
+    for part in parts:
         if not isinstance(value, dict):
             raise ConfigError(f"config key {key!r}: {value!r} is not a mapping")
         if part not in value:
@@ -89,6 +97,22 @@ def _read(cfg: dict, key: str, convert=lambda v: v, default=...):
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: cannot read {value!r} ({exc})") from None
+
+
+def _first_unread(cfg: dict, path: tuple = ()):
+    """The first key of ``cfg``, depth first, that ``_read`` was never asked
+    for and that lies under no mapping read whole, or None."""
+    for k, v in cfg.items():
+        key = path + (k,)
+        if key in _ASKED and not any(len(a) > len(key) and a[:len(key)] == key for a in _ASKED):
+            continue   # a value, or a mapping read whole
+        if isinstance(v, dict) and v:
+            found = _first_unread(v, key)
+            if found is not None:
+                return found
+        elif key not in _ASKED:
+            return ".".join(map(str, key))
+    return None
 
 
 def _bool(value) -> bool:
@@ -116,7 +140,7 @@ def _parse_operator(cfg: dict) -> operators.OperatorSpec:
     kind = _read(cfg, "operator.kind")
     n = _read(cfg, "operator.n", int, None)
     pair = None
-    if "pair" in cfg["operator"]:
+    if _read(cfg, "operator.pair", default=None) is not None:
         pair = operators.EllipticityPair(_read(cfg, "operator.pair.lambda", float),
                                          _read(cfg, "operator.pair.Lambda", float))
     if kind == "linear_trace":
@@ -152,7 +176,7 @@ def _parse_solution(cfg: dict, n: int) -> solver.AnalyticSolution:
 
 def _rotation_drift(cfg: dict):
     """The config's drift as a callable on stacked points, or None."""
-    if cfg.get("drift") is None:
+    if _read(cfg, "drift", default=None) is None:
         return None
     kind = _read(cfg, "drift.type")
     if kind != "rotation":
@@ -194,17 +218,13 @@ def _run_moduli_check(cfg: dict):
     results, tables, failed = {}, [], False
 
     if "dini" in checks:
-        try:
-            dini = moduli.dini_integral(mod)
-            results["dini"] = {
-                "value": dini.value,
-                "converged": dini.converged,
-                "tail_estimate": dini.tail_estimate,
-            }
-            if not dini.converged:
-                failed = True
-        except DivergentIntegralError as exc:
-            results["dini"] = {"converged": False, "divergent": True, "detail": str(exc)}
+        dini = moduli.dini_integral(mod)
+        results["dini"] = {
+            "value": dini.value,
+            "converged": dini.converged,
+            "tail_estimate": dini.tail_estimate,
+        }
+        if not dini.converged:
             failed = True
     if "a4" in checks:
         cert = moduli.check_A4(mod, _read(cfg, "alpha0", float, 0.5))
@@ -229,7 +249,10 @@ def _run_moduli_check(cfg: dict):
 
 def _run_operator_verify(cfg: dict):
     op = _parse_operator(cfg)
-    plan = operators.SamplePlan(seed=cfg["seed"], count=_read(cfg, "samples", int, 400))
+    seed, count = _read(cfg, "seed", int), _read(cfg, "samples", int, 400)
+    if count < 1:
+        raise ConfigError(f"config key 'samples' must be at least 1, got {count}")
+    plan = operators.SamplePlan(seed=seed, count=count)
     structure = _read(cfg, "structure", _bool, False)
     require_structure = _read(cfg, "require_structure", _bool, False)
     tangential = _read(cfg, "tangential", _bool, False)
@@ -247,7 +270,7 @@ def _run_operator_verify(cfg: dict):
 
     if tangential:
         try:
-            A0 = operators.tangential_limit(op, seed=cfg["seed"])
+            A0 = operators.tangential_limit(op, seed=seed)
             results["tangential"] = {
                 "matrix": A0.matrix.tolist(),
                 "differentiable": True,
@@ -255,7 +278,7 @@ def _run_operator_verify(cfg: dict):
         except (NonDifferentiableError,) as exc:
             results["tangential"] = {"differentiable": False, "detail": str(exc)}
 
-    if "theta" in cfg:
+    if _read(cfg, "theta", default=None) is not None:
         x = _read(cfg, "theta.x", _array, np.full(op.n, 0.3))
         x0 = _read(cfg, "theta.x0", _array, np.zeros(op.n))
         if x.shape != (op.n,) or x0.shape != (op.n,):
@@ -376,8 +399,15 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        cfg["seed"] = args.seed if args.seed is not None else _read(cfg, "seed", int, 0)
+        _ASKED.clear()
+        seed = _read(cfg, "seed", int, 0)
+        cfg["seed"] = seed if args.seed is None else args.seed
+        if cfg["seed"] < 0:
+            raise ConfigError(f"seed must be nonnegative, got {cfg['seed']}")
         body, files, passed = _HANDLERS[args.command](cfg)
+        unread = _first_unread(cfg)
+        if unread is not None:
+            raise ConfigError(f"config key {unread!r} is not read by {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

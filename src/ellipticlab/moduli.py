@@ -15,7 +15,7 @@ silently contradicts analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -28,9 +28,24 @@ from .errors import (
 
 LN2 = math.log(2.0)
 
+
+def _table_tau(p, t):
+    r, rs, taus = np.exp(-t), p["table_r"], p["table_tau"]
+    # linear extension through tau(0) = 0 below the first knot
+    return np.where(r < rs[0], taus[0] * r / rs[0], np.interp(r, rs, taus))
+
+
+def _table_log_tau(p, t):
+    # tau is linear below the first knot, where e^{-t} and tau underflow
+    # long before their logarithms do
+    r0, tau0 = p["table_r"][0], p["table_tau"][0]
+    with np.errstate(divide="ignore"):
+        return np.where(t > -np.log(r0), np.log(tau0 / r0) - t, np.log(_table_tau(p, t)))
+
+
 # family -> (tau(e^{-t}), log tau(e^{-t}), the known asymptotic A4 verdicts
-# (condition i, condition ii) at alpha0), each a function of the params.
-# The table family interpolates its knots instead and has no verdicts.
+# (condition i, condition ii) at alpha0, or None when none are known), each
+# a function of the params.
 _FAMILIES = {
     "power": (
         lambda p, t: np.exp(-p["alpha"] * t),
@@ -53,6 +68,8 @@ _FAMILIES = {
         # ratio tau(rs)/tau(r) tends to 1 as r -> 0 for every fixed s
         lambda p, alpha0: ("fail", "pass"),
     ),
+    # piecewise linear through the knots p["table_r"], p["table_tau"]
+    "table": (_table_tau, _table_log_tau, lambda p, alpha0: None),
 }
 
 
@@ -69,12 +86,9 @@ class Modulus:
     family: str
     params: dict
     domain_cap: float
-    # table family only: interpolation knots
-    table_r: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    table_tau: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family != "table" and self.family not in _FAMILIES:
+        if self.family not in _FAMILIES:
             raise ConfigError(f"unknown modulus family {self.family!r}")
         if not 0.0 < self.domain_cap <= 1.0:
             raise ConfigError("domain_cap must lie in (0, 1]")
@@ -87,32 +101,11 @@ class Modulus:
         This is the underflow-safe primitive: every family has a closed
         form in t, so radii far below the float range of e^{-t} are fine.
         """
-        t = np.asarray(t, dtype=float)
-        if self.family == "table":
-            # direct interpolation (bounded radii only)
-            return self._interp_table(np.exp(-t))
-        return _FAMILIES[self.family][0](self.params, t)
+        return _FAMILIES[self.family][0](self.params, np.asarray(t, dtype=float))
 
     def log_eval_neglog(self, t):
         """log tau(e^{-t}); ratio-safe far past the underflow range of tau."""
-        t = np.asarray(t, dtype=float)
-        if self.family != "table":
-            return _FAMILIES[self.family][1](self.params, t)
-        # table: tau is linear below the first knot, where e^{-t} and tau
-        # underflow long before their logarithms do
-        r0, tau0 = self.table_r[0], self.table_tau[0]
-        with np.errstate(divide="ignore"):
-            knots = np.log(self._interp_table(np.exp(-t)))
-            return np.where(t > -np.log(r0), np.log(tau0 / r0) - t, knots)
-
-    def _interp_table(self, r):
-        rs, taus = self.table_r, self.table_tau
-        out = np.interp(r, rs, taus)
-        # linear extension through tau(0) = 0 below the first knot
-        below = r < rs[0]
-        if np.any(below):
-            out = np.where(below, taus[0] * r / rs[0], out)
-        return out
+        return _FAMILIES[self.family][1](self.params, np.asarray(t, dtype=float))
 
     def evaluate(self, r):
         """Return tau(r) for r in [0, domain_cap]."""
@@ -136,16 +129,11 @@ class Modulus:
 
     def a4_override(self, alpha0: float) -> Optional[tuple]:
         """Known asymptotic nullity-condition verdicts, or None for table moduli."""
-        if self.family == "table":
-            return None
         return _FAMILIES[self.family][2](self.params, alpha0)
 
     def describe(self) -> dict:
         d = {"family": self.family, "domain_cap": self.domain_cap}
         d.update(self.params)
-        if self.family == "table":
-            d["table_r"] = [float(v) for v in self.table_r]
-            d["table_tau"] = [float(v) for v in self.table_tau]
         return d
 
 
@@ -211,9 +199,8 @@ def from_table(rs: Sequence[float], taus: Sequence[float]) -> Modulus:
         raise ConfigError("table radii must be positive and strictly increasing")
     if np.any(taus < 0) or np.any(np.diff(taus) < 0):
         raise ConfigError("table values must be nonnegative and nondecreasing")
-    return Modulus(
-        "table", {}, float(min(rs[-1], 1.0)), table_r=rs, table_tau=taus
-    )
+    return Modulus("table", {"table_r": rs.tolist(), "table_tau": taus.tolist()},
+                   float(min(rs[-1], 1.0)))
 
 
 def from_dict(d: dict) -> Modulus:

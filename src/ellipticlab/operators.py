@@ -542,12 +542,11 @@ def check_SC(op: OperatorSpec, plan: SamplePlan = SamplePlan()) -> StructureRepo
     mats = sample_symmetric(rng, n, plan.count)
     vals = op.evaluate_batch(mats)
 
-    pairs_a = mats[: len(mats) // 2]
-    pairs_b = mats[len(mats) // 2 : 2 * (len(mats) // 2)]
+    half = len(mats) // 2
+    pairs_a, pairs_b = mats[:half], mats[half : 2 * half]
+    # batches evaluate elementwise, so the ends' values are slices of vals
     mid_vals = op.evaluate_batch(0.5 * (pairs_a + pairs_b))
-    gap = mid_vals - 0.5 * (
-        op.evaluate_batch(pairs_a) + op.evaluate_batch(pairs_b)
-    )
+    gap = mid_vals - 0.5 * (vals[:half] + vals[half : 2 * half])
     k = int(np.argmax(gap))
     convex = bool(np.max(gap) <= _SAMPLE_TOL)
     witness = None if convex else np.stack([pairs_a[k], pairs_b[k]])

@@ -265,9 +265,29 @@ def assert_config_error(tmp_path, capsys, command, cfg, names=""):
     ("solve", {"tol": float("inf")}, "tolerance"),
     ("solve", {"max_iter": -3}, "max_iter"),
     ("mms", {"tol": float("nan")}, "tolerance"),
+    # a key the subcommand never reads: the audit ran ungated and mms on L = 1
+    ("audit", {"max_ratoi": 0.001}, "max_ratoi"),
+    ("audit", {"field": {"profile": "harmonic_cubic", "N": 33, "coef": 2.0}}, "field.coef"),
+    ("mms", {"grid": {"L": 2.0}}, "grid.L"),
+    # a negative seed escaped numpy as a traceback; samples: -3 reported
+    # count -3 while drawing 5 matrices
+    ("operator-verify", {"seed": -1}, "seed"),
+    ("operator-verify", {"samples": 0}, "samples"),
+    ("operator-verify", {"samples": -3}, "samples"),
+    # a negative refine count reported no refinements
+    ("flatness", {"refine_steps": -1}, "refine_steps"),
 ])
 def test_malformed_value_exits_2_without_traceback(tmp_path, capsys, command, change, names):
     assert_config_error(tmp_path, capsys, command, dict(BASE[command], **change), names)
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["operator-verify", "--config", write(tmp_path / "c.yaml", BASE["operator-verify"]),
+                 "--out", str(out), "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("config error:") and "seed" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("header, names", [

@@ -57,11 +57,20 @@ class TestEvaluation:
 
     def test_from_dict_round_trip(self):
         for mod in (moduli.power(0.25), moduli.power_log(0.3, 1.0),
-                    moduli.power_ln_z(0.4, 2.0), moduli.inverse_log(1.5)):
+                    moduli.power_ln_z(0.4, 2.0), moduli.inverse_log(1.5),
+                    moduli.from_table([0.1, 0.2, 0.5], [0.01, 0.03, 0.2])):
             clone = moduli.from_dict(mod.describe())
-            assert clone.family == mod.family
+            assert clone == mod
             assert clone.evaluate(mod.domain_cap / 3) == pytest.approx(
                 mod.evaluate(mod.domain_cap / 3), rel=1e-14)
+
+    def test_table_moduli_with_different_knots_differ(self):
+        # tau(0.3) is 0.15 for the first and 0.35 for the second
+        first = moduli.from_table([0.1, 0.5], [0.1, 0.2])
+        second = moduli.from_table([0.1, 0.5], [0.3, 0.4])
+        assert first != second
+        assert first.describe() != second.describe()
+        assert first == moduli.from_table([0.5, 0.1], [0.2, 0.1])
 
     def test_from_dict_default_caps(self):
         # without domain_cap, each family gets its constructor's default

@@ -206,6 +206,21 @@ class TestNewton:
         res = solver.discrete_residual(inst, fields.GridField(2, 17, 1.0, assembled[1]))
         assert np.max(np.abs(res.values)) == rep.residual_norm_history[1]
 
+    def test_uphill_step_stalls(self, monkeypatch):
+        # with the Jacobian negated, no halving of the Newton step lowers
+        # the residual, so the first iteration gives up after 20 halvings
+        assemble = solver._assemble_jacobian
+        monkeypatch.setattr(solver, "_assemble_jacobian", lambda inst, u: -assemble(inst, u))
+        inst = solver.mms_generate(operators.perturbed_trace(0.05),
+                                   solver.saddle_quartic_solution(1e-2), N=33)
+        u0 = inst.boundary.copy()
+        u0[1:-1, 1:-1] = 0.0
+        rep = solver.solve_newton(inst, fields.GridField(2, 33, 1.0, u0))
+        assert not rep.converged
+        assert rep.factorizations == 1
+        assert rep.damping_events == [{"iteration": 1, "event": "stalled"}]
+        assert len(rep.residual_norm_history) == 1
+
     @pytest.mark.parametrize("tol, max_iter", [
         (float("nan"), 30), (float("inf"), 30), (1e-10, 0), (1e-10, -3),
     ])
