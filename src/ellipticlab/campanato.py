@@ -39,10 +39,6 @@ class QuadraticJet(Polynomial2D):
             raise DomainError("jet entries must be finite")
         object.__setattr__(self, "b", b)
 
-    def evaluate(self, d: np.ndarray) -> np.ndarray:
-        """Evaluate on displacements d = x - x0, stacked (..., n)."""
-        return self(d)
-
     def shift_identity(self, a: float) -> "QuadraticJet":
         return QuadraticJet(self.c, self.b, self.M.add_identity(a))
 
@@ -422,7 +418,7 @@ def rescale_field(u: GridField, audit: DecayAudit, k: int = 1) -> GridField:
     sub = (slice(quarter, u.N - quarter),) * u.n
     c = u.axis_coords()[sub[0]]
     pts = np.stack(np.meshgrid(*([c] * u.n), indexing="ij"), axis=-1)
-    vals = (u.values[sub] - jet.evaluate(pts)) / scale
+    vals = (u.values[sub] - jet(pts)) / scale
     return GridField(u.n, Np, u.L, vals)
 
 

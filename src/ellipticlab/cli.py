@@ -2,13 +2,14 @@
 
 Subcommands mirror the library modules: ``moduli-check``,
 ``operator-verify``, ``solve``, ``mms``, ``audit``, and ``flatness``.
-Each handler only reads its YAML config and computes: it returns the
-report body, its other files ({file name: CSV rows or a GridField}) and
-whether every requested check passed.  ``main`` alone writes the YAML
-report (body, resolved config and ``passed``) and the files under
-``--out``, and exits 0 when all requested checks pass, 1 on a check
-failure, 2 on a config error, a config key the handler never read among
-them; a run that raises writes nothing.
+Each handler reads every key of its YAML config and returns a
+zero-argument function that computes: it returns the report body, its
+other files ({file name: CSV rows or a GridField}) and whether every
+requested check passed.  ``main`` refuses a config key the handler never
+read before calling that function, then alone writes the YAML report
+(body, resolved config and ``passed``) and the files under ``--out``.
+It exits 0 when all requested checks pass, 1 on a check failure and 2 on
+a config error; a run that raises writes nothing.
 Identical configs produce byte-identical reports.
 """
 
@@ -123,6 +124,16 @@ def _bool(value) -> bool:
     return value
 
 
+def _int(value) -> int:
+    """A count, which must be a whole number: ``int`` alone would read
+    true as 1 and truncate 17.9 to 17."""
+    if isinstance(value, bool):
+        raise TypeError("expected a whole number, not true or false")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected a whole number")
+    return int(value)
+
+
 def _array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
@@ -138,7 +149,7 @@ def _list_of(convert):
 
 def _parse_operator(cfg: dict) -> operators.OperatorSpec:
     kind = _read(cfg, "operator.kind")
-    n = _read(cfg, "operator.n", int, None)
+    n = _read(cfg, "operator.n", _int, None)
     pair = None
     if _read(cfg, "operator.pair", default=None) is not None:
         pair = operators.EllipticityPair(_read(cfg, "operator.pair.lambda", float),
@@ -193,16 +204,22 @@ def _rotation_drift(cfg: dict):
     return rot
 
 
-def _field_from_config(cfg: dict) -> fields.GridField:
+def _field_from_config(cfg: dict):
+    """A zero-argument function that loads or samples the config's field."""
     path = _read(cfg, "field.file", str, None)
     if path is not None:
-        return fields.load_field(path)
+        return lambda: fields.load_field(path)
     name = _read(cfg, "field.profile", str)
-    N = _read(cfg, "field.N", int, 129)
+    N = _read(cfg, "field.N", _int, 129)
     L = _read(cfg, "field.L", float, 1.0)
     coeff = _read(cfg, "field.coeff", float, 1.0)
-    g = fields.sample_function(fields.profile(name), n=2, N=N, L=L)
-    return g.scale(coeff) if coeff != 1.0 else g
+    f = fields.profile(name)
+
+    def sample() -> fields.GridField:
+        g = fields.sample_function(f, n=2, N=N, L=L)
+        return g.scale(coeff) if coeff != 1.0 else g
+
+    return sample
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -215,131 +232,150 @@ def _run_moduli_check(cfg: dict):
     checks = _read(cfg, "checks", _list_of(str), _CHECKS)
     if not set(checks) <= set(_CHECKS):
         raise ConfigError(f"checks must be drawn from {list(_CHECKS)}, got {checks}")
-    results, tables, failed = {}, [], False
-
-    if "dini" in checks:
-        dini = moduli.dini_integral(mod)
-        results["dini"] = {
-            "value": dini.value,
-            "converged": dini.converged,
-            "tail_estimate": dini.tail_estimate,
-        }
-        if not dini.converged:
-            failed = True
-    if "a4" in checks:
-        cert = moduli.check_A4(mod, _read(cfg, "alpha0", float, 0.5))
-        results["a4"] = cert.describe()
-        if "fail" in (cert.verdict_i, cert.verdict_ii):
-            failed = True
-        for label, profile in (("a4_cond_i", cert.cond_i_profile),
-                               ("a4_cond_ii", cert.cond_ii_profile)):
-            tables += [{"check": label, "s": s, "value": v} for s, v in profile]
-    for name, check in (("lcc", moduli.check_LCC), ("s_over_tau", moduli.check_s_over_tau)):
-        if name in checks:
-            res = check(mod)
-            results[name] = res.describe()
-            if not res.passed:
-                failed = True
+    alpha0 = _read(cfg, "alpha0", float, 0.5) if "a4" in checks else None
     # the result key keeps the config's spelling of gamma
-    for raw, gamma in _read(cfg, "holder_gammas", _list_of(lambda g: (g, float(g))), []):
-        results[f"holder_{raw}"] = moduli.holder_witness(mod, gamma).describe()
+    gammas = _read(cfg, "holder_gammas", _list_of(lambda g: (g, float(g))), [])
 
-    return {"modulus": mod.describe(), "results": results}, {"profiles.csv": tables}, not failed
+    def run():
+        results, tables, failed = {}, [], False
+        if "dini" in checks:
+            dini = moduli.dini_integral(mod)
+            results["dini"] = {
+                "value": dini.value,
+                "converged": dini.converged,
+                "tail_estimate": dini.tail_estimate,
+            }
+            if not dini.converged:
+                failed = True
+        if "a4" in checks:
+            cert = moduli.check_A4(mod, alpha0)
+            results["a4"] = cert.describe()
+            if "fail" in (cert.verdict_i, cert.verdict_ii):
+                failed = True
+            for label, profile in (("a4_cond_i", cert.cond_i_profile),
+                                   ("a4_cond_ii", cert.cond_ii_profile)):
+                tables += [{"check": label, "s": s, "value": v} for s, v in profile]
+        for name, check in (("lcc", moduli.check_LCC), ("s_over_tau", moduli.check_s_over_tau)):
+            if name in checks:
+                res = check(mod)
+                results[name] = res.describe()
+                if not res.passed:
+                    failed = True
+        for raw, gamma in gammas:
+            results[f"holder_{raw}"] = moduli.holder_witness(mod, gamma).describe()
+        return ({"modulus": mod.describe(), "results": results}, {"profiles.csv": tables},
+                not failed)
+
+    return run
 
 
 def _run_operator_verify(cfg: dict):
     op = _parse_operator(cfg)
-    seed, count = _read(cfg, "seed", int), _read(cfg, "samples", int, 400)
+    seed, count = _read(cfg, "seed", _int), _read(cfg, "samples", _int, 400)
     if count < 1:
         raise ConfigError(f"config key 'samples' must be at least 1, got {count}")
     plan = operators.SamplePlan(seed=seed, count=count)
     structure = _read(cfg, "structure", _bool, False)
     require_structure = _read(cfg, "require_structure", _bool, False)
     tangential = _read(cfg, "tangential", _bool, False)
-    ell = operators.verify_ellipticity(op, plan)
-    results, passed = {"ellipticity": ell.describe()}, ell.passed
-
-    if structure:
-        sc = operators.check_SC(op, plan)
-        results["structure"] = sc.describe()
-        if require_structure and not (
-            sc.convex and sc.zero_at_origin and sc.trace_minorant
-            and sc.differentiable_at_origin and sc.one_homogeneous
-        ):
-            passed = False
-
-    if tangential:
-        try:
-            A0 = operators.tangential_limit(op, seed=seed)
-            results["tangential"] = {
-                "matrix": A0.matrix.tolist(),
-                "differentiable": True,
-            }
-        except (NonDifferentiableError,) as exc:
-            results["tangential"] = {"differentiable": False, "detail": str(exc)}
-
-    if _read(cfg, "theta", default=None) is not None:
+    theta = _read(cfg, "theta", default=None) is not None
+    if theta:
         x = _read(cfg, "theta.x", _array, np.full(op.n, 0.3))
         x0 = _read(cfg, "theta.x0", _array, np.zeros(op.n))
         if x.shape != (op.n,) or x0.shape != (op.n,):
             raise ConfigError(f"theta x and x0 must have {op.n} entries, one per dimension")
-        results["theta"] = {
-            "value": operators.oscillation_theta(op, x, x0, plan),
-            "x": x.tolist(),
-            "x0": x0.tolist(),
-        }
 
-    return {"operator": op.describe(), "results": results}, {}, passed
+    def run():
+        ell = operators.verify_ellipticity(op, plan)
+        results, passed = {"ellipticity": ell.describe()}, ell.passed
+        if structure:
+            sc = operators.check_SC(op, plan)
+            results["structure"] = sc.describe()
+            if require_structure and not (
+                sc.convex and sc.zero_at_origin and sc.trace_minorant
+                and sc.differentiable_at_origin and sc.one_homogeneous
+            ):
+                passed = False
+        if tangential:
+            try:
+                A0 = operators.tangential_limit(op, seed=seed)
+                results["tangential"] = {
+                    "matrix": A0.matrix.tolist(),
+                    "differentiable": True,
+                }
+            except (NonDifferentiableError,) as exc:
+                results["tangential"] = {"differentiable": False, "detail": str(exc)}
+        if theta:
+            results["theta"] = {
+                "value": operators.oscillation_theta(op, x, x0, plan),
+                "x": x.tolist(),
+                "x0": x0.tolist(),
+            }
+        return {"operator": op.describe(), "results": results}, {}, passed
+
+    return run
 
 
 def _run_solve(cfg: dict):
     op = _parse_operator(cfg)
-    N, L = _read(cfg, "grid.N", int), _read(cfg, "grid.L", float, 1.0)
+    N, L = _read(cfg, "grid.N", _int), _read(cfg, "grid.L", float, 1.0)
     u_star = _parse_solution(cfg, op.n)
-    rep, sup_err = solver.mms_solve(op, u_star, N, L, _rotation_drift(cfg),
-                                    tol=_read(cfg, "tol", float, 1e-10),
-                                    max_iter=_read(cfg, "max_iter", int, 30))
-    return ({"solve": rep.describe(), "sup_error_vs_exact": sup_err},
-            {"solution.field": rep.solution}, bool(rep.converged))
+    drift_fn = _rotation_drift(cfg)
+    tol = _read(cfg, "tol", float, 1e-10)
+    max_iter = _read(cfg, "max_iter", _int, 30)
+
+    def run():
+        rep, sup_err = solver.mms_solve(op, u_star, N, L, drift_fn, tol=tol, max_iter=max_iter)
+        return ({"solve": rep.describe(), "sup_error_vs_exact": sup_err},
+                {"solution.field": rep.solution}, bool(rep.converged))
+
+    return run
 
 
 def _run_mms(cfg: dict):
     op = _parse_operator(cfg)
     u_star = _parse_solution(cfg, op.n)
-    N_list = _read(cfg, "N_list", _list_of(int), [33, 65, 129])
+    N_list = _read(cfg, "N_list", _list_of(_int), [33, 65, 129])
     min_order = _read(cfg, "min_order", float, 1.8)
-    study = solver.convergence_study(op, u_star, N_list=N_list, drift_fn=_rotation_drift(cfg),
-                                     tol=_read(cfg, "tol", float, 1e-10))
-    passed = all(o >= min_order for o in study.orders if isinstance(o, float))
-    rows = [
-        {"N": N, "sup_error": e, "iterations": it}
-        for N, e, it in zip(study.N_list, study.errors, study.iterations)
-    ]
-    return {"study": study.describe()}, {"convergence.csv": rows}, passed
+    drift_fn = _rotation_drift(cfg)
+    tol = _read(cfg, "tol", float, 1e-10)
+
+    def run():
+        study = solver.convergence_study(op, u_star, N_list=N_list, drift_fn=drift_fn, tol=tol)
+        passed = all(o >= min_order for o in study.orders if isinstance(o, float))
+        rows = [
+            {"N": N, "sup_error": e, "iterations": it}
+            for N, e, it in zip(study.N_list, study.errors, study.iterations)
+        ]
+        return {"study": study.describe()}, {"convergence.csv": rows}, passed
+
+    return run
 
 
 def _run_audit(cfg: dict):
-    field = _field_from_config(cfg)
+    load = _field_from_config(cfg)
     op = _parse_operator(cfg)
     mod = moduli.from_dict(_read(cfg, "modulus"))
     max_ratio = _read(cfg, "max_ratio", float, None)
     require_decreasing = _read(cfg, "require_decreasing", _bool, False)
-    audit = campanato.decay_audit(
-        field, op, mod,
-        rho0=_read(cfg, "rho0", float, 0.5),
-        K=_read(cfg, "K", int, 4),
-        delta=_read(cfg, "delta", float, 1.0),
-    )
-    passed = True
-    ratios = audit.ratios()
-    if require_decreasing:
-        if any(b >= a for a, b in zip(ratios, ratios[1:])):
+    rho0 = _read(cfg, "rho0", float, 0.5)
+    K = _read(cfg, "K", _int, 4)
+    delta = _read(cfg, "delta", float, 1.0)
+
+    def run():
+        audit = campanato.decay_audit(load(), op, mod, rho0=rho0, K=K, delta=delta)
+        passed = True
+        ratios = audit.ratios()
+        if require_decreasing:
+            if any(b >= a for a, b in zip(ratios, ratios[1:])):
+                passed = False
+        if max_ratio is not None and max(ratios) > max_ratio:
             passed = False
-    if max_ratio is not None and max(ratios) > max_ratio:
-        passed = False
-    fit = campanato.fit_decay_exponent(audit)
-    return ({"audit": audit.describe(), "exponent_fit": fit.describe()},
-            {"audit.csv": audit.table()}, passed)
+        fit = campanato.fit_decay_exponent(audit)
+        return ({"audit": audit.describe(), "exponent_fit": fit.describe()},
+                {"audit.csv": audit.table()}, passed)
+
+    return run
 
 
 def _run_flatness(cfg: dict):
@@ -347,29 +383,32 @@ def _run_flatness(cfg: dict):
     if op.n != 2:
         raise ConfigError("flatness audits the 2-D saddle_quartic family; it needs a 2-D operator")
     mod = moduli.from_dict(_read(cfg, "modulus"))
-    N, L = _read(cfg, "grid.N", int, 129), _read(cfg, "grid.L", float, 1.0)
+    N, L = _read(cfg, "grid.N", _int, 129), _read(cfg, "grid.L", float, 1.0)
     deltas = _read(cfg, "deltas", _list_of(float))
     require_finite_delta_star = _read(cfg, "require_finite_delta_star", _bool, False)
     require_all_pass = _read(cfg, "require_all_pass", _bool, False)
+    rho0 = _read(cfg, "rho0", float, 0.5)
+    K = _read(cfg, "K", _int, 4)
+    refine_steps = _read(cfg, "refine_steps", _int, 8)
 
-    base = solver.saddle_quartic_solution(1.0)
-    probe = fields.sample_function(base.value, n=op.n, N=N, L=L)
-    sup = float(np.max(np.abs(probe.values)))
+    def run():
+        base = solver.saddle_quartic_solution(1.0)
+        probe = fields.sample_function(base.value, n=op.n, N=N, L=L)
+        sup = float(np.max(np.abs(probe.values)))
 
-    def family(delta: float) -> fields.GridField:
-        return probe.scale(delta / sup)
+        def family(delta: float) -> fields.GridField:
+            return probe.scale(delta / sup)
 
-    search = campanato.flatness_threshold_search(
-        family, op, mod, deltas,
-        rho0=_read(cfg, "rho0", float, 0.5), K=_read(cfg, "K", int, 4),
-        refine_steps=_read(cfg, "refine_steps", int, 8),
-    )
-    passed = True
-    if require_finite_delta_star and search.delta_star is None:
-        passed = False
-    if require_all_pass:
-        passed = passed and all(row["passed"] for row in search.table)
-    return {"search": search.describe()}, {"flatness.csv": search.table}, passed
+        search = campanato.flatness_threshold_search(family, op, mod, deltas, rho0=rho0, K=K,
+                                                     refine_steps=refine_steps)
+        passed = True
+        if require_finite_delta_star and search.delta_star is None:
+            passed = False
+        if require_all_pass:
+            passed = passed and all(row["passed"] for row in search.table)
+        return {"search": search.describe()}, {"flatness.csv": search.table}, passed
+
+    return run
 
 
 _HANDLERS = {
@@ -400,14 +439,15 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         _ASKED.clear()
-        seed = _read(cfg, "seed", int, 0)
+        seed = _read(cfg, "seed", _int, 0)
         cfg["seed"] = seed if args.seed is None else args.seed
         if cfg["seed"] < 0:
             raise ConfigError(f"seed must be nonnegative, got {cfg['seed']}")
-        body, files, passed = _HANDLERS[args.command](cfg)
+        run = _HANDLERS[args.command](cfg)
         unread = _first_unread(cfg)
         if unread is not None:
             raise ConfigError(f"config key {unread!r} is not read by {args.command}")
+        body, files, passed = run()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -79,11 +79,6 @@ class GridField:
     def origin_index(self) -> tuple:
         return ((self.N - 1) // 2,) * self.n
 
-    def value_at(self, idx):
-        idx = tuple(int(i) for i in idx)
-        v = self.values[idx]
-        return float(v) if self.components == 1 else np.asarray(v)
-
     def node_values(self, flat) -> np.ndarray:
         """Values at row-major flat node indices, one row per node."""
         return self.values.reshape((self.N ** self.n,) + self.values.shape[self.n:])[flat]
@@ -139,13 +134,6 @@ def ball_index(field: GridField, x0_idx, r: float):
     return np.ravel_multi_index(nodes, (field.N,) * field.n), d
 
 
-def ball_nodes(field: GridField, x0_idx, r: float):
-    """Displacements x - x0, shape (m, n), and field values at the m grid
-    nodes of the closed ball B_r(x0), in the order of ``ball_index``."""
-    flat, d = ball_index(field, x0_idx, r)
-    return d, field.node_values(flat)
-
-
 def ball_average_lp(field: GridField, x0_idx, r: float, p0: float | None = None) -> float:
     """(average over nodes in B_r(x0) of |f - f(x0)|^p0)^(1/p0).
 
@@ -161,17 +149,12 @@ def ball_average_lp(field: GridField, x0_idx, r: float, p0: float | None = None)
         raise DomainError("ball extends outside the grid square")
     if r < 2.0 * field.h:
         raise DomainError("radius must be at least 2h")
-    mag = _ball_increments(field, x0_idx, r)
-    return float(np.mean(mag ** p0) ** (1.0 / p0))
-
-
-def _ball_increments(field: GridField, x0_idx, r: float) -> np.ndarray:
-    """|f - f(x0)| at the nodes of B_r(x0); Euclidean norm for n-component fields."""
-    _, vals = ball_nodes(field, x0_idx, r)
+    vals = field.node_values(ball_index(field, x0_idx, r)[0])
     if len(vals) == 0:
         raise DomainError("ball contains no grid nodes")
     diff = vals - field.values[tuple(int(i) for i in x0_idx)]
-    return np.abs(diff) if field.components == 1 else np.linalg.norm(diff, axis=-1)
+    mag = np.abs(diff) if field.components == 1 else np.linalg.norm(diff, axis=-1)
+    return float(np.mean(mag ** p0) ** (1.0 / p0))
 
 
 @dataclass(frozen=True)
@@ -192,14 +175,12 @@ class DiniConstantReport:
 
 
 def dini_lp_constant(field: GridField, mod: Modulus, centers: Sequence,
-                     radii: Sequence[float], p0: float | None = None) -> DiniConstantReport:
-    """Fit the smallest C with ball_average_lp(x0, r) <= C tau(r).
+                     radii: Sequence[float]) -> DiniConstantReport:
+    """Fit the smallest C with ball_average_lp(x0, r) <= C tau(r), p0 = 2n + 1.
 
     Returns the max ratio together with the full ratio table so the user
     sees where the bound binds.
     """
-    if p0 is None:
-        p0 = 2 * field.n + 1
     table = []
     worst = 0.0
     for c in centers:
@@ -207,20 +188,20 @@ def dini_lp_constant(field: GridField, mod: Modulus, centers: Sequence,
             tau = mod.evaluate(r)
             if tau <= 0.0:
                 raise DegenerateModulusError(f"modulus vanishes at sampled radius r={r}")
-            avg = ball_average_lp(field, c, r, p0)
+            avg = ball_average_lp(field, c, r)
             ratio = avg / tau
             worst = max(worst, ratio)
             table.append((tuple(int(i) for i in c), float(r), avg, float(tau), ratio))
-    return DiniConstantReport(C_fit=worst, table=table, p0=float(p0))
+    return DiniConstantReport(C_fit=worst, table=table, p0=float(2 * field.n + 1))
 
 
 # -- finite-difference jets -----------------------------------------------
 
 
-def _require_interior(field: GridField, idx, ring: int = 1):
+def _require_interior(field: GridField, idx):
     idx = tuple(int(i) for i in idx)
-    if any(i < ring or i > field.N - 1 - ring for i in idx):
-        raise DomainError(f"node {idx} is within {ring} ring(s) of the boundary")
+    if any(i < 1 or i > field.N - 2 for i in idx):
+        raise DomainError(f"node {idx} is within 1 ring(s) of the boundary")
     return idx
 
 
@@ -375,12 +356,12 @@ class Polynomial2D:
         return np.broadcast_to(mat, np.shape(pts)[:-1] + mat.shape).copy()
 
 
-def radial_power(power: float, coeff: float = 1.0) -> Callable:
-    """coeff * ||x||^power; the workhorse for fractional-regularity fields."""
+def radial_power(power: float) -> Callable:
+    """||x||^power; the workhorse for fractional-regularity fields."""
 
     def f(pts: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(np.asarray(pts, dtype=float), axis=-1)
-        return coeff * r**power
+        return r**power
 
     f.__name__ = f"radial_power_{power:g}"
     return f

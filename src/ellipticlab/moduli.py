@@ -122,9 +122,6 @@ class Modulus:
             return float(out)
         return out
 
-    def __call__(self, r):
-        return self.evaluate(r)
-
     # -- analytic knowledge ---------------------------------------------
 
     def a4_override(self, alpha0: float) -> Optional[tuple]:
@@ -245,7 +242,6 @@ def from_dict(d: dict) -> Modulus:
 class DiniResult(NamedTuple):
     value: float
     converged: bool
-    levels: int
     tail_estimate: float
 
 
@@ -289,26 +285,27 @@ def _neglog_tail_integral(mod: Modulus, t_start: float) -> DiniResult:
         boundary = next_boundary
         if prev_inc is not None:
             if inc <= 0.0 and prev_inc <= 0.0:
-                return DiniResult(total, True, level + 1, 0.0)
+                return DiniResult(total, True, 0.0)
             q = inc / prev_inc if prev_inc > 0 else 0.0
             if q < 0.95:
                 tail = inc * q / (1.0 - q)
                 if tail <= _REL_TOL * max(abs(total), 1e-300):
-                    return DiniResult(total + tail, True, level + 1, tail)
+                    return DiniResult(total + tail, True, tail)
                 stall = 0
             else:
                 stall += 1
                 if stall >= 8:
-                    return DiniResult(total, False, level + 1, math.inf)
+                    return DiniResult(total, False, math.inf)
         prev_inc = inc
-    return DiniResult(total, False, _MAX_LEVELS, math.inf)
+    return DiniResult(total, False, math.inf)
 
 
 def dini_integral(mod: Modulus) -> DiniResult:
     """Integrate tau(r)/r over (0, domain_cap].
 
-    Returns (value, converged, ...); ``converged=False`` flags a tail that
-    keeps growing across refinement levels, i.e. a divergent integral.
+    Returns (value, converged, tail_estimate); ``converged=False`` flags a
+    tail that keeps growing across refinement levels, i.e. a divergent
+    integral.
     """
     return _neglog_tail_integral(mod, -math.log(mod.domain_cap))
 

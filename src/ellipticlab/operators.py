@@ -89,9 +89,6 @@ class SymMatrix:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SymMatrix":
-        return SymMatrix(self.n, -self.matrix)
-
     def add_identity(self, a: float) -> "SymMatrix":
         return SymMatrix(self.n, self.matrix + a * np.eye(self.n))
 
@@ -255,9 +252,6 @@ class OperatorSpec:
         mat = _as_matrix_batch(M)
         xs = None if x is None else np.asarray(x, dtype=float)
         return float(self.evaluate_batch(mat, xs))
-
-    def __call__(self, M, x=None) -> float:
-        return self.evaluate(M, x)
 
     def describe(self) -> dict:
         d = {"kind": self.kind, "n": self.n, "matrix_norm": MATRIX_NORM}

@@ -10,7 +10,7 @@ truth for accuracy studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -35,12 +35,11 @@ class AnalyticSolution:
     value: Callable
     gradient: Callable
     hessian: Callable
-    name: str = "custom"
 
 
 def quadratic_solution(c: float, b, M: SymMatrix) -> AnalyticSolution:
     q = Polynomial2D(c, np.asarray(b, dtype=float), M)
-    return AnalyticSolution(q, q.gradient, q.hessian, name="quadratic")
+    return AnalyticSolution(q, q.gradient, q.hessian)
 
 
 def saddle_quartic_solution(delta: float) -> AnalyticSolution:
@@ -64,7 +63,7 @@ def saddle_quartic_solution(delta: float) -> AnalyticSolution:
         H[..., 1, 1] = -delta
         return H
 
-    return AnalyticSolution(val, grad, hess, name=f"saddle_quartic_{delta:g}")
+    return AnalyticSolution(val, grad, hess)
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,8 @@ class SolveReport:
     residual_norm_history: list
     iterations: int
     converged: bool
-    damping_events: list = field(default_factory=list)
-    factorizations: int = 0
+    damping_events: list
+    factorizations: int
 
     def describe(self) -> dict:
         return {
@@ -371,23 +370,21 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
 # -- constant-coefficient tangential solve ----------------------------------
 
 
-def solve_linear_tangential(A0: SymMatrix, boundary, N: int, L: float = 1.0,
+def solve_linear_tangential(A0: SymMatrix, boundary, N: int,
                             source: Optional[GridField] = None) -> GridField:
-    """Solve tr(A0 D2u) = f with Dirichlet data by one LU factorization and
-    at most three steps with it.
+    """Solve tr(A0 D2u) = f with Dirichlet data on [-1, 1]^n by one LU
+    factorization and at most three steps with it.
 
-    ``boundary`` is a callback on stacked points or a grid-shaped array.
-    The assembled residual is checked to 1e-10 relative.  The problem is
+    ``boundary`` is a callback on stacked points or a grid-shaped array;
+    ``linear_trace`` rejects an A0 that is not positive definite.  The
+    assembled residual is checked to 1e-10 relative.  The problem is
     linear, but one sparse direct solve leaves a residual near 1e-10 times
     the starting defect (2e-6 relative for exp(x1) cos(2 x2) data with
     A0 = I at N=257 from a zero interior).  Each step cuts the residual far
     below ``_CHORD_RATE``, so ``solve_newton`` keeps the factor and the
     later steps are chord steps: iterative refinement on the one factor.
     """
-    eigs = A0.eigenvalues()
-    if eigs[0] <= 0:
-        raise ConfigError("tangential coefficient matrix must be positive definite")
-    n = A0.n
+    n, L = A0.n, 1.0
     if callable(boundary):
         bfield = sample_function(boundary, n=n, N=N, L=L)
         barr = bfield.values
@@ -472,17 +469,17 @@ class ConvergenceStudy:
 
 
 def convergence_study(op: OperatorSpec, u_star: AnalyticSolution,
-                      N_list: Sequence[int] = (33, 65, 129), L: float = 1.0,
+                      N_list: Sequence[int] = (33, 65, 129),
                       drift_fn: Optional[Callable] = None,
                       tol: float = 1e-10) -> ConvergenceStudy:
-    """Sup-norm MMS errors and observed orders over a grid-refinement ladder,
-    each rung solved by ``mms_solve``.  Round-off is 1e-12 times the finest
-    solution's sup-norm (at least 1)."""
+    """Sup-norm MMS errors and observed orders over a grid-refinement ladder
+    on [-1, 1]^n, each rung solved by ``mms_solve``.  Round-off is 1e-12
+    times the finest solution's sup-norm (at least 1)."""
     if len(N_list) < 3:
         raise ConfigError("need at least 3 grid levels")
     errors, iters = [], []
     for N in N_list:
-        report, err = mms_solve(op, u_star, N, L, drift_fn, tol)
+        report, err = mms_solve(op, u_star, N, 1.0, drift_fn, tol)
         if not report.converged:
             raise NumericsError(f"Newton failed to converge at N={N}")
         errors.append(err)

@@ -1,7 +1,7 @@
 import pytest
 import yaml
 
-from ellipticlab import cli, fields
+from ellipticlab import cli, fields, moduli, operators, solver
 from ellipticlab.cli import main
 
 
@@ -276,6 +276,16 @@ def assert_config_error(tmp_path, capsys, command, cfg, names=""):
     ("operator-verify", {"samples": -3}, "samples"),
     # a negative refine count reported no refinements
     ("flatness", {"refine_steps": -1}, "refine_steps"),
+    # a count that is not a whole number was truncated (N = 17.9 solved on
+    # 17 nodes), a boolean read as 1 and an infinite N escaped as a traceback
+    ("solve", {"grid": {"N": 17.9}}, "grid.N"),
+    ("solve", {"grid": {"N": float("inf")}}, "grid.N"),
+    ("audit", {"K": 2.5}, "'K'"),
+    ("mms", {"N_list": [17, 33.5, 65]}, "N_list"),
+    ("operator-verify", {"seed": 1.5}, "seed"),
+    ("operator-verify", {"samples": True}, "samples"),
+    ("operator-verify", {"operator": {"kind": "perturbed_trace", "eps": 0.1, "n": 2.5}},
+     "operator.n"),
 ])
 def test_malformed_value_exits_2_without_traceback(tmp_path, capsys, command, change, names):
     assert_config_error(tmp_path, capsys, command, dict(BASE[command], **change), names)
@@ -342,8 +352,13 @@ def test_artefact_contract(tmp_path, capsys, monkeypatch, command, change, code)
     returned = []
 
     def spy(cfg):
-        returned.append(handler(cfg))
-        return returned[-1]
+        work = handler(cfg)
+
+        def spied():
+            returned.append(work())
+            return returned[-1]
+
+        return spied
 
     handler = cli._HANDLERS[command]
     monkeypatch.setitem(cli._HANDLERS, command, spy)
@@ -356,6 +371,24 @@ def test_artefact_contract(tmp_path, capsys, monkeypatch, command, change, code)
     assert sorted(p.name for p in out.iterdir()) == sorted(
         ["report.yaml"] + [name for name, data in files.items()
                            if isinstance(data, fields.GridField) or data])
+
+
+@pytest.mark.parametrize("command, unread, name, first_work", [
+    ("moduli-check", {"alpha_0": 0.5}, "'alpha_0'", (moduli, "dini_integral")),
+    ("operator-verify", {"sample": 20}, "'sample'", (operators, "verify_ellipticity")),
+    ("solve", {"max_iters": 5}, "'max_iters'", (solver, "mms_solve")),
+    ("mms", {"grid": {"L": 2.0}}, "'grid.L'", (solver, "convergence_study")),
+    ("audit", {"max_ratoi": 0.001}, "'max_ratoi'", (fields, "sample_function")),
+    ("flatness", {"refine_step": 2}, "'refine_step'", (fields, "sample_function")),
+])
+def test_unread_key_exits_2_before_any_computation(tmp_path, capsys, monkeypatch,
+                                                   command, unread, name, first_work):
+    # the key used to be found only after the handler had done all its work
+    def reached(*args, **kwargs):
+        pytest.fail(f"{command} computed before refusing its unread key")
+
+    monkeypatch.setattr(*first_work, reached)
+    assert_config_error(tmp_path, capsys, command, dict(BASE[command], **unread), name)
 
 
 @pytest.mark.parametrize("command, change, code", [

@@ -36,7 +36,7 @@ class TestGridField:
     def test_sample_corner_value(self):
         u = grid(N=5, f=fields.profile("half_norm_sq"))
         assert u.values[0, 0] == pytest.approx(1.0)
-        assert u.value_at(u.origin_index()) == 0.0
+        assert u.values[u.origin_index()] == 0.0
 
     def test_nonfinite_rejected(self):
         bad = lambda pts: np.where(np.asarray(pts)[..., 0] > 0.5, np.inf, 0.0)
@@ -67,7 +67,8 @@ class TestBallNodes:
         shape = (N,) * n + (() if components == 1 else (components,))
         vals = np.random.default_rng(N + n).standard_normal(shape)
         u = fields.GridField(n, N, L, vals, components)
-        d, v = fields.ball_nodes(u, x0, r)
+        flat, d = fields.ball_index(u, x0, r)
+        v = u.node_values(flat)
         d_ref, v_ref = full_grid_ball(u, x0, r)
         assert np.array_equal(d, d_ref) and np.array_equal(v, v_ref)
 

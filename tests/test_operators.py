@@ -164,30 +164,30 @@ class TestOperatorSpec:
         op = ops.linear_trace(np.diag([1.0, 2.0]))
         assert op.pair.lam == 1.0 and op.pair.Lam == 2.0
         M = ops.SymMatrix.from_matrix([[1.0, 5.0], [5.0, 1.0]])
-        assert op(M) == pytest.approx(3.0)
+        assert op.evaluate(M) == pytest.approx(3.0)
 
     def test_zero_normalization(self):
         for op in (ops.linear_trace(np.eye(2)), ops.pucci_plus_op(PAIR),
                    ops.perturbed_trace(0.3)):
-            assert op(ops.SymMatrix.zero(op.n)) == 0.0
+            assert op.evaluate(ops.SymMatrix.zero(op.n)) == 0.0
 
     def test_perturbed_trace_formula(self):
         op = ops.perturbed_trace(0.2)
         M = ops.SymMatrix.diagonal([0.5, 1.5])
         want = 2.0 + 0.2 * np.sin(0.5) * (1.0 - np.cos(1.5))
-        assert op(M) == pytest.approx(want, rel=1e-14)
+        assert op.evaluate(M) == pytest.approx(want, rel=1e-14)
 
     def test_x_dependence_multiplicative(self):
         a = lambda xs: 1.0 + 0.5 * np.asarray(xs)[..., 0]
         op = ops.linear_trace(np.eye(2), x_dependence=a)
         M = ops.SymMatrix.identity(2)
-        assert op(M, [0.4, 0.0]) == pytest.approx(2.4)
-        assert op(ops.SymMatrix.zero(2), [0.4, 0.0]) == 0.0
+        assert op.evaluate(M, [0.4, 0.0]) == pytest.approx(2.4)
+        assert op.evaluate(ops.SymMatrix.zero(2), [0.4, 0.0]) == 0.0
 
     def test_extension_kind(self):
         op = ops.extension(lambda H: np.trace(H, axis1=-2, axis2=-1),
                            PAIR, callback_id="trace")
-        assert op(ops.SymMatrix.identity(2)) == pytest.approx(2.0)
+        assert op.evaluate(ops.SymMatrix.identity(2)) == pytest.approx(2.0)
 
     def test_describe_per_kind(self):
         def bump(xs):
@@ -260,7 +260,7 @@ class TestDerivatives:
     def test_scaling_family_homogeneous(self):
         op = ops.pucci_plus_op(PAIR)
         X = ops.SymMatrix.diagonal([1.0, -2.0])
-        base = op(X)
+        base = op.evaluate(X)
         for sigma in (0.1, 1.0, 30.0):
             assert ops.scaling_family(op, sigma, X) == pytest.approx(base, abs=1e-12)
 
