@@ -29,7 +29,8 @@ from .operators import OperatorSpec, SymMatrix
 
 @dataclass(frozen=True)
 class QuadraticJet(Polynomial2D):
-    """P(x) = c + b.(x - x0) + (x - x0)^T M (x - x0) / 2, centered at x0."""
+    """P(x) = c + b.s + s^T M s / 2 in the displacement s = x - x0 from the
+    centre x0 of the ball it was fitted on; the jet does not store x0."""
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
@@ -38,9 +39,6 @@ class QuadraticJet(Polynomial2D):
         if not (np.isfinite(self.c) and np.all(np.isfinite(b))):
             raise DomainError("jet entries must be finite")
         object.__setattr__(self, "b", b)
-
-    def shift_identity(self, a: float) -> "QuadraticJet":
-        return QuadraticJet(self.c, self.b, self.M.add_identity(a))
 
     def describe(self) -> dict:
         return {
@@ -165,7 +163,7 @@ class _FitOperator:
         if op.n != self.n:
             raise ConfigError(f"a {op.n}-D operator cannot audit a {self.n}-D field")
         jet = self.jet(vals)
-        return jet.shift_identity(root_correct(op, jet.M, x0))
+        return QuadraticJet(jet.c, jet.b, jet.M.add_identity(root_correct(op, jet.M, x0)))
 
     def sup_residual(self, vals: np.ndarray, jet: QuadraticJet) -> float:
         """sup |u - P| over the ball nodes, as max |vals - A theta(jet)|."""
@@ -332,10 +330,10 @@ def decay_audit(u: GridField, op: OperatorSpec, mod: Modulus, rho0: float = 0.5,
 
 def _audit(u: GridField, op: OperatorSpec, delta: float, lad: _Ladder) -> DecayAudit:
     """decay_audit of u on a prepared ladder, which may be shared."""
-    if delta <= 0.0:
+    if not delta > 0.0:   # refuses NaN too, whose ratios no gate could judge
         raise ConfigError("delta must be positive")
     x0 = u.node_coords(lad.x0_idx)
-    records, vals = [], []
+    records = []
     for k, (fop, tau) in enumerate(zip(lad.fits, lad.taus)):
         v = u.node_values(fop.idx)
         jet = fop.constrained_jet(v, op, x0)
@@ -347,26 +345,24 @@ def _audit(u: GridField, op: OperatorSpec, delta: float, lad: _Ladder) -> DecayA
             inc = float(np.linalg.norm(jet.M.matrix - records[-1].jet.M.matrix))
             inc_ratio = inc / (delta * lad.taus[k - 1])
         records.append(ScaleRecord(k, fop.r, jet, sup, ratio, inc, inc_ratio))
-        vals.append(v)
-    C0, cauchy = _final_jet_decay(records, lad.fits, vals, lad.taus, lad.psis)
+    C0, cauchy = _final_jet_decay(u, records, lad)
     return DecayAudit(lad.rho0, delta, lad.mod, records, len(records) - 1, lad.truncated,
                       C0, cauchy, lad.x0_idx)
 
 
-def _final_jet_decay(records, balls, vals, taus, psis):
+def _final_jet_decay(u: GridField, records, lad: _Ladder):
     """Residual decay of the last jet against r^2 psi(r) over each record's
     ball, plus the Cauchy check that Hessian increments shrink like tau at
-    the audited scales.  ``balls``, ``vals``, ``taus`` and ``psis`` run
-    along ``records``."""
+    the audited scales.  ``lad``'s scales run along ``records``."""
     last = records[-1].jet
     worst = 0.0
-    for rec, ball, v, psi in zip(records, balls, vals, psis):
-        worst = max(worst, ball.sup_residual(v, last) / (rec.radius**2 * psi))
+    for rec, ball, psi in zip(records, lad.fits, lad.psis):
+        worst = max(worst, ball.sup_residual(u.node_values(ball.idx), last) / (rec.radius**2 * psi))
     incs = [rec.hessian_increment for rec in records if rec.hessian_increment is not None]
     scale = max([abs(v) for v in incs], default=0.0)
     if len(incs) >= 2 and scale > 1e-12:
-        bound = max(i / t for i, t in zip(incs, taus))
-        cauchy = all(i <= 4.0 * bound * t for i, t in zip(incs, taus))
+        bound = max(i / t for i, t in zip(incs, lad.taus))
+        cauchy = all(i <= 4.0 * bound * t for i, t in zip(incs, lad.taus))
     else:
         cauchy = True
     return worst, cauchy
@@ -381,11 +377,10 @@ def c2psi_seminorm(u: GridField, audit: DecayAudit):
     """
     if audit.K_max < 3:
         raise ConfigError("seminorm needs an audit of depth K >= 3")
-    radii = [rec.radius for rec in audit.records]
-    balls = [_ball_operator(r, *ball_index(u, audit.x0_idx, r)) for r in radii]
-    return _final_jet_decay(audit.records, balls, [u.node_values(b.idx) for b in balls],
-                            [audit.mod.evaluate(r) for r in radii],
-                            [psi_transform(audit.mod, r) for r in radii])
+    lad = _ladder(u, audit.mod, audit.rho0, audit.K_max, audit.x0_idx)
+    if lad.truncated:
+        raise ConfigError("the audit's scales do not all resolve on this field")
+    return _final_jet_decay(u, audit.records, lad)
 
 
 # -- scale equivariance --------------------------------------------------------
@@ -487,18 +482,15 @@ def flatness_threshold_search(field_family: Callable[[float], GridField],
     hi = min((row["delta"] for row in table if not row["passed"]), default=None)
     passes = [row["delta"] for row in table
               if row["passed"] and (hi is None or row["delta"] < hi)]
-    if not passes:
-        return FlatnessSearch(None, table, 0)
-    lo = max(passes)
-    if hi is None:
-        return FlatnessSearch(lo, table, 0)
-    for _ in range(refine_steps):
+    lo = max(passes, default=None)
+    refinements = 0 if lo is None or hi is None else refine_steps
+    for _ in range(refinements):
         mid = 0.5 * (lo + hi)
         if probe(mid):
             lo = mid
         else:
             hi = mid
-    return FlatnessSearch(lo, sorted(table, key=lambda r: r["delta"]), refine_steps)
+    return FlatnessSearch(lo, sorted(table, key=lambda r: r["delta"]), refinements)
 
 
 # -- decay exponent --------------------------------------------------------------

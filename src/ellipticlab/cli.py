@@ -101,12 +101,10 @@ def _read(cfg: dict, key: str, convert=lambda v: v, default=...):
 
 
 def _first_unread(cfg: dict, path: tuple = ()):
-    """The first key of ``cfg``, depth first, that ``_read`` was never asked
-    for and that lies under no mapping read whole, or None."""
+    """The key of the first value below ``cfg``'s mappings, depth first,
+    that ``_read`` was never asked for, or None."""
     for k, v in cfg.items():
         key = path + (k,)
-        if key in _ASKED and not any(len(a) > len(key) and a[:len(key)] == key for a in _ASKED):
-            continue   # a value, or a mapping read whole
         if isinstance(v, dict) and v:
             found = _first_unread(v, key)
             if found is not None:
@@ -134,8 +132,20 @@ def _int(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A real number, which must be finite: NaN fails every comparison, so
+    a NaN gate or bound would let every run pass."""
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError("expected a finite number")
+    return x
+
+
 def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("expected finite numbers")
+    return arr
 
 
 def _list_of(convert):
@@ -147,13 +157,21 @@ def _list_of(convert):
     return check
 
 
+def _modulus(cfg: dict) -> moduli.Modulus:
+    """The config's modulus.  The keys of its ``describe()``, the dictionary
+    ``moduli.from_dict`` rebuilds from, count as read; no other key does."""
+    mod = moduli.from_dict(_read(cfg, "modulus"))
+    _ASKED.update(("modulus", key) for key in mod.describe())
+    return mod
+
+
 def _parse_operator(cfg: dict) -> operators.OperatorSpec:
     kind = _read(cfg, "operator.kind")
     n = _read(cfg, "operator.n", _int, None)
     pair = None
     if _read(cfg, "operator.pair", default=None) is not None:
-        pair = operators.EllipticityPair(_read(cfg, "operator.pair.lambda", float),
-                                         _read(cfg, "operator.pair.Lambda", float))
+        pair = operators.EllipticityPair(_read(cfg, "operator.pair.lambda", _real),
+                                         _read(cfg, "operator.pair.Lambda", _real))
     if kind == "linear_trace":
         op = operators.linear_trace(_read(cfg, "operator.matrix", _array), pair=pair)
         if n not in (None, op.n):
@@ -161,7 +179,7 @@ def _parse_operator(cfg: dict) -> operators.OperatorSpec:
         return op
     n = 2 if n is None else n
     if kind == "perturbed_trace":
-        return operators.perturbed_trace(_read(cfg, "operator.eps", float), n=n, pair=pair)
+        return operators.perturbed_trace(_read(cfg, "operator.eps", _real), n=n, pair=pair)
     if kind not in ("pucci_plus", "pucci_minus"):
         raise ConfigError(f"unsupported operator kind {kind!r} in configs")
     if pair is None:
@@ -177,11 +195,11 @@ def _parse_solution(cfg: dict, n: int) -> solver.AnalyticSolution:
         b = _read(cfg, "u_star.b", _array, np.zeros(M.n))
         if M.n != n or b.shape != (n,):
             raise ConfigError(f"u_star M must be {n} x {n} and b have {n} entries")
-        return solver.quadratic_solution(_read(cfg, "u_star.c", float, 0.0), b, M)
+        return solver.quadratic_solution(_read(cfg, "u_star.c", _real, 0.0), b, M)
     if kind == "saddle_quartic":
         if n != 2:
             raise ConfigError("u_star saddle_quartic needs a 2-D operator")
-        return solver.saddle_quartic_solution(_read(cfg, "u_star.delta", float))
+        return solver.saddle_quartic_solution(_read(cfg, "u_star.delta", _real))
     raise ConfigError(f"unknown u_star type {kind!r}")
 
 
@@ -192,7 +210,7 @@ def _rotation_drift(cfg: dict):
     kind = _read(cfg, "drift.type")
     if kind != "rotation":
         raise ConfigError(f"unknown drift type {kind!r}")
-    scale = _read(cfg, "drift.scale", float, 0.1)
+    scale = _read(cfg, "drift.scale", _real, 0.1)
 
     def rot(pts):
         pts = np.asarray(pts, dtype=float)
@@ -211,8 +229,8 @@ def _field_from_config(cfg: dict):
         return lambda: fields.load_field(path)
     name = _read(cfg, "field.profile", str)
     N = _read(cfg, "field.N", _int, 129)
-    L = _read(cfg, "field.L", float, 1.0)
-    coeff = _read(cfg, "field.coeff", float, 1.0)
+    L = _read(cfg, "field.L", _real, 1.0)
+    coeff = _read(cfg, "field.coeff", _real, 1.0)
     f = fields.profile(name)
 
     def sample() -> fields.GridField:
@@ -228,23 +246,19 @@ _CHECKS = ("dini", "a4", "lcc", "s_over_tau")
 
 
 def _run_moduli_check(cfg: dict):
-    mod = moduli.from_dict(_read(cfg, "modulus"))
+    mod = _modulus(cfg)
     checks = _read(cfg, "checks", _list_of(str), _CHECKS)
     if not set(checks) <= set(_CHECKS):
         raise ConfigError(f"checks must be drawn from {list(_CHECKS)}, got {checks}")
-    alpha0 = _read(cfg, "alpha0", float, 0.5) if "a4" in checks else None
+    alpha0 = _read(cfg, "alpha0", _real, 0.5) if "a4" in checks else None
     # the result key keeps the config's spelling of gamma
-    gammas = _read(cfg, "holder_gammas", _list_of(lambda g: (g, float(g))), [])
+    gammas = _read(cfg, "holder_gammas", _list_of(lambda g: (g, _real(g))), [])
 
     def run():
         results, tables, failed = {}, [], False
         if "dini" in checks:
             dini = moduli.dini_integral(mod)
-            results["dini"] = {
-                "value": dini.value,
-                "converged": dini.converged,
-                "tail_estimate": dini.tail_estimate,
-            }
+            results["dini"] = dini._asdict()
             if not dini.converged:
                 failed = True
         if "a4" in checks:
@@ -318,10 +332,10 @@ def _run_operator_verify(cfg: dict):
 
 def _run_solve(cfg: dict):
     op = _parse_operator(cfg)
-    N, L = _read(cfg, "grid.N", _int), _read(cfg, "grid.L", float, 1.0)
+    N, L = _read(cfg, "grid.N", _int), _read(cfg, "grid.L", _real, 1.0)
     u_star = _parse_solution(cfg, op.n)
     drift_fn = _rotation_drift(cfg)
-    tol = _read(cfg, "tol", float, 1e-10)
+    tol = _read(cfg, "tol", float, 1e-10)   # solve_newton refuses it unless finite and positive
     max_iter = _read(cfg, "max_iter", _int, 30)
 
     def run():
@@ -336,9 +350,9 @@ def _run_mms(cfg: dict):
     op = _parse_operator(cfg)
     u_star = _parse_solution(cfg, op.n)
     N_list = _read(cfg, "N_list", _list_of(_int), [33, 65, 129])
-    min_order = _read(cfg, "min_order", float, 1.8)
+    min_order = _read(cfg, "min_order", _real, 1.8)
     drift_fn = _rotation_drift(cfg)
-    tol = _read(cfg, "tol", float, 1e-10)
+    tol = _read(cfg, "tol", float, 1e-10)   # solve_newton refuses it unless finite and positive
 
     def run():
         study = solver.convergence_study(op, u_star, N_list=N_list, drift_fn=drift_fn, tol=tol)
@@ -355,12 +369,12 @@ def _run_mms(cfg: dict):
 def _run_audit(cfg: dict):
     load = _field_from_config(cfg)
     op = _parse_operator(cfg)
-    mod = moduli.from_dict(_read(cfg, "modulus"))
-    max_ratio = _read(cfg, "max_ratio", float, None)
+    mod = _modulus(cfg)
+    max_ratio = _read(cfg, "max_ratio", _real, None)
     require_decreasing = _read(cfg, "require_decreasing", _bool, False)
-    rho0 = _read(cfg, "rho0", float, 0.5)
+    rho0 = _read(cfg, "rho0", _real, 0.5)
     K = _read(cfg, "K", _int, 4)
-    delta = _read(cfg, "delta", float, 1.0)
+    delta = _read(cfg, "delta", _real, 1.0)
 
     def run():
         audit = campanato.decay_audit(load(), op, mod, rho0=rho0, K=K, delta=delta)
@@ -382,12 +396,12 @@ def _run_flatness(cfg: dict):
     op = _parse_operator(cfg)
     if op.n != 2:
         raise ConfigError("flatness audits the 2-D saddle_quartic family; it needs a 2-D operator")
-    mod = moduli.from_dict(_read(cfg, "modulus"))
-    N, L = _read(cfg, "grid.N", _int, 129), _read(cfg, "grid.L", float, 1.0)
-    deltas = _read(cfg, "deltas", _list_of(float))
+    mod = _modulus(cfg)
+    N, L = _read(cfg, "grid.N", _int, 129), _read(cfg, "grid.L", _real, 1.0)
+    deltas = _read(cfg, "deltas", _list_of(_real))
     require_finite_delta_star = _read(cfg, "require_finite_delta_star", _bool, False)
     require_all_pass = _read(cfg, "require_all_pass", _bool, False)
-    rho0 = _read(cfg, "rho0", float, 0.5)
+    rho0 = _read(cfg, "rho0", _real, 0.5)
     K = _read(cfg, "K", _int, 4)
     refine_steps = _read(cfg, "refine_steps", _int, 8)
 

@@ -198,13 +198,6 @@ def dini_lp_constant(field: GridField, mod: Modulus, centers: Sequence,
 # -- finite-difference jets -----------------------------------------------
 
 
-def _require_interior(field: GridField, idx):
-    idx = tuple(int(i) for i in idx)
-    if any(i < 1 or i > field.N - 2 for i in idx):
-        raise DomainError(f"node {idx} is within 1 ring(s) of the boundary")
-    return idx
-
-
 class StencilEntry(NamedTuple):
     """One jet entry: the derivative along the axes in ``index`` (one axis
     for a gradient component, two for a Hessian entry) is
@@ -263,7 +256,9 @@ def interior_jets(vals: np.ndarray, n: int, h: float):
 def _node_jets(field: GridField, idx):
     if field.components != 1:
         raise ConfigError("jets are defined for scalar fields")
-    idx = _require_interior(field, idx)
+    idx = tuple(int(i) for i in idx)
+    if any(i < 1 or i > field.N - 2 for i in idx):
+        raise DomainError(f"node {idx} is within 1 ring(s) of the boundary")
     block = field.values[tuple(slice(i - 1, i + 2) for i in idx)]
     H, G = interior_jets(block, field.n, field.h)
     return H.reshape(field.n, field.n), G.reshape(field.n)

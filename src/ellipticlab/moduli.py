@@ -204,8 +204,8 @@ def from_dict(d: dict) -> Modulus:
     """Rebuild a modulus from its ``describe()`` dictionary.
 
     Parameters are converted with ``float`` (the table's knots elementwise);
-    a spec that is not a mapping, or a missing or non-numeric parameter,
-    raises ConfigError.
+    a spec that is not a mapping, or a missing, non-numeric or non-finite
+    parameter, raises ConfigError.
     """
     if not isinstance(d, dict):
         raise ConfigError("modulus spec must be a mapping")
@@ -213,11 +213,14 @@ def from_dict(d: dict) -> Modulus:
 
     def num(key, convert=float):
         try:
-            return convert(d[key])
+            value = convert(d[key])
         except KeyError:
             raise ConfigError(f"missing modulus parameter {key!r} for family {fam!r}")
         except (TypeError, ValueError):
             raise ConfigError(f"modulus parameter {key!r} must be numeric, got {d[key]!r}")
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"modulus parameter {key!r} must be finite, got {d[key]!r}")
+        return value
 
     def knots(key):
         return num(key, lambda v: np.asarray(v, dtype=float))
@@ -473,6 +476,12 @@ class RatioCheck:
         }
 
 
+def _tail_moves(ratios: np.ndarray, sign: float) -> bool:
+    """Whether each of the last ``_WINDOW`` steps of ``ratios`` (each step,
+    when there are fewer) has the sign of ``sign``; False for one sample."""
+    return len(ratios) > 1 and bool(np.all(sign * np.diff(ratios[-_WINDOW - 1:]) > 0))
+
+
 def _geometric_grid(mod: Modulus, exponent_max: int):
     j_min = max(1, math.ceil(-math.log2(mod.domain_cap) - 1e-9))
     js = np.arange(j_min, exponent_max + 1)
@@ -483,9 +492,7 @@ def check_LCC(mod: Modulus) -> RatioCheck:
     """Pass iff tau(t)/t grows without bound along the sampled grid."""
     js, ts = _geometric_grid(mod, _RATIO_MAX)
     ratios = mod.eval_neglog(js * LN2) / ts
-    w = min(_WINDOW, len(ratios) - 1)
-    tail_monotone = bool(np.all(np.diff(ratios[-w - 1:]) > 0)) if w > 0 else False
-    passed = tail_monotone and ratios[-1] > _BOUND
+    passed = _tail_moves(ratios, 1.0) and ratios[-1] > _BOUND
     return RatioCheck(passed, ts, ratios, _ratio_plan(_RATIO_MAX), "tau(t)/t -> infinity")
 
 
@@ -493,9 +500,7 @@ def check_s_over_tau(mod: Modulus) -> RatioCheck:
     """Pass iff s/tau(s) decays to zero along the sampled grid."""
     js, ss = _geometric_grid(mod, _RATIO_MAX)
     ratios = ss / mod.eval_neglog(js * LN2)
-    w = min(_WINDOW, len(ratios) - 1)
-    tail_monotone = bool(np.all(np.diff(ratios[-w - 1:]) < 0)) if w > 0 else False
-    passed = tail_monotone and ratios[-1] < _THRESHOLD
+    passed = _tail_moves(ratios, -1.0) and ratios[-1] < _THRESHOLD
     return RatioCheck(passed, ss, ratios, _ratio_plan(_RATIO_MAX), "s/tau(s) -> 0")
 
 
@@ -504,8 +509,6 @@ class HolderReport:
     is_gamma_holder_near_0: str     # "pass" (Hölder) or "fail" (not Hölder)
     gamma: float
     witness: Optional[np.ndarray]
-    ratios: np.ndarray
-    grid: np.ndarray
     plan: dict
 
     def describe(self) -> dict:
@@ -530,15 +533,10 @@ def holder_witness(mod: Modulus, gamma: float) -> HolderReport:
         raise ConfigError("gamma must lie in (0, 1]")
     js, rs = _geometric_grid(mod, _HOLDER_MAX)
     ratios = mod.eval_neglog(js * LN2) / rs ** gamma
-    w = min(_WINDOW, len(ratios) - 1)
-    tail_increasing = bool(np.all(np.diff(ratios[-w - 1:]) > 0)) if w > 0 else False
-    grew = ratios[-1] >= 10.0 * np.min(ratios)
-    non_holder = tail_increasing and grew
+    non_holder = _tail_moves(ratios, 1.0) and ratios[-1] >= 10.0 * np.min(ratios)
     return HolderReport(
         is_gamma_holder_near_0="fail" if non_holder else "pass",
         gamma=gamma,
-        witness=rs[-w - 1:] if non_holder else None,
-        ratios=ratios,
-        grid=rs,
+        witness=rs[-_WINDOW - 1:] if non_holder else None,
         plan=_ratio_plan(_HOLDER_MAX),
     )

@@ -70,8 +70,10 @@ def saddle_quartic_solution(delta: float) -> AnalyticSolution:
 class ProblemInstance:
     """Operator, drift, source, and boundary data on a shared grid.
 
-    ``boundary`` is a full grid-shaped array of which only the boundary
-    ring is read; ``drift`` may be None for drift-free problems.
+    ``boundary`` is a full grid-shaped array of which the solver reads
+    only the boundary ring; ``mms_solve`` reads it at every node, where
+    ``mms_generate`` puts u* itself.  ``drift`` may be None for drift-free
+    problems.
     """
 
     op: OperatorSpec
@@ -311,15 +313,13 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
         step[core] = lu.solve(-r[core].ravel()[perm])[inv].reshape(u[core].shape)
         return step
 
-    def report(converged, event=None):
-        events = damping_events + ([] if event is None else [{"iteration": it, "event": event}])
-        return SolveReport(GridField(f.n, f.N, f.L, u), history, it, converged, events,
-                           factorizations)
-
     def first_decrease(step, halvings):
         """The first trial u + 2^-k step, k <= halvings, whose residual
         sup-norm is below the current one or meets ``tol``, as (trial, its
-        residual, its sup-norm, k); None when there is none."""
+        residual, its sup-norm, k); None when there is none or the step is
+        not finite, as a singular factor leaves it."""
+        if not np.all(np.isfinite(step)):   # GridField rejects a non-finite trial
+            return None
         for k in range(halvings + 1):
             trial = u + 0.5**k * step
             r_trial = resid(trial)
@@ -335,9 +335,7 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
         it += 1
         accepted = None
         if lu is not None:
-            step = lu_step()
-            if np.all(np.isfinite(step)):   # GridField rejects a non-finite trial
-                accepted = first_decrease(step, 0)
+            accepted = first_decrease(lu_step(), 0)
             if accepted is None:
                 lu = None
         if accepted is None:
@@ -347,16 +345,17 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
             try:
                 lu = spla.splu(J, permc_spec="NATURAL")
             except RuntimeError as exc:
-                if "singular" in str(exc):
-                    return report(False, "singular")
-                raise NumericsError(f"LU factorization failed in Newton iteration {it}: {exc}")
+                if "singular" not in str(exc):
+                    raise NumericsError(f"LU factorization failed in Newton iteration {it}: {exc}")
+                damping_events.append({"iteration": it, "event": "singular"})
+                break
             factorizations += 1
             step = lu_step()
-            if not np.all(np.isfinite(step)):
-                return report(False, "singular")
             accepted = first_decrease(step, 20)
             if accepted is None:
-                return report(False, "stalled")
+                event = "stalled" if np.all(np.isfinite(step)) else "singular"
+                damping_events.append({"iteration": it, "event": event})
+                break
         u, r, t_norm, halving = accepted
         if halving:
             damping_events.append({"iteration": it, "halvings": halving})
@@ -364,7 +363,9 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
             lu = None
         rnorm = t_norm
         history.append(rnorm)
-    return report(rnorm <= tol)
+    # a singular or stalled iteration leaves rnorm above tol
+    return SolveReport(GridField(f.n, f.N, f.L, u), history, it, rnorm <= tol, damping_events,
+                       factorizations)
 
 
 # -- constant-coefficient tangential solve ----------------------------------
@@ -372,8 +373,8 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
 
 def solve_linear_tangential(A0: SymMatrix, boundary, N: int,
                             source: Optional[GridField] = None) -> GridField:
-    """Solve tr(A0 D2u) = f with Dirichlet data on [-1, 1]^n by one LU
-    factorization and at most three steps with it.
+    """Solve tr(A0 D2u) = f with Dirichlet data on [-1, 1]^n, from a zero
+    interior, by one LU factorization and at most three steps with it.
 
     ``boundary`` is a callback on stacked points or a grid-shaped array;
     ``linear_trace`` rejects an A0 that is not positive definite.  The
@@ -386,8 +387,7 @@ def solve_linear_tangential(A0: SymMatrix, boundary, N: int,
     """
     n, L = A0.n, 1.0
     if callable(boundary):
-        bfield = sample_function(boundary, n=n, N=N, L=L)
-        barr = bfield.values
+        barr = sample_function(boundary, n=n, N=N, L=L).values
     else:
         barr = np.asarray(boundary, dtype=float)
         if barr.shape != (N,) * n:
@@ -395,7 +395,7 @@ def solve_linear_tangential(A0: SymMatrix, boundary, N: int,
     src = source.values if source is not None else np.zeros((N,) * n)
     f = GridField(n, N, L, src)
     inst = ProblemInstance(op=linear_trace(A0), source=f, boundary=barr)
-    zero = GridField(n, N, L, barr.copy())
+    zero = GridField(n, N, L, np.zeros((N,) * n))
     scale = max(float(np.max(np.abs(src))), float(np.max(np.abs(barr))), 1.0)
     report = solve_newton(inst, zero, tol=1e-10 * scale, max_iter=3)
     if not report.converged:

@@ -261,6 +261,13 @@ class TestDecayAudit:
             campanato.decay_audit(sample("harmonic_cubic", N=33), LAPLACE,
                                   moduli.power(0.5), rho0=0.7)
 
+    @pytest.mark.parametrize("delta", [0.0, float("nan")])
+    def test_bad_delta(self, delta):
+        # NaN passed a `delta <= 0` guard and made every normalized ratio NaN
+        with pytest.raises(ConfigError):
+            campanato.decay_audit(sample("harmonic_cubic", N=33), LAPLACE,
+                                  moduli.power(0.5), K=2, delta=delta)
+
     @pytest.mark.parametrize("entry", ["decay_audit", "flatness", "fit"])
     def test_operator_dimension_must_match_field(self, entry):
         # a 3-D operator on 2-D jets used to bracket its root with n = 3 and pass
@@ -310,6 +317,14 @@ class TestSeminorm:
         audit = campanato.decay_audit(u, LAPLACE, moduli.power(0.5), K=4, x0_idx=(80, 64))
         val, _ = campanato.c2psi_seminorm(u, audit)
         assert val == audit.fitted_C0
+
+    def test_field_must_resolve_the_audited_scales(self):
+        # the seminorm used to measure the balls of a field on a coarser grid
+        # at the audit's radii, below the 3h that every fit needs
+        audit = campanato.decay_audit(sample("harmonic_cubic"), LAPLACE, moduli.power(0.5), K=4)
+        coarse = fields.sample_function(fields.profile("harmonic_cubic"), N=129, L=4.0)
+        with pytest.raises(ConfigError):
+            campanato.c2psi_seminorm(coarse, audit)
 
     def test_needs_depth(self):
         u = sample("harmonic_cubic", N=33)

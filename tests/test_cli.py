@@ -286,6 +286,18 @@ def assert_config_error(tmp_path, capsys, command, cfg, names=""):
     ("operator-verify", {"samples": True}, "samples"),
     ("operator-verify", {"operator": {"kind": "perturbed_trace", "eps": 0.1, "n": 2.5}},
      "operator.n"),
+    # a non-finite number: NaN fails every comparison, so the audit passed
+    # with NaN ratios, a NaN max_ratio switched its gate off, theta reported
+    # NaN, and power_log with a NaN beta exited 1
+    ("audit", {"delta": float("nan"), "require_decreasing": True}, "delta"),
+    ("audit", {"max_ratio": float("nan")}, "max_ratio"),
+    ("operator-verify", {"theta": {"x": [float("nan"), 0.1]}}, "theta.x"),
+    ("moduli-check", {"modulus": {"family": "power_log", "alpha": 0.5, "beta": float("nan")}},
+     "beta"),
+    ("solve", {"u_star": {"type": "saddle_quartic", "delta": -float("inf")}}, "u_star.delta"),
+    # a modulus key its family does not take: the audit ran with the default cap
+    ("audit", {"modulus": {"family": "power", "alpha": 0.5, "domian_cap": 0.1}},
+     "modulus.domian_cap"),
 ])
 def test_malformed_value_exits_2_without_traceback(tmp_path, capsys, command, change, names):
     assert_config_error(tmp_path, capsys, command, dict(BASE[command], **change), names)

@@ -406,22 +406,41 @@ class TestJacobian:
             assert J.data.size == gather.size
 
 
+def count_factorizations(monkeypatch) -> list:
+    """A list that gains one entry per ``splu`` call the solver makes."""
+    calls = []
+    splu = solver.spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", counted)
+    return calls
+
+
 class TestTangentialSolve:
-    def test_harmonic_quadratic_exact(self):
+    # the two exact-quadratic cases used to start from the boundary callback
+    # sampled at every node, the answer itself, and factor nothing
+    def test_harmonic_quadratic_exact(self, monkeypatch):
+        calls = count_factorizations(monkeypatch)
         u = solver.solve_linear_tangential(
             SymMatrix.identity(2),
             lambda pts: np.asarray(pts)[..., 0] * np.asarray(pts)[..., 1],
             N=33)
         pts = np.stack(u.meshgrid(), axis=-1)
         np.testing.assert_allclose(u.values, pts[..., 0] * pts[..., 1], atol=1e-11)
+        assert len(calls) == 1
 
-    def test_anisotropic_null_quadratic(self):
+    def test_anisotropic_null_quadratic(self, monkeypatch):
         # tr(diag(1,2) M) = 0 for M = diag(2,-1): quadratic reproduced exactly
+        calls = count_factorizations(monkeypatch)
         A0 = SymMatrix.diagonal([1.0, 2.0])
         bnd = lambda pts: np.asarray(pts)[..., 0] ** 2 - 0.5 * np.asarray(pts)[..., 1] ** 2
         u = solver.solve_linear_tangential(A0, bnd, N=33)
         pts = np.stack(u.meshgrid(), axis=-1)
         np.testing.assert_allclose(u.values, bnd(pts), atol=1e-10)
+        assert len(calls) == 1
 
     def test_zero_boundary_zero_solution(self):
         u = solver.solve_linear_tangential(SymMatrix.identity(2),
@@ -447,14 +466,7 @@ class TestTangentialSolve:
             np.testing.assert_array_equal(u.values[0], bnd(pts[0]))
 
     def test_refinement_reuses_one_factorization(self, monkeypatch):
-        calls = []
-        splu = solver.spla.splu
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(solver.spla, "splu", counted)
+        calls = count_factorizations(monkeypatch)
         bnd = lambda pts: np.exp(pts[..., 0]) * np.cos(2.0 * pts[..., 1])
         solver.solve_linear_tangential(SymMatrix.identity(2), bnd, N=129)
         assert len(calls) == 1
@@ -482,6 +494,17 @@ class TestConvergenceStudy:
         assert study.monotone
         # each rung starts from a zero interior, not from u*
         assert all(it >= 2 for it in study.iterations)
+
+    @pytest.mark.parametrize("op", [
+        operators.linear_trace(np.eye(2), x_dependence=lambda x: 1.0 + x[..., 0] ** 2 / 4.0),
+        operators.OperatorSpec("pucci_minus", 2, operators.EllipticityPair(1.0, 2.0),
+                               x_dependence=lambda x: 1.0 + x[..., 0] ** 2 / 4.0),
+    ], ids=["linear_trace", "pucci_minus"])
+    def test_x_dependent_coefficient_second_order(self, op):
+        # an x_dependence makes the residual and Jacobian pass node coordinates
+        study = solver.convergence_study(op, solver.saddle_quartic_solution(0.1),
+                                         N_list=(17, 33, 65))
+        assert all(isinstance(o, float) and o >= 1.8 for o in study.orders)
 
     def test_needs_three_levels(self):
         with pytest.raises(ConfigError):
