@@ -1,6 +1,6 @@
 """Dyadic quadratic-approximation audits for grid fields.
 
-At each scale r_k = r0 rho0^k, r0 = min(1, domain cap of the modulus), a
+At each scale r_k = r0 rho0^k, r0 = min(1, modulus cap, room to the edge), a
 quadratic jet is fitted to the field over the ball B_{r_k}(x0) by least
 squares, then corrected by a multiple of the identity so the operator
 vanishes on its Hessian.  The least-squares fit solves scaled normal
@@ -15,7 +15,7 @@ search over solution amplitudes, and a decay-exponent fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -130,11 +130,11 @@ class _FitOperator:
 
     The basis is that of ``_quadratic_basis`` on the scaled displacements
     (x - x0) / unit, where unit is the largest coordinate displacement of
-    a ball node (1 for a one-node ball), so every entry lies in [-1, 1]
-    and the Gram matrix G = A^T A stays well conditioned at every radius.
-    A jet's scaled coefficient vector theta holds c, unit b, and unit^2
-    times M's diagonal and upper entries, so A theta is the jet at the
-    nodes.  ``chol`` factors G; it is None for a ball that is only measured.
+    a ball node, so every entry lies in [-1, 1] and the Gram matrix
+    G = A^T A stays well conditioned at every radius.  A jet's scaled
+    coefficient vector theta holds c, unit b, and unit^2 times M's
+    diagonal and upper entries, so A theta is the jet at the nodes.
+    ``chol`` factors G.
     """
 
     r: float
@@ -142,15 +142,13 @@ class _FitOperator:
     idx: np.ndarray       # row-major flat node indices, from fields.ball_index
     unit: float
     A: np.ndarray
-    chol: Optional[tuple]
+    chol: tuple
 
     def jet(self, vals: np.ndarray) -> QuadraticJet:
-        """The least-squares jet, from the normal equations G theta = A^T vals
-        and one step of iterative refinement, which recovers the accuracy
-        that squaring the condition number of A costs on clipped balls."""
+        """The least-squares jet, from the normal equations G theta = A^T vals,
+        which a ball inside the square keeps well conditioned."""
         n = self.n
         theta = cho_solve(self.chol, self.A.T @ vals, check_finite=False)
-        theta += cho_solve(self.chol, self.A.T @ (vals - self.A @ theta), check_finite=False)
         q = theta[1 + n :] / self.unit**2
         M = np.diag(q[:n])
         upper = np.triu_indices(n, 1)   # the order of the basis' cross columns
@@ -175,40 +173,34 @@ class _FitOperator:
         return float(np.max(np.abs(res, out=res)))
 
 
-def _ball_operator(r: float, idx: np.ndarray, d: np.ndarray) -> _FitOperator:
-    """The basis over the nodes (flat indices idx, displacements d) of a
-    ball of radius r, for measuring residuals only."""
-    if len(idx) == 0:
-        raise DomainError("ball contains no grid nodes")
-    unit = float(np.max(np.abs(d))) or 1.0
-    return _FitOperator(r, d.shape[1], idx, unit, _quadratic_basis(d / unit), None)
-
-
 def _fit_operator(r: float, idx: np.ndarray, d: np.ndarray, h: float) -> _FitOperator:
     """The fit operator of a ball of radius r on a grid of spacing h, after
-    the guards every fit must pass.
+    the guards every fit must pass (``fields.ball_index`` refuses the rest).
 
     A radius below 3h or fewer than 15 nodes raise DomainError.  A Gram
-    matrix whose smallest eigenvalue is at most max(m, p) eps times its
-    largest (lstsq's relative rank test, applied to G, whose rounding
-    floor is eps |G|) raises NumericsError.
+    matrix whose smallest eigenvalue is at most m eps times its largest
+    (lstsq's relative rank test max(m, p) eps for m nodes, p < m
+    coefficients, applied to G, whose rounding floor is eps |G|) raises
+    NumericsError.
     """
     if r < 3.0 * h:
         raise DomainError("fit radius below 3h is not resolvable")
-    ball = _ball_operator(r, idx, d)
-    m, p = ball.A.shape
-    if m < max(15, p):
+    m = len(idx)
+    if m < 15:   # more nodes than the 6 or 10 coefficients of a 2-D or 3-D jet
         raise DomainError(f"only {m} nodes in the fit ball; need >= 15")
-    G = ball.A.T @ ball.A
+    unit = float(np.max(np.abs(d)))
+    A = _quadratic_basis(d / unit)
+    G = A.T @ A
     eig = np.linalg.eigvalsh(G)
-    if eig[0] <= max(m, p) * np.finfo(float).eps * eig[-1]:
+    if eig[0] <= m * np.finfo(float).eps * eig[-1]:
         raise NumericsError("rank-deficient quadratic fit (degenerate node set)")
-    return replace(ball, chol=cho_factor(G, lower=True, check_finite=False))
+    return _FitOperator(r, d.shape[1], idx, unit, A, cho_factor(G, lower=True, check_finite=False))
 
 
 def sup_residual(u: GridField, jet: QuadraticJet, x0_idx, r: float) -> float:
-    ball = _ball_operator(r, *ball_index(u, x0_idx, r))
-    return ball.sup_residual(u.node_values(ball.idx), jet)
+    """sup |u - P| over the nodes of B_r(x0), a ball a fit would accept."""
+    fop = _fit_operator(r, *ball_index(u, x0_idx, r), u.h)
+    return fop.sup_residual(u.node_values(fop.idx), jet)
 
 
 def constrained_quadratic_fit(u: GridField, op: OperatorSpec, rho: float,
@@ -217,8 +209,8 @@ def constrained_quadratic_fit(u: GridField, op: OperatorSpec, rho: float,
     a = root_correct, so the operator vanishes on the fitted Hessian.
 
     The least-squares fit solves the normal equations of the scaled basis
-    by Cholesky, with one refinement step (see ``_FitOperator``); a
-    flatness search builds each ball's operator once for all its audits.
+    by Cholesky (see ``_FitOperator``) over B_rho(x0), which must lie inside
+    the square; a flatness search builds each ball's operator once.
     Least squares replaces sup-norm fitting; the sup residual is still
     measured exactly afterwards, so audits stay sound.
     """
@@ -298,7 +290,11 @@ class _Ladder:
 def _ladder(u: GridField, mod: Modulus, rho0: float, K: int, x0_idx) -> _Ladder:
     if not 0.0 < rho0 <= 0.5:
         raise ConfigError("rho0 must lie in (0, 1/2]")
+    # the slack keeps r0 = 1 at an origin that sits 1 ulp off 0
     r0 = min(1.0, mod.domain_cap)
+    room = u.L - float(np.max(np.abs(u.node_coords(x0_idx))))
+    if room < r0 - 1e-12:
+        r0 = room
     fits = []
     for k in range(K + 1):
         r = r0 * rho0**k
@@ -316,8 +312,9 @@ def decay_audit(u: GridField, op: OperatorSpec, mod: Modulus, rho0: float = 0.5,
                 K: int = 4, delta: float = 1.0, x0_idx=None) -> DecayAudit:
     """Fit corrected jets at radii r0 rho0^k, k = 0..K, and measure decay.
 
-    The ladder starts at r0 = min(1, mod.domain_cap), so log-type moduli,
-    defined only on (0, cap], are audited from their cap down.
+    The ladder starts at r0 = min(1, mod.domain_cap, room to the edge), so
+    log-type moduli, defined only on (0, cap], are audited from their cap
+    down, and every ball lies inside the square.
     normalized_ratio is sup_{B_r}|u - P_k| / (delta r^2 tau(r)), and the
     Hessian increment to scale k is normalized by delta tau(r_{k-1}).  The
     audit truncates with a flag (not an error) once a ball has too few

@@ -133,8 +133,10 @@ def _int(value) -> int:
 
 
 def _real(value) -> float:
-    """A real number, which must be finite: NaN fails every comparison, so
-    a NaN gate or bound would let every run pass."""
+    """A finite real number: NaN fails every comparison, so a NaN gate or
+    bound would let every run pass; ``float`` alone would read true as 1."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, not true or false")
     x = float(value)
     if not np.isfinite(x):
         raise ValueError("expected a finite number")

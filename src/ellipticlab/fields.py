@@ -115,12 +115,16 @@ def ball_index(field: GridField, x0_idx, r: float):
     """Row-major flat node indices and displacements x - x0, shape (m, n),
     of the m grid nodes of the closed ball B_r(x0), in row-major node order.
 
-    Only the index box x0_idx +- (floor(r/h) + 1), clipped to the grid, is
-    searched, so the cost is O((r/h)^n), not O(N^n).  Balls reaching past
-    the square keep the nodes inside it.
+    A ball that leaves the square, |x0_i| + r > L on some axis (NaN r
+    included), raises DomainError.  Only the index box
+    x0_idx +- (floor(r/h) + 1), clipped to the grid, is searched, so the
+    cost is O((r/h)^n), not O(N^n); on a ball touching the edge the box
+    overshoots the grid by one node.
     """
     x0 = field.node_coords(x0_idx)
-    reach = math.floor(r / field.h) + 1 if r < 2.0 * field.L else field.N
+    if not np.all(np.abs(x0) + r <= field.L + 1e-12):
+        raise DomainError("ball extends outside the grid square")
+    reach = math.floor(r / field.h) + 1
     box = tuple(slice(max(int(i) - reach, 0), int(i) + reach + 1) for i in x0_idx)
     c = field.axis_coords()
     axes = [c[w] - x0[a] for a, w in enumerate(box)]
@@ -144,14 +148,9 @@ def ball_average_lp(field: GridField, x0_idx, r: float, p0: float | None = None)
         p0 = 2 * field.n + 1
     if p0 <= field.n:
         raise ConfigError("p0 must exceed the dimension n")
-    x0 = field.node_coords(x0_idx)
-    if np.any(np.abs(x0) + r > field.L + 1e-12):
-        raise DomainError("ball extends outside the grid square")
     if r < 2.0 * field.h:
         raise DomainError("radius must be at least 2h")
     vals = field.node_values(ball_index(field, x0_idx, r)[0])
-    if len(vals) == 0:
-        raise DomainError("ball contains no grid nodes")
     diff = vals - field.values[tuple(int(i) for i in x0_idx)]
     mag = np.abs(diff) if field.components == 1 else np.linalg.norm(diff, axis=-1)
     return float(np.mean(mag ** p0) ** (1.0 / p0))
@@ -162,16 +161,6 @@ class DiniConstantReport:
     C_fit: float
     table: list  # rows (center_idx, r, average, tau, ratio)
     p0: float
-
-    def describe(self) -> dict:
-        return {
-            "C_fit": self.C_fit,
-            "p0": self.p0,
-            "table": [
-                {"center": list(c), "r": r, "average": a, "tau": t, "ratio": q}
-                for c, r, a, t, q in self.table
-            ],
-        }
 
 
 def dini_lp_constant(field: GridField, mod: Modulus, centers: Sequence,

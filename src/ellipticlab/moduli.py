@@ -204,8 +204,9 @@ def from_dict(d: dict) -> Modulus:
     """Rebuild a modulus from its ``describe()`` dictionary.
 
     Parameters are converted with ``float`` (the table's knots elementwise);
-    a spec that is not a mapping, or a missing, non-numeric or non-finite
-    parameter, raises ConfigError.
+    a spec that is not a mapping, a missing, non-numeric or non-finite
+    parameter, or a domain_cap the modulus cannot keep (a table's cap is
+    min(last knot, 1)) raises ConfigError.
     """
     if not isinstance(d, dict):
         raise ConfigError("modulus spec must be a mapping")
@@ -236,7 +237,10 @@ def from_dict(d: dict) -> Modulus:
     }
     if not isinstance(fam, str) or fam not in builders:
         raise ConfigError(f"unknown modulus family {fam!r}")
-    return builders[fam]()
+    mod = builders[fam]()
+    if caps and mod.domain_cap != caps["domain_cap"]:
+        raise ConfigError(f"a {fam} modulus has domain_cap {mod.domain_cap}, not {d['domain_cap']}")
+    return mod
 
 
 # -- singular quadrature -------------------------------------------------
@@ -391,9 +395,7 @@ def check_A4(mod: Modulus, alpha0: float) -> A4Certificate:
     if not 0.0 < alpha0 <= 1.0:
         raise ConfigError("alpha0 must lie in (0, 1]")
 
-    cap = min(0.5, mod.domain_cap)
-    i_min = max(1, math.ceil(-math.log2(cap) - 1e-9))
-    r_t = np.arange(i_min, _A4_R_MAX + 1) * LN2   # t = -log r
+    r_t = _geometric_grid(mod, _A4_R_MAX)[0] * LN2   # t = -log r
 
     # ratios in log space: the raw tau values underflow long before the
     # ratios become degenerate

@@ -399,18 +399,18 @@ def verify_ellipticity(op: OperatorSpec, plan: SamplePlan = SamplePlan()) -> Ell
 # -- Gâteaux derivatives and the tangential limit ------------------------
 
 
-def gateaux(op: OperatorSpec, X0: SymMatrix, M: SymMatrix, x=None, h: float = 1e-4) -> float:
-    """Central-difference directional derivative of F at X0 in direction M."""
+def gateaux(op: OperatorSpec, X0: SymMatrix, M: SymMatrix, h: float = 1e-4) -> float:
+    """Central-difference derivative of F at X0 in direction M, at x = 0."""
     if h <= 0:
         raise ConfigError("step h must be positive")
-    return (op.evaluate(X0 + h * M, x) - op.evaluate(X0 - h * M, x)) / (2.0 * h)
+    return (op.evaluate(X0 + h * M) - op.evaluate(X0 - h * M)) / (2.0 * h)
 
 
-def scaling_family(op: OperatorSpec, sigma: float, X: SymMatrix, x=None) -> float:
-    """G_sigma(X) = F(sigma X, x) / sigma."""
+def scaling_family(op: OperatorSpec, sigma: float, X: SymMatrix) -> float:
+    """G_sigma(X) = F(sigma X, 0) / sigma."""
     if sigma <= 0:
         raise ConfigError("sigma must be positive")
-    return op.evaluate(sigma * X, x) / sigma
+    return op.evaluate(sigma * X) / sigma
 
 
 _H_LADDER = (1e-2, 1e-3, 1e-4)
@@ -418,10 +418,10 @@ _RICH_TOL = 1e-7      # relative agreement of the last two Richardson values
 _BRACKET_TOL = 1e-6   # slack of the tangential matrix against the declared pair
 
 
-def _directional_derivative(op: OperatorSpec, direction: SymMatrix, x) -> float:
-    """Richardson-extrapolated derivative at the zero matrix, with
+def _directional_derivative(op: OperatorSpec, direction: SymMatrix) -> float:
+    """Richardson-extrapolated derivative at the zero matrix and x = 0, with
     one-sided consistency check."""
-    d = [gateaux(op, SymMatrix.zero(op.n), direction, x, h) for h in _H_LADDER]
+    d = [gateaux(op, SymMatrix.zero(op.n), direction, h) for h in _H_LADDER]
     extr = [(100.0 * d[k + 1] - d[k]) / 99.0 for k in range(len(d) - 1)]
     if abs(extr[-1] - extr[-2]) > _RICH_TOL * (1.0 + abs(extr[-1])):
         raise NonDifferentiableError(
@@ -429,9 +429,9 @@ def _directional_derivative(op: OperatorSpec, direction: SymMatrix, x) -> float:
         )
     h = _H_LADDER[-1]
     zero = SymMatrix.zero(op.n)
-    f0 = op.evaluate(zero, x)
-    fwd = (op.evaluate(h * direction, x) - f0) / h
-    bwd = (f0 - op.evaluate((-h) * direction, x)) / h
+    f0 = op.evaluate(zero)
+    fwd = (op.evaluate(h * direction) - f0) / h
+    bwd = (f0 - op.evaluate((-h) * direction)) / h
     if abs(fwd - bwd) > 1e-3 * (1.0 + abs(extr[-1])):
         raise NonDifferentiableError(
             "one-sided derivatives disagree at the zero matrix"
@@ -439,8 +439,8 @@ def _directional_derivative(op: OperatorSpec, direction: SymMatrix, x) -> float:
     return extr[-1]
 
 
-def tangential_limit(op: OperatorSpec, x=None, seed: int = 0) -> SymMatrix:
-    """Coefficient matrix of the linearization of F at the zero matrix.
+def tangential_limit(op: OperatorSpec, seed: int = 0) -> SymMatrix:
+    """Coefficient matrix of the linearization of F at M = 0 and x = 0.
 
     Assembles tr(A0 M) = DF(0)(M) over the symmetric basis with Richardson
     extrapolation, then cross-checks linearity on random directions.
@@ -454,13 +454,13 @@ def tangential_limit(op: OperatorSpec, x=None, seed: int = 0) -> SymMatrix:
         e[i, j] = e[j, i] = 1.0
         # an off-diagonal direction carries the entry twice
         weight = 1.0 if i == j else 0.5
-        A0[i, j] = A0[j, i] = weight * _directional_derivative(op, SymMatrix(n, e), x)
+        A0[i, j] = A0[j, i] = weight * _directional_derivative(op, SymMatrix(n, e))
     rng = np.random.default_rng(seed)
     for _ in range(4):
         g = rng.standard_normal((n, n))
         direction = SymMatrix.from_matrix(0.5 * (g + g.T))
         lin = float(np.sum(A0 * direction.matrix))
-        actual = _directional_derivative(op, direction, x)
+        actual = _directional_derivative(op, direction)
         if abs(lin - actual) > 1e-5 * (1.0 + direction.frobenius()):
             raise NonDifferentiableError(
                 "directional derivatives are not linear in the direction"

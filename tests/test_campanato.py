@@ -131,6 +131,21 @@ class TestQuadraticFit:
         with pytest.raises(DomainError):
             campanato.constrained_quadratic_fit(u, LAPLACE, 0.05, u.origin_index())
 
+    @pytest.mark.parametrize("x0, r", [((80, 64), 0.76), ((64, 64), float("nan"))])
+    def test_ball_leaving_square_rejected(self, x0, r):
+        u = sample("harmonic_cubic")
+        jet = campanato.constrained_quadratic_fit(u, LAPLACE, 0.5, u.origin_index())
+        with pytest.raises(DomainError, match="outside the grid square"):
+            campanato.constrained_quadratic_fit(u, LAPLACE, r, x0)
+        with pytest.raises(DomainError, match="outside the grid square"):
+            campanato.sup_residual(u, jet, x0, r)
+
+    def test_sup_residual_refuses_what_a_fit_refuses(self):
+        u = sample("harmonic_cubic", N=17)
+        jet = campanato.constrained_quadratic_fit(u, LAPLACE, 0.5, u.origin_index())
+        with pytest.raises(DomainError, match="below 3h"):
+            campanato.sup_residual(u, jet, u.origin_index(), 0.05)
+
 
 def reference_lstsq(d, vals, r):
     """Reference fit: lstsq (SVD) on the quadratic basis of d / r,
@@ -151,10 +166,12 @@ class TestFitOperator:
         n = data.draw(st.sampled_from([2, 3]))
         N = data.draw(st.sampled_from([17, 33, 65] if n == 2 else [9, 17]))
         seed = data.draw(st.integers(0, 2**31 - 1))
-        # any centre: balls near an edge or corner are clipped to the square
+        # any centre with room for a fit: the ball stays inside the square
         x0 = tuple(data.draw(st.integers(0, N - 1)) for _ in range(n))
         h = 2.0 / (N - 1)
-        r = data.draw(st.floats(3.0 * h, 1.0))
+        room = 1.0 - np.max(np.abs(-1.0 + h * np.asarray(x0, dtype=float)))
+        assume(room >= 3.0 * h)
+        r = data.draw(st.floats(3.0 * h, room))
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((n, n))
         quad = fields.Polynomial2D(rng.standard_normal(), rng.standard_normal(n),
@@ -163,7 +180,6 @@ class TestFitOperator:
         u = fields.sample_function(
             lambda pts: quad(pts) + noise * rng.standard_normal(pts.shape[:-1]), n=n, N=N)
         idx, d = fields.ball_index(u, x0, r)
-        assume(len(idx) >= 15)
         fop = campanato._fit_operator(r, idx, d, u.h)
         vals = u.node_values(idx)
         jet = fop.jet(vals)
@@ -230,10 +246,24 @@ class TestDecayAudit:
         a_shift = campanato.decay_audit(u, LAPLACE, moduli.power(0.5), K=3,
                                         x0_idx=x0)
         v = sample("harmonic_cubic")
-        a_origin = campanato.decay_audit(v, LAPLACE, moduli.power(0.5), K=3)
+        # the off-centre ladder starts at the centre's room to the edge, 0.75
+        a_origin = campanato.decay_audit(v, LAPLACE, moduli.power(0.5, domain_cap=0.75), K=3)
         # same local geometry around the two centers
-        for ra, rb in zip(a_shift.records[1:], a_origin.records[1:]):
+        assert len(a_shift.records) == len(a_origin.records) == 4
+        for ra, rb in zip(a_shift.records, a_origin.records):
             assert ra.sup_residual == pytest.approx(rb.sup_residual, rel=1e-10)
+
+    def test_off_centre_ladder_starts_at_its_room(self):
+        u = sample("harmonic_cubic")   # N = 129: node (80, 64) sits at (0.25, 0)
+        audit = campanato.decay_audit(u, LAPLACE, moduli.power(0.5), K=3, x0_idx=(80, 64))
+        assert [rec.radius for rec in audit.records] == [0.75 * 0.5**k for k in range(4)]
+
+    def test_origin_ladder_ignores_round_off_room(self):
+        # on N = 99, L = 1 the origin's coordinate is -1.1e-16, not 0
+        u = sample("harmonic_cubic", N=99)
+        assert u.node_coords(u.origin_index())[0] != 0.0
+        audit = campanato.decay_audit(u, LAPLACE, moduli.power(0.5), K=2)
+        assert audit.records[0].radius == 1.0
 
     def test_log_modulus_ladder_starts_at_its_cap(self):
         mod = moduli.power_log(0.5, 1.0)   # domain_cap = e^-2 < 1
@@ -248,7 +278,7 @@ class TestDecayAudit:
     def test_shared_balls_match_public_calls(self):
         op = operators.pucci_minus_op(PAIR)
         u = sample("radial_5_2")
-        for x0 in (u.origin_index(), (80, 64), (110, 40)):
+        for x0 in (u.origin_index(), (80, 64), (96, 48)):
             audit = campanato.decay_audit(u, op, moduli.power(0.5), K=4, x0_idx=x0)
             for rec in audit.records:
                 jet = campanato.constrained_quadratic_fit(u, op, rec.radius, x0)

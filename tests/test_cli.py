@@ -50,6 +50,47 @@ def test_operator_verify(tmp_path):
     assert report["results"]["theta"]["value"] == 0.0
 
 
+PUCCI_PLUS = {"kind": "pucci_plus", "pair": {"lambda": 1.0, "Lambda": 2.0}}
+
+
+def test_operator_verify_pucci_not_differentiable(tmp_path):
+    cfg = write(tmp_path / "c.yaml", {"operator": PUCCI_PLUS, "tangential": True})
+    out = tmp_path / "out"
+    assert main(["operator-verify", "--config", cfg, "--out", str(out)]) == 0
+    tangential = yaml.safe_load((out / "report.yaml").read_text())["results"]["tangential"]
+    assert tangential["differentiable"] is False and "matrix" not in tangential
+    assert "disagree" in tangential["detail"]
+
+
+def test_operator_verify_required_structure_fails(tmp_path):
+    # Pucci is not differentiable at the zero matrix, so the structure gate fails
+    cfg = write(tmp_path / "c.yaml", {"operator": PUCCI_PLUS, "structure": True,
+                                      "require_structure": True})
+    out = tmp_path / "out"
+    assert main(["operator-verify", "--config", cfg, "--out", str(out)]) == 1
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["passed"] is False
+    assert report["results"]["ellipticity"]["passed"] is True
+    assert report["results"]["structure"]["differentiable_at_origin"] is False
+
+
+def test_audit_require_decreasing_fails(tmp_path):
+    # |x|^(1/2) under power(1): the normalized ratios grow as the balls shrink
+    cfg = write(tmp_path / "c.yaml", {
+        "field": {"profile": "radial_1_2", "N": 65},
+        "operator": PUCCI_PLUS,
+        "modulus": {"family": "power", "alpha": 1.0},
+        "K": 3,
+        "require_decreasing": True,
+    })
+    out = tmp_path / "out"
+    assert main(["audit", "--config", cfg, "--out", str(out)]) == 1
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    ratios = [rec["normalized_ratio"] for rec in report["audit"]["records"]]
+    assert report["passed"] is False and len(ratios) == 4
+    assert ratios[-1] > ratios[0]
+
+
 def test_solve_writes_field(tmp_path):
     cfg = write(tmp_path / "c.yaml", {
         "operator": {"kind": "linear_trace", "matrix": [[1, 0], [0, 1]]},
@@ -298,6 +339,12 @@ def assert_config_error(tmp_path, capsys, command, cfg, names=""):
     # a modulus key its family does not take: the audit ran with the default cap
     ("audit", {"modulus": {"family": "power", "alpha": 0.5, "domian_cap": 0.1}},
      "modulus.domian_cap"),
+    # a boolean where a number belongs: delta: true audited at delta = 1
+    ("audit", {"delta": True}, "delta"),
+    # a cap the table modulus does not take: the report said domain_cap 0.5
+    ("moduli-check", {"modulus": {"family": "table", "table_r": [0.01, 0.1, 0.5],
+                                  "table_tau": [0.1, 0.3, 0.7], "domain_cap": 0.05}},
+     "domain_cap"),
 ])
 def test_malformed_value_exits_2_without_traceback(tmp_path, capsys, command, change, names):
     assert_config_error(tmp_path, capsys, command, dict(BASE[command], **change), names)

@@ -60,17 +60,33 @@ class TestBallNodes:
         L = data.draw(st.sampled_from([1.0, 1.5]))
         components = data.draw(st.sampled_from([1, 2]))
         x0 = tuple(data.draw(st.integers(0, N - 1)) for _ in range(n))
-        # negative radii give empty balls; 2.5 L sqrt(n) reaches past every corner
+        # negative radii give empty balls; 2.5 L sqrt(n) reaches past every
+        # corner, and a ball that leaves the square is refused
         r = data.draw(st.one_of(
             st.floats(-0.2, 2.5 * L * n**0.5),
             st.integers(0, N).map(lambda k: k * 2.0 * L / (N - 1))))
         shape = (N,) * n + (() if components == 1 else (components,))
         vals = np.random.default_rng(N + n).standard_normal(shape)
         u = fields.GridField(n, N, L, vals, components)
+        if not np.all(np.abs(u.node_coords(x0)) + r <= L + 1e-12):
+            with pytest.raises(DomainError, match="outside the grid square"):
+                fields.ball_index(u, x0, r)
+            return
         flat, d = fields.ball_index(u, x0, r)
         v = u.node_values(flat)
         d_ref, v_ref = full_grid_ball(u, x0, r)
         assert np.array_equal(d, d_ref) and np.array_equal(v, v_ref)
+
+    @pytest.mark.parametrize("x0, r", [
+        ((16, 16), 1.0 + 1e-9),   # the origin's ball just past the edge
+        ((24, 16), 0.5 + 1e-9),   # an off-centre ball just past its edge
+        ((16, 16), 3.0),          # a ball around the whole square
+        ((16, 16), float("nan")),
+    ])
+    def test_ball_leaving_square_refused(self, x0, r):
+        u = grid(N=33)
+        with pytest.raises(DomainError, match="outside the grid square"):
+            fields.ball_index(u, x0, r)
 
 
 class TestBallAverage:

@@ -91,6 +91,15 @@ class TestEvaluation:
         with pytest.raises(ConfigError):
             moduli.from_dict({"family": "power_log", "alpha": 0.3})
 
+    def test_from_dict_refuses_a_cap_it_cannot_keep(self):
+        # a table's cap is its last knot; a different given cap used to be dropped
+        spec = {"family": "table", "table_r": [0.01, 0.1, 0.5], "table_tau": [0.1, 0.3, 0.7]}
+        with pytest.raises(ConfigError, match="domain_cap"):
+            moduli.from_dict(dict(spec, domain_cap=0.05))
+        assert moduli.from_dict(dict(spec, domain_cap=0.5)).domain_cap == 0.5
+        assert moduli.from_dict({"family": "power", "alpha": 0.5,
+                                 "domain_cap": 0.3}) == moduli.power(0.5, domain_cap=0.3)
+
     def test_bad_params(self):
         with pytest.raises(ConfigError):
             moduli.power(0.0)
