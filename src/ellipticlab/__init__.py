@@ -1,7 +1,10 @@
 """Numerical laboratory for moduli of continuity, uniformly elliptic
-operators, grid solvers, and dyadic quadratic-approximation audits."""
+operators, grid solvers, and dyadic quadratic-approximation audits.
 
-from . import campanato, fields, moduli, operators, solver
+``solver``, the one module that loads scipy (for sparse LU), is imported
+only on request: ``from ellipticlab import solver``."""
+
+from . import campanato, fields, moduli, operators
 from .errors import (
     ConfigError,
     DegenerateModulusError,

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, DomainError, NumericsError
 from .fields import GridField, Polynomial2D, ball_index
@@ -134,7 +133,7 @@ class _FitOperator:
     G = A^T A stays well conditioned at every radius.  A jet's scaled
     coefficient vector theta holds c, unit b, and unit^2 times M's
     diagonal and upper entries, so A theta is the jet at the nodes.
-    ``chol`` factors G.
+    ``eig`` holds G's eigenvalues w and eigenvectors V (``np.linalg.eigh``).
     """
 
     r: float
@@ -142,13 +141,15 @@ class _FitOperator:
     idx: np.ndarray       # row-major flat node indices, from fields.ball_index
     unit: float
     A: np.ndarray
-    chol: tuple
+    eig: tuple
 
     def jet(self, vals: np.ndarray) -> QuadraticJet:
         """The least-squares jet, from the normal equations G theta = A^T vals,
-        which a ball inside the square keeps well conditioned."""
+        which a ball inside the square keeps well conditioned, solved as
+        theta = V (V^T A^T vals) / w with the eigenpairs of G."""
         n = self.n
-        theta = cho_solve(self.chol, self.A.T @ vals, check_finite=False)
+        w, V = self.eig
+        theta = V @ ((V.T @ (self.A.T @ vals)) / w)
         q = theta[1 + n :] / self.unit**2
         M = np.diag(q[:n])
         upper = np.triu_indices(n, 1)   # the order of the basis' cross columns
@@ -190,11 +191,10 @@ def _fit_operator(r: float, idx: np.ndarray, d: np.ndarray, h: float) -> _FitOpe
         raise DomainError(f"only {m} nodes in the fit ball; need >= 15")
     unit = float(np.max(np.abs(d)))
     A = _quadratic_basis(d / unit)
-    G = A.T @ A
-    eig = np.linalg.eigvalsh(G)
-    if eig[0] <= m * np.finfo(float).eps * eig[-1]:
+    w, V = np.linalg.eigh(A.T @ A)   # one decomposition guards the rank and solves
+    if w[0] <= m * np.finfo(float).eps * w[-1]:
         raise NumericsError("rank-deficient quadratic fit (degenerate node set)")
-    return _FitOperator(r, d.shape[1], idx, unit, A, cho_factor(G, lower=True, check_finite=False))
+    return _FitOperator(r, d.shape[1], idx, unit, A, (w, V))
 
 
 def sup_residual(u: GridField, jet: QuadraticJet, x0_idx, r: float) -> float:
@@ -209,8 +209,9 @@ def constrained_quadratic_fit(u: GridField, op: OperatorSpec, rho: float,
     a = root_correct, so the operator vanishes on the fitted Hessian.
 
     The least-squares fit solves the normal equations of the scaled basis
-    by Cholesky (see ``_FitOperator``) over B_rho(x0), which must lie inside
-    the square; a flatness search builds each ball's operator once.
+    with the eigendecomposition of their matrix (see ``_FitOperator``) over
+    B_rho(x0), which must lie inside the square; a flatness search builds
+    each ball's operator once.
     Least squares replaces sup-norm fitting; the sup residual is still
     measured exactly afterwards, so audits stay sound.
     """

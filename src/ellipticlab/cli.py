@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import campanato, fields, moduli, operators, solver
+from . import campanato, fields, moduli, operators
 from .errors import ConfigError, EllipticLabError, NonDifferentiableError
 
 
@@ -132,18 +132,27 @@ def _int(value) -> int:
     return int(value)
 
 
-def _real(value) -> float:
-    """A finite real number: NaN fails every comparison, so a NaN gate or
-    bound would let every run pass; ``float`` alone would read true as 1."""
+def _number(value) -> float:
+    """A number: ``float`` alone would read true as 1."""
     if isinstance(value, bool):
         raise TypeError("expected a number, not true or false")
-    x = float(value)
+    return float(value)
+
+
+def _real(value) -> float:
+    """A finite real number: NaN fails every comparison, so a NaN gate or
+    bound would let every run pass."""
+    x = _number(value)
     if not np.isfinite(x):
         raise ValueError("expected a finite number")
     return x
 
 
 def _array(value) -> np.ndarray:
+    """Finite real numbers, nested as lists nest them; ``np.asarray`` alone
+    would read true as 1."""
+    if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).flat):
+        raise TypeError("expected numbers, not true or false")
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("expected finite numbers")
@@ -189,7 +198,7 @@ def _parse_operator(cfg: dict) -> operators.OperatorSpec:
     return operators.OperatorSpec(kind, n, pair)
 
 
-def _parse_solution(cfg: dict, n: int) -> solver.AnalyticSolution:
+def _parse_solution(cfg: dict, n: int) -> fields.AnalyticSolution:
     """The u_star spec as an n-dimensional exact solution."""
     kind = _read(cfg, "u_star.type")
     if kind == "quadratic":
@@ -197,11 +206,11 @@ def _parse_solution(cfg: dict, n: int) -> solver.AnalyticSolution:
         b = _read(cfg, "u_star.b", _array, np.zeros(M.n))
         if M.n != n or b.shape != (n,):
             raise ConfigError(f"u_star M must be {n} x {n} and b have {n} entries")
-        return solver.quadratic_solution(_read(cfg, "u_star.c", _real, 0.0), b, M)
+        return fields.quadratic_solution(_read(cfg, "u_star.c", _real, 0.0), b, M)
     if kind == "saddle_quartic":
         if n != 2:
             raise ConfigError("u_star saddle_quartic needs a 2-D operator")
-        return solver.saddle_quartic_solution(_read(cfg, "u_star.delta", _real))
+        return fields.saddle_quartic_solution(_read(cfg, "u_star.delta", _real))
     raise ConfigError(f"unknown u_star type {kind!r}")
 
 
@@ -333,11 +342,12 @@ def _run_operator_verify(cfg: dict):
 
 
 def _run_solve(cfg: dict):
+    from . import solver   # scipy loads with it, so only solve and mms import it
     op = _parse_operator(cfg)
     N, L = _read(cfg, "grid.N", _int), _read(cfg, "grid.L", _real, 1.0)
     u_star = _parse_solution(cfg, op.n)
     drift_fn = _rotation_drift(cfg)
-    tol = _read(cfg, "tol", float, 1e-10)   # solve_newton refuses it unless finite and positive
+    tol = _read(cfg, "tol", _number, 1e-10)   # solve_newton refuses it unless finite and positive
     max_iter = _read(cfg, "max_iter", _int, 30)
 
     def run():
@@ -349,12 +359,13 @@ def _run_solve(cfg: dict):
 
 
 def _run_mms(cfg: dict):
+    from . import solver
     op = _parse_operator(cfg)
     u_star = _parse_solution(cfg, op.n)
     N_list = _read(cfg, "N_list", _list_of(_int), [33, 65, 129])
     min_order = _read(cfg, "min_order", _real, 1.8)
     drift_fn = _rotation_drift(cfg)
-    tol = _read(cfg, "tol", float, 1e-10)   # solve_newton refuses it unless finite and positive
+    tol = _read(cfg, "tol", _number, 1e-10)   # solve_newton refuses it unless finite and positive
 
     def run():
         study = solver.convergence_study(op, u_star, N_list=N_list, drift_fn=drift_fn, tol=tol)
@@ -408,7 +419,7 @@ def _run_flatness(cfg: dict):
     refine_steps = _read(cfg, "refine_steps", _int, 8)
 
     def run():
-        base = solver.saddle_quartic_solution(1.0)
+        base = fields.saddle_quartic_solution(1.0)
         probe = fields.sample_function(base.value, n=op.n, N=N, L=L)
         sup = float(np.max(np.abs(probe.values)))
 

@@ -5,7 +5,9 @@ on a uniform grid over [-L, L]^n with an odd node count per side, so the
 origin is always a node.  The module provides L^p ball-averaged norms,
 modulus-constant estimation from those averages, the central-difference
 stencil table behind every jet (and behind the solver's residual and
-Jacobian), and a plain-text file format with bit-exact round trips.
+Jacobian), a plain-text file format with bit-exact round trips, and the
+analytic profiles and exact solutions (with their derivatives) behind
+manufactured-solution studies.
 """
 
 from __future__ import annotations
@@ -242,30 +244,6 @@ def interior_jets(vals: np.ndarray, n: int, h: float):
     return H, G
 
 
-def _node_jets(field: GridField, idx):
-    if field.components != 1:
-        raise ConfigError("jets are defined for scalar fields")
-    idx = tuple(int(i) for i in idx)
-    if any(i < 1 or i > field.N - 2 for i in idx):
-        raise DomainError(f"node {idx} is within 1 ring(s) of the boundary")
-    block = field.values[tuple(slice(i - 1, i + 2) for i in idx)]
-    H, G = interior_jets(block, field.n, field.h)
-    return H.reshape(field.n, field.n), G.reshape(field.n)
-
-
-def gradient_central(field: GridField, idx) -> np.ndarray:
-    """Second-order central-difference gradient at an interior node."""
-    return _node_jets(field, idx)[1]
-
-
-def hessian_central(field: GridField, idx) -> SymMatrix:
-    """Central-difference Hessian; the 4-point cross stencil off-diagonal.
-
-    Exact on quadratics up to round-off.
-    """
-    return SymMatrix.from_matrix(_node_jets(field, idx)[0])
-
-
 # -- file I/O --------------------------------------------------------------
 
 
@@ -338,6 +316,48 @@ class Polynomial2D:
         """The constant Hessian broadcast to (..., n, n) over stacked points."""
         mat = self.M.matrix
         return np.broadcast_to(mat, np.shape(pts)[:-1] + mat.shape).copy()
+
+
+@dataclass(frozen=True)
+class AnalyticSolution:
+    """A twice-differentiable profile with vectorized exact derivatives.
+
+    Each callable maps stacked points (..., n) to values (...,),
+    gradients (..., n), and Hessians (..., n, n).
+    """
+
+    value: Callable
+    gradient: Callable
+    hessian: Callable
+
+
+def quadratic_solution(c: float, b, M: SymMatrix) -> AnalyticSolution:
+    q = Polynomial2D(c, np.asarray(b, dtype=float), M)
+    return AnalyticSolution(q, q.gradient, q.hessian)
+
+
+def saddle_quartic_solution(delta: float) -> AnalyticSolution:
+    """u*(x) = delta (x1^2 - x2^2)/2 + delta x1^4 / 12, n = 2."""
+
+    def val(pts):
+        p = np.asarray(pts, dtype=float)
+        return delta * (0.5 * (p[..., 0] ** 2 - p[..., 1] ** 2) + p[..., 0] ** 4 / 12.0)
+
+    def grad(pts):
+        p = np.asarray(pts, dtype=float)
+        g = np.empty_like(p)
+        g[..., 0] = delta * (p[..., 0] + p[..., 0] ** 3 / 3.0)
+        g[..., 1] = -delta * p[..., 1]
+        return g
+
+    def hess(pts):
+        p = np.asarray(pts, dtype=float)
+        H = np.zeros(p.shape[:-1] + (2, 2))
+        H[..., 0, 0] = delta * (1.0 + p[..., 0] ** 2)
+        H[..., 1, 1] = -delta
+        return H
+
+    return AnalyticSolution(val, grad, hess)
 
 
 def radial_power(power: float) -> Callable:

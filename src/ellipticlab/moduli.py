@@ -204,9 +204,9 @@ def from_dict(d: dict) -> Modulus:
     """Rebuild a modulus from its ``describe()`` dictionary.
 
     Parameters are converted with ``float`` (the table's knots elementwise);
-    a spec that is not a mapping, a missing, non-numeric or non-finite
-    parameter, or a domain_cap the modulus cannot keep (a table's cap is
-    min(last knot, 1)) raises ConfigError.
+    a spec that is not a mapping, a missing, non-numeric, boolean or
+    non-finite parameter, or a domain_cap the modulus cannot keep (a
+    table's cap is min(last knot, 1)) raises ConfigError.
     """
     if not isinstance(d, dict):
         raise ConfigError("modulus spec must be a mapping")
@@ -214,6 +214,8 @@ def from_dict(d: dict) -> Modulus:
 
     def num(key, convert=float):
         try:
+            if any(isinstance(v, bool) for v in np.asarray(d[key], dtype=object).flat):
+                raise TypeError("a boolean is not a number")
             value = convert(d[key])
         except KeyError:
             raise ConfigError(f"missing modulus parameter {key!r} for family {fam!r}")

@@ -19,51 +19,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, NumericsError
-from .fields import (GridField, Polynomial2D, central_stencil, check_grid, interior_jets,
-                     sample_function, shifted_interior)
+# the exact solutions are imported by name so solver.quadratic_solution and
+# solver.saddle_quartic_solution still build u* for callers of this module
+from .fields import (AnalyticSolution, GridField, central_stencil, check_grid, interior_jets,
+                     quadratic_solution, saddle_quartic_solution, sample_function,
+                     shifted_interior)
 from .operators import OperatorSpec, SymMatrix, linear_trace
-
-
-@dataclass(frozen=True)
-class AnalyticSolution:
-    """A twice-differentiable profile with vectorized exact derivatives.
-
-    Each callable maps stacked points (..., n) to values (...,),
-    gradients (..., n), and Hessians (..., n, n).
-    """
-
-    value: Callable
-    gradient: Callable
-    hessian: Callable
-
-
-def quadratic_solution(c: float, b, M: SymMatrix) -> AnalyticSolution:
-    q = Polynomial2D(c, np.asarray(b, dtype=float), M)
-    return AnalyticSolution(q, q.gradient, q.hessian)
-
-
-def saddle_quartic_solution(delta: float) -> AnalyticSolution:
-    """u*(x) = delta (x1^2 - x2^2)/2 + delta x1^4 / 12, n = 2."""
-
-    def val(pts):
-        p = np.asarray(pts, dtype=float)
-        return delta * (0.5 * (p[..., 0] ** 2 - p[..., 1] ** 2) + p[..., 0] ** 4 / 12.0)
-
-    def grad(pts):
-        p = np.asarray(pts, dtype=float)
-        g = np.empty_like(p)
-        g[..., 0] = delta * (p[..., 0] + p[..., 0] ** 3 / 3.0)
-        g[..., 1] = -delta * p[..., 1]
-        return g
-
-    def hess(pts):
-        p = np.asarray(pts, dtype=float)
-        H = np.zeros(p.shape[:-1] + (2, 2))
-        H[..., 0, 0] = delta * (1.0 + p[..., 0] ** 2)
-        H[..., 1, 1] = -delta
-        return H
-
-    return AnalyticSolution(val, grad, hess)
 
 
 @dataclass(frozen=True)

@@ -190,11 +190,31 @@ class TestFitOperator:
         assert rank == len(coef)
         assert np.max(np.abs(scaled - coef)) <= 1e-12 * np.max(np.abs(vals))
 
+    @pytest.mark.parametrize("n, N, x0, r", [(2, 65, (40, 27), 0.4), (2, 33, (16, 16), 1.0),
+                                             (3, 17, (8, 9, 7), 0.5), (3, 9, (4, 4, 4), 1.0)])
+    def test_eigh_jet_matches_lstsq(self, n, N, x0, r):
+        """The jet solved with the eigenpairs that guard the rank is lstsq's
+        jet, relative to its largest coefficient."""
+        a = np.array([0.7, -1.3, 0.4])[:n]
+        u = fields.sample_function(lambda pts: np.exp(pts @ a) + np.sin(3.0 * pts[..., 0]),
+                                   n=n, N=N)
+        idx, d = fields.ball_index(u, x0, r)
+        vals = u.node_values(idx)
+        jet = campanato._fit_operator(r, idx, d, u.h).jet(vals)
+        M = jet.M.matrix
+        scaled = np.concatenate(([jet.c], r * jet.b, r**2 * np.diag(M),
+                                 r**2 * M[np.triu_indices(n, 1)]))
+        coef, rank = reference_lstsq(d, vals, r)
+        assert rank == len(coef)
+        assert np.max(np.abs(scaled - coef)) <= 1e-12 * np.max(np.abs(coef))
+
     @pytest.mark.parametrize("d", [
         np.stack([np.linspace(-1.0, 1.0, 21), np.linspace(-0.5, 0.5, 21)], axis=1),
         np.stack([np.cos(np.linspace(0.0, 6.0, 21)), np.sin(np.linspace(0.0, 6.0, 21))],
                  axis=1),
-    ], ids=["collinear", "on_a_circle"])
+        np.stack([np.cos(np.linspace(0.0, 6.0, 21)), np.sin(np.linspace(0.0, 6.0, 21)),
+                  np.zeros(21)], axis=1),
+    ], ids=["collinear", "on_a_circle", "3d_in_a_plane"])
     def test_degenerate_node_set_raises(self, d):
         with pytest.raises(NumericsError, match="rank-deficient"):
             campanato._fit_operator(1.0, np.arange(len(d)), d, 0.1)

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -345,6 +351,12 @@ def assert_config_error(tmp_path, capsys, command, cfg, names=""):
     ("moduli-check", {"modulus": {"family": "table", "table_r": [0.01, 0.1, 0.5],
                                   "table_tau": [0.1, 0.3, 0.7], "domain_cap": 0.05}},
      "domain_cap"),
+    # a boolean where a number belongs: tol: true solved at tolerance 1 and
+    # exited 0, theta x [true, 0.1] reported x = [1, 0.1], alpha: true checked 1
+    ("solve", {"tol": True}, "'tol'"),
+    ("mms", {"tol": True}, "'tol'"),
+    ("operator-verify", {"theta": {"x": [True, 0.1]}}, "theta.x"),
+    ("moduli-check", {"modulus": {"family": "power", "alpha": True}}, "alpha"),
 ])
 def test_malformed_value_exits_2_without_traceback(tmp_path, capsys, command, change, names):
     assert_config_error(tmp_path, capsys, command, dict(BASE[command], **change), names)
@@ -457,3 +469,26 @@ def test_unread_key_exits_2_before_any_computation(tmp_path, capsys, monkeypatch
 def test_a_run_that_raises_writes_no_report(tmp_path, capsys, command, change, code):
     assert run(tmp_path, capsys, command, dict(BASE[command], **change))[0] == code
     assert not (tmp_path / "out").exists()
+
+
+_SCIPY_PROBE = """
+import json, sys
+from ellipticlab.cli import main
+verdicts = []
+for command, config, out in json.loads(sys.argv[1]):
+    code = main([command, "--config", config, "--out", out])
+    verdicts.append([command, code, any(m.split(".")[0] == "scipy" for m in sys.modules)])
+print(json.dumps(verdicts))
+"""
+
+
+def test_only_solve_loads_scipy(tmp_path):
+    """audit, flatness, moduli-check and operator-verify solve nothing, so a
+    fresh process running them never imports scipy; solve does."""
+    commands = ("audit", "flatness", "moduli-check", "operator-verify", "solve")
+    runs = [(c, write(tmp_path / f"{c}.yaml", BASE[c]), str(tmp_path / f"{c}-out"))
+            for c in commands]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [[c, 0, c == "solve"] for c in commands]
