@@ -60,24 +60,38 @@ def root_correct(op: OperatorSpec, Mbar: SymMatrix, x0=None) -> float:
     Uniform ellipticity pins the root inside [-|F|/(n lam), |F|/(n lam)]
     because the increment in the identity direction is squeezed between
     n lam t and n Lam t.  A bracket violation means the operator is not
-    elliptic as declared.
+    elliptic as declared; a non-finite F(Mbar, x0), or a bisection that
+    ends off tolerance, raises NumericsError.
+
+    The bisection runs in rounds of one operator call each.  A round
+    predicts the rest of the midpoint path from the bracket's regula-falsi
+    guess, evaluates F at every predicted midpoint and at the path's end
+    as one (k, n, n) stack, and replays the bisection on those values up
+    to the first midpoint whose sign the guess got wrong; the next round
+    starts from the bracket that midpoint leaves.  Each decision reads F
+    at the midpoint a step-by-step bisection would evaluate, so the root
+    is the same to the bit, provided F is evaluated elementwise over
+    stacked matrices (as ``extension`` callbacks must be).
     """
     F0 = op.evaluate(Mbar, x0)
+    if not np.isfinite(F0):
+        raise NumericsError(f"F(Mbar, x0) = {F0} is not finite; no identity shift corrects it")
     tol = 1e-10 * (1.0 + abs(F0))
     if abs(F0) <= tol:
         return 0.0
     xs = None if x0 is None else np.asarray(x0, dtype=float)
     eye = np.eye(Mbar.n)
 
-    def F(a):
-        # the raw array: Mbar + a Id is symmetric and finite by construction
-        return op.evaluate_batch(Mbar.matrix + a * eye, xs)
+    def F(shifts: list) -> list:
+        # Mbar + a Id for each a, stacked: symmetric and finite by construction
+        a = np.array(shifts)
+        return op.evaluate_batch(Mbar.matrix + a[:, None, None] * eye, xs).tolist()
 
     # widened a hair: for linear F the exact root sits on the endpoint and
     # round-off could flip its sign there
     half = abs(F0) / (op.n * op.pair.lam) * (1.0 + 1e-9)
     lo, hi = -half, half
-    f_lo, f_hi = F(lo), F(hi)
+    f_lo, f_hi = F([lo, hi])
     if f_lo > tol or f_hi < -tol:
         raise NumericsError(
             "identity-direction bracket failed; operator is not elliptic as declared"
@@ -86,21 +100,35 @@ def root_correct(op: OperatorSpec, Mbar: SymMatrix, x0=None) -> float:
         return lo
     if f_hi < 0.0:
         return hi
-    for _ in range(_BISECT_MAX):
-        if hi - lo <= 4e-16 * half:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = F(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_mid > 0.0:
-            hi = mid
+    steps = 0   # midpoints replayed, against _BISECT_MAX
+    while True:
+        # the path the bisection takes if F changes sign at the guess
+        guess = 0.5 * (lo + hi) if f_lo == f_hi else lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        path, p_lo, p_hi = [], lo, hi
+        while steps + len(path) < _BISECT_MAX and p_hi - p_lo > 4e-16 * half:
+            mid = 0.5 * (p_lo + p_hi)
+            path.append(mid)
+            if mid > guess:
+                p_hi = mid
+            else:
+                p_lo = mid
+        a = 0.5 * (p_lo + p_hi)
+        vals = F(path + [a])
+        # the bisection's own rules, up to the first midpoint the guess got wrong
+        for mid, f_mid in zip(path, vals):
+            steps += 1
+            if f_mid == 0.0:
+                return mid
+            if f_mid > 0.0:
+                hi, f_hi = mid, f_mid
+            else:
+                lo, f_lo = mid, f_mid
+            if (f_mid > 0.0) != (mid > guess):
+                break
         else:
-            lo = mid
-    a = 0.5 * (lo + hi)
-    if abs(F(a)) > tol:
-        raise NumericsError("identity-direction bisection did not reach tolerance")
-    return a
+            if not abs(vals[-1]) <= tol:
+                raise NumericsError("identity-direction bisection did not reach tolerance")
+            return a
 
 
 # -- ball fits ----------------------------------------------------------------
@@ -142,6 +170,7 @@ class _FitOperator:
     unit: float
     A: np.ndarray
     eig: tuple
+    upper: tuple          # np.triu_indices(n, 1): the order of the basis' cross columns
 
     def jet(self, vals: np.ndarray) -> QuadraticJet:
         """The least-squares jet, from the normal equations G theta = A^T vals,
@@ -152,8 +181,7 @@ class _FitOperator:
         theta = V @ ((V.T @ (self.A.T @ vals)) / w)
         q = theta[1 + n :] / self.unit**2
         M = np.diag(q[:n])
-        upper = np.triu_indices(n, 1)   # the order of the basis' cross columns
-        M[upper] = M[upper[::-1]] = q[n:]
+        M[self.upper] = M[self.upper[::-1]] = q[n:]
         return QuadraticJet(float(theta[0]), theta[1 : 1 + n] / self.unit, SymMatrix(n, M))
 
     def constrained_jet(self, vals: np.ndarray, op: OperatorSpec, x0) -> QuadraticJet:
@@ -167,7 +195,7 @@ class _FitOperator:
     def sup_residual(self, vals: np.ndarray, jet: QuadraticJet) -> float:
         """sup |u - P| over the ball nodes, as max |vals - A theta(jet)|."""
         M = jet.M.matrix
-        quad = np.concatenate((np.diag(M), M[np.triu_indices(self.n, 1)]))
+        quad = np.concatenate((np.diag(M), M[self.upper]))
         theta = np.concatenate(([jet.c], self.unit * jet.b, self.unit**2 * quad))
         res = self.A @ theta
         np.subtract(vals, res, out=res)
@@ -194,7 +222,8 @@ def _fit_operator(r: float, idx: np.ndarray, d: np.ndarray, h: float) -> _FitOpe
     w, V = np.linalg.eigh(A.T @ A)   # one decomposition guards the rank and solves
     if w[0] <= m * np.finfo(float).eps * w[-1]:
         raise NumericsError("rank-deficient quadratic fit (degenerate node set)")
-    return _FitOperator(r, d.shape[1], idx, unit, A, (w, V))
+    n = d.shape[1]
+    return _FitOperator(r, n, idx, unit, A, (w, V), np.triu_indices(n, 1))
 
 
 def sup_residual(u: GridField, jet: QuadraticJet, x0_idx, r: float) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,33 @@ PAIR = operators.EllipticityPair(1.0, 2.0)
 def sample(profile, N=129, coeff=1.0):
     u = fields.sample_function(fields.profile(profile), N=N)
     return u.scale(coeff) if coeff != 1.0 else u
+
+
+def reference_root(op, M, x0):
+    """root_correct written step by step over validated SymMatrix
+    evaluations, one operator call per midpoint."""
+    F0 = op.evaluate(M, x0)
+    tol = 1e-10 * (1.0 + abs(F0))
+    if abs(F0) <= tol:
+        return 0.0
+    half = abs(F0) / (op.n * op.pair.lam) * (1.0 + 1e-9)
+    lo, hi = -half, half
+    if op.evaluate(M.add_identity(lo), x0) > 0.0:
+        return lo
+    if op.evaluate(M.add_identity(hi), x0) < 0.0:
+        return hi
+    for _ in range(200):
+        if hi - lo <= 4e-16 * half:
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = op.evaluate(M.add_identity(mid), x0)
+        if f_mid == 0.0:
+            return mid
+        if f_mid > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 class TestRootCorrect:
@@ -54,39 +82,104 @@ class TestRootCorrect:
                             callback_id="trace_plus_sin"),
     ], ids=["linear_trace_x", "pucci_plus_3d", "pucci_minus", "perturbed_trace", "extension"])
     def test_matches_reference_bisection(self, op):
-        # the bisection written over validated SymMatrix evaluations; the
-        # roots must agree bit for bit
-        def reference(M, x0):
-            F0 = op.evaluate(M, x0)
-            tol = 1e-10 * (1.0 + abs(F0))
-            if abs(F0) <= tol:
-                return 0.0
-            half = abs(F0) / (op.n * op.pair.lam) * (1.0 + 1e-9)
-            lo, hi = -half, half
-            if op.evaluate(M.add_identity(lo), x0) > 0.0:
-                return lo
-            if op.evaluate(M.add_identity(hi), x0) < 0.0:
-                return hi
-            for _ in range(200):
-                if hi - lo <= 4e-16 * half:
-                    break
-                mid = 0.5 * (lo + hi)
-                f_mid = op.evaluate(M.add_identity(mid), x0)
-                if f_mid == 0.0:
-                    return mid
-                if f_mid > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            return 0.5 * (lo + hi)
-
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = rng.standard_normal((op.n, op.n))
             M = SymMatrix.from_matrix(g + g.T)
             x0 = rng.uniform(-1.0, 1.0, op.n)
-            assert campanato.root_correct(op, M, x0) == reference(M, x0)
-        assert campanato.root_correct(op, M) == reference(M, None)
+            assert campanato.root_correct(op, M, x0) == reference_root(op, M, x0)
+        assert campanato.root_correct(op, M) == reference_root(op, M, None)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_roots_equal_reference_bit_for_bit(self, data):
+        n = data.draw(st.sampled_from([2, 3]))
+        kind = data.draw(st.sampled_from(sorted(operators._KINDS)))
+        op = {
+            "linear_trace": lambda: operators.linear_trace(
+                np.diag(np.arange(1.0, n + 1.0)) + 0.3 * (np.ones((n, n)) - np.eye(n))),
+            "pucci_plus": lambda: operators.pucci_plus_op(PAIR, n),
+            "pucci_minus": lambda: operators.pucci_minus_op(PAIR, n),
+            "perturbed_trace": lambda: operators.perturbed_trace(0.5, n),
+            "extension": lambda: operators.extension(
+                lambda H: np.trace(H, axis1=-2, axis2=-1) + 0.1 * np.sin(H[..., 0, 0]),
+                operators.EllipticityPair(0.9, 1.1), n, "trace_plus_sin"),
+        }[kind]()
+        if data.draw(st.booleans()):
+            # a factor >= 1 keeps the declared pair valid
+            op = dataclasses.replace(op, x_dependence=lambda x: 1.0 + 0.5 * x[..., 0] ** 2)
+        entries = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))
+        scale = 10.0 ** data.draw(st.floats(-8.0, 3.0))
+        g = scale * np.reshape(entries, (n, n))
+        M = SymMatrix.from_matrix(g + g.T)
+        x0 = data.draw(st.none() | st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        assert campanato.root_correct(op, M, x0) == reference_root(op, M, x0)
+
+    def test_exit_on_an_exact_zero(self):
+        # F vanishes for tr in [-1, 1], so a late midpoint lands where F is
+        # exactly 0.0 and the bisection returns it
+        dead_zone = operators.extension(
+            lambda H: (np.maximum(np.trace(H, axis1=-2, axis2=-1) - 1.0, 0.0)
+                       + np.minimum(np.trace(H, axis1=-2, axis2=-1) + 1.0, 0.0)),
+            PAIR, callback_id="dead_zone")
+        M = SymMatrix.diagonal([0.5, 1.0])
+        a = campanato.root_correct(dead_zone, M)
+        assert dead_zone.evaluate(M.add_identity(a)) == 0.0
+        assert -0.25 - 1e-9 < a < -0.25
+        assert a == reference_root(dead_zone, M, None)
+
+    def test_equal_bracket_values(self):
+        # with t = |a| on M = Id: F = 1 - 2t up to t = 3/4, then rising back
+        # to 0, so both bracket ends are 0.0 and the first guess is the
+        # midpoint; not elliptic, but the bracket holds
+        def dip(H):
+            t = 0.5 * np.abs(np.trace(H, axis1=-2, axis2=-1) - 2.0)
+            return np.where(t <= 0.75, 1.0 - 2.0 * t, np.minimum(2.0 * t - 2.0, 0.0))
+
+        op = operators.extension(dip, operators.EllipticityPair(0.5, 1.0), callback_id="dip")
+        M = SymMatrix.identity(2)
+        half = 1.0 + 1e-9
+        assert op.evaluate(M.add_identity(-half)) == op.evaluate(M.add_identity(half)) == 0.0
+        a = campanato.root_correct(op, M)
+        assert a == reference_root(op, M, None)
+        assert a == pytest.approx(-0.5, abs=1e-12)
+
+    def test_non_finite_operator_value_raises(self):
+        # log of a negative entry: every comparison with the NaN is False,
+        # so the bisection used to run to the end and return NaN
+        def log_plus(H):
+            with np.errstate(invalid="ignore"):
+                return np.log(H[..., 0, 0]) + H[..., 1, 1]
+
+        op = operators.extension(log_plus, PAIR, callback_id="log_plus")
+        with pytest.raises(NumericsError, match="not finite"):
+            campanato.root_correct(op, SymMatrix.diagonal([-1.0, 0.5]))
+
+    @pytest.mark.parametrize("base", [operators.perturbed_trace(0.5),
+                                      operators.pucci_minus_op(PAIR)],
+                             ids=["perturbed_trace", "pucci_minus"])
+    def test_few_operator_calls_per_root(self, base):
+        # the jets the CLI flatness search fits at N = 129, K = 4; the
+        # callback counts its calls
+        calls = []
+
+        def counted(H):
+            calls.append(1)
+            return base.evaluate_batch(H)
+
+        op = operators.extension(counted, base.pair, callback_id="counted")
+        probe = fields.sample_function(solver.saddle_quartic_solution(1.0).value, N=129)
+        lad = campanato._ladder(probe, moduli.power(1.0), 0.5, 4, probe.origin_index())
+        x0 = probe.node_coords(probe.origin_index())
+        sup = float(np.max(np.abs(probe.values)))
+        roots = 0
+        for delta in (0.05, 0.1, 0.2, 0.4, 0.8, 1.6):
+            u = probe.scale(delta / sup)
+            for fop in lad.fits:
+                M = fop.jet(u.node_values(fop.idx)).M
+                assert campanato.root_correct(op, M, x0) == campanato.root_correct(base, M, x0)
+                roots += 1
+        assert len(calls) / roots <= 8.0
 
     def test_non_elliptic_bracket_detected(self):
         # declared pair wildly overstates lambda: bracket too narrow
