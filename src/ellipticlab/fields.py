@@ -5,7 +5,7 @@ on a uniform grid over [-L, L]^n with an odd node count per side, so the
 origin is always a node.  The module provides L^p ball-averaged norms,
 modulus-constant estimation from those averages, the central-difference
 stencil table behind every jet (and behind the solver's residual and
-Jacobian), a plain-text file format with bit-exact round trips, and the
+Jacobian), a text file format of hex words with bit-exact round trips, and the
 analytic profiles and exact solutions (with their derivatives) behind
 manufactured-solution studies.
 """
@@ -247,32 +247,24 @@ def interior_jets(vals: np.ndarray, n: int, h: float):
 # -- file I/O --------------------------------------------------------------
 
 
-_ROW = "%.17g " * 7 + "%.17g\n"   # one line of the body: 8 values
-_CHUNK_ROWS = 512                   # lines per formatting call; bounds the temporaries
-
-
 def save_field(field: GridField, path) -> None:
-    """Write `n N L components` header then row-major values, 8 per line with
-    17 significant digits, so load_field(save_field(f)) reproduces f bit for
-    bit.  Full lines are formatted a chunk at a time; a short last line
-    holds the remaining values."""
-    flat = field.values.reshape(-1)
-    full = len(flat) - len(flat) % 8
-    rows = flat[:full].reshape(-1, 8)
-    with open(path, "w") as fh:
-        fh.write(f"{field.n} {field.N} {field.L:.17g} {field.components}\n")
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            chunk = rows[start : start + _CHUNK_ROWS]
-            fh.write((_ROW * len(chunk)) % tuple(chunk.ravel().tolist()))
-        if full < len(flat):
-            fh.write(" ".join("%.17g" % v for v in flat[full:].tolist()) + "\n")
+    """Write the `n N L components` header, then the row-major values as hex
+    words, each the 16 lowercase hex digits of the value's big-endian binary64
+    bit pattern (1.0 is 3ff0000000000000), space-separated and 8 to a line,
+    so load_field(save_field(f)) reproduces f bit for bit."""
+    body = bytearray(field.values.astype(">f8").tobytes().hex(" ", 8), "ascii")
+    np.frombuffer(body, np.uint8)[135::136] = ord("\n")   # every 8th separator
+    with open(path, "wb") as fh:
+        fh.writelines([f"{field.n} {field.N} {field.L:.17g} {field.components}\n".encode(),
+                       body, b"\n"])
 
 
 def load_field(path) -> GridField:
-    """The field saved at ``path``; a file that cannot be opened raises
-    ConfigError."""
+    """The field saved at ``path``.  A file that cannot be opened, a
+    malformed header, or a body that is not exactly one hex word per value
+    (such as the decimal body of older versions) raises ConfigError."""
     try:
-        fh = open(path)
+        fh = open(path, "rb")
     except OSError as exc:
         raise ConfigError(f"cannot read field file {path}: {exc}") from None
     with fh:
@@ -285,11 +277,17 @@ def load_field(path) -> GridField:
         except ValueError:
             raise ConfigError(f"malformed field header in {path}") from None
         check_grid(n, N, L, components)
-        flat = np.fromstring(fh.read(), sep=" ")
+        try:
+            raw = bytes.fromhex(fh.read().decode("ascii"))
+        except ValueError:   # UnicodeDecodeError included
+            raise ConfigError(f"field body in {path} is not hex words; regenerate the file "
+                              "with this version of save_field") from None
     shape = (N,) * n + (() if components == 1 else (components,))
-    if flat.size != int(np.prod(shape)):
-        raise ConfigError(f"field body in {path} has {flat.size} values, expected {np.prod(shape)}")
-    return GridField(n, N, L, flat.reshape(shape), components)
+    count = int(np.prod(shape))
+    if len(raw) != 8 * count:
+        raise ConfigError(f"field body in {path} has {len(raw)} bytes, expected {count} values "
+                          f"of 8 bytes")
+    return GridField(n, N, L, np.frombuffer(raw, ">f8").astype(float).reshape(shape), components)
 
 
 # -- analytic test profiles -------------------------------------------------

@@ -383,6 +383,14 @@ def test_audit_of_field_with_malformed_header_exits_2(tmp_path, capsys, header, 
                         names)
 
 
+def test_audit_of_decimal_field_exits_2(tmp_path, capsys):
+    # the %.17g body older versions wrote is refused, not misread
+    path = tmp_path / "old.field"
+    path.write_text("2 5 1 1\n" + (" ".join(["0.25"] * 8) + "\n") * 3 + "0.25\n")
+    assert_config_error(tmp_path, capsys, "audit", dict(BASE["audit"], field={"file": str(path)}),
+                        str(path))
+
+
 @pytest.mark.parametrize("checks", [["dinni"], "dini", ["dini", "lcc", "a5"]])
 def test_unknown_checks_are_config_errors(tmp_path, capsys, checks):
     # ["dinni"] used to run nothing and pass; the string "dini" matched as a substring

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -267,7 +268,7 @@ class TestFileIO:
 
     @pytest.mark.parametrize("n, N, components", [
         (2, 9, 8),      # N^n * components % 8 == 0: no short last line
-        (2, 257, 1),    # N^2 % 8 != 0, and more than one chunk of lines
+        (2, 257, 1),    # N^2 % 8 != 0
         (2, 33, 2),
         (3, 17, 1),
     ])
@@ -275,15 +276,21 @@ class TestFileIO:
         rng = np.random.default_rng(N)
         shape = (N,) * n + (() if components == 1 else (components,))
         vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
-        vals.reshape(-1)[:6] = [0.0, -0.0, 1.0, 0.1, 5e-324, -1.7976931348623157e308]
+        vals.reshape(-1)[:7] = [0.0, -0.0, 1.0, 0.1, 5e-324, -1.7976931348623157e308,
+                                1.7976931348623157e308]
         u = fields.GridField(n, N, 1.25, vals, components)
         path = tmp_path / "u.field"
         fields.save_field(u, path)
         flat = vals.reshape(-1)
-        lines = [f"{n} {N} {1.25:.17g} {components}\n"] + [
-            " ".join(f"{v:.17g}" for v in flat[k : k + 8]) + "\n" for k in range(0, flat.size, 8)]
-        assert path.read_text() == "".join(lines)
-        np.testing.assert_array_equal(fields.load_field(path).values, vals)
+        want = [f"{n} {N} {1.25:.17g} {components}\n"] + [
+            " ".join(struct.pack(">d", v).hex() for v in flat[k : k + 8]) + "\n"
+            for k in range(0, flat.size, 8)]
+        got = path.read_text().splitlines(keepends=True)
+        assert len(got) == len(want)
+        for k, (a, b) in enumerate(zip(got, want)):   # line by line: a short failure diff
+            assert a == b, f"line {k}"
+        loaded = fields.load_field(path).values
+        np.testing.assert_array_equal(loaded.view(np.int64), vals.view(np.int64))
 
     @pytest.mark.parametrize("header", ["2 abc 1 1", "2 5 x 1", "2.0 5 1 1", "2 -5 1 1",
                                         "2 5 nan 1", "2 5 inf 1"])
@@ -295,6 +302,29 @@ class TestFileIO:
 
     def test_truncated_body_rejected(self, tmp_path):
         path = tmp_path / "bad.field"
-        path.write_text("2 5 1 1\n0.0 0.0 0.0\n")
-        with pytest.raises(ConfigError):
+        path.write_text("2 5 1 1\n" + " ".join([struct.pack(">d", 1.0).hex()] * 3) + "\n")
+        with pytest.raises(ConfigError, match="has 24 bytes"):
+            fields.load_field(path)
+
+    def test_extra_hex_word_rejected(self, tmp_path):
+        path = tmp_path / "bad.field"
+        fields.save_field(grid(N=5), path)
+        path.write_text(path.read_text() + "3ff0000000000000\n")
+        with pytest.raises(ConfigError, match="expected 25 values"):
+            fields.load_field(path)
+
+    def test_non_ascii_body_rejected(self, tmp_path):
+        path = tmp_path / "bad.field"
+        fields.save_field(grid(N=5), path)
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(ConfigError, match="not hex words"):
+            fields.load_field(path)
+
+    def test_decimal_body_rejected(self, tmp_path):
+        # the body older versions wrote: %.17g values, 8 to a line
+        path = tmp_path / "old.field"
+        flat = np.linspace(-1.0, 1.0, 25)
+        path.write_text("2 5 1 1\n" + "".join(
+            " ".join("%.17g" % v for v in flat[k : k + 8]) + "\n" for k in range(0, 25, 8)))
+        with pytest.raises(ConfigError, match="regenerate"):
             fields.load_field(path)
