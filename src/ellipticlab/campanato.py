@@ -26,27 +26,6 @@ from .moduli import Modulus, psi_transform
 from .operators import OperatorSpec, SymMatrix
 
 
-@dataclass(frozen=True)
-class QuadraticJet(Polynomial2D):
-    """P(x) = c + b.s + s^T M s / 2 in the displacement s = x - x0 from the
-    centre x0 of the ball it was fitted on; the jet does not store x0."""
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        if b.shape != (self.M.n,):
-            raise ConfigError("jet gradient length must match the matrix dimension")
-        if not (np.isfinite(self.c) and np.all(np.isfinite(b))):
-            raise DomainError("jet entries must be finite")
-        object.__setattr__(self, "b", b)
-
-    def describe(self) -> dict:
-        return {
-            "c": float(self.c),
-            "b": [float(v) for v in self.b],
-            "M": self.M.matrix.tolist(),
-        }
-
-
 # -- identity-direction root correction -------------------------------------
 
 
@@ -172,7 +151,7 @@ class _FitOperator:
     eig: tuple
     upper: tuple          # np.triu_indices(n, 1): the order of the basis' cross columns
 
-    def jet(self, vals: np.ndarray) -> QuadraticJet:
+    def jet(self, vals: np.ndarray) -> Polynomial2D:
         """The least-squares jet, from the normal equations G theta = A^T vals,
         which a ball inside the square keeps well conditioned, solved as
         theta = V (V^T A^T vals) / w with the eigenpairs of G."""
@@ -182,17 +161,17 @@ class _FitOperator:
         q = theta[1 + n :] / self.unit**2
         M = np.diag(q[:n])
         M[self.upper] = M[self.upper[::-1]] = q[n:]
-        return QuadraticJet(float(theta[0]), theta[1 : 1 + n] / self.unit, SymMatrix(n, M))
+        return Polynomial2D(float(theta[0]), theta[1 : 1 + n] / self.unit, SymMatrix(n, M))
 
-    def constrained_jet(self, vals: np.ndarray, op: OperatorSpec, x0) -> QuadraticJet:
+    def constrained_jet(self, vals: np.ndarray, op: OperatorSpec, x0) -> Polynomial2D:
         """The least-squares jet, then M <- M + a Id with a = root_correct.
         An operator whose dimension differs from the grid's raises ConfigError."""
         if op.n != self.n:
             raise ConfigError(f"a {op.n}-D operator cannot audit a {self.n}-D field")
         jet = self.jet(vals)
-        return QuadraticJet(jet.c, jet.b, jet.M.add_identity(root_correct(op, jet.M, x0)))
+        return Polynomial2D(jet.c, jet.b, jet.M.add_identity(root_correct(op, jet.M, x0)))
 
-    def sup_residual(self, vals: np.ndarray, jet: QuadraticJet) -> float:
+    def sup_residual(self, vals: np.ndarray, jet: Polynomial2D) -> float:
         """sup |u - P| over the ball nodes, as max |vals - A theta(jet)|."""
         M = jet.M.matrix
         quad = np.concatenate((np.diag(M), M[self.upper]))
@@ -226,14 +205,14 @@ def _fit_operator(r: float, idx: np.ndarray, d: np.ndarray, h: float) -> _FitOpe
     return _FitOperator(r, n, idx, unit, A, (w, V), np.triu_indices(n, 1))
 
 
-def sup_residual(u: GridField, jet: QuadraticJet, x0_idx, r: float) -> float:
+def sup_residual(u: GridField, jet: Polynomial2D, x0_idx, r: float) -> float:
     """sup |u - P| over the nodes of B_r(x0), a ball a fit would accept."""
     fop = _fit_operator(r, *ball_index(u, x0_idx, r), u.h)
     return fop.sup_residual(u.node_values(fop.idx), jet)
 
 
 def constrained_quadratic_fit(u: GridField, op: OperatorSpec, rho: float,
-                              x0_idx) -> QuadraticJet:
+                              x0_idx) -> Polynomial2D:
     """Least-squares quadratic jet over B_rho(x0), then M <- M + a Id with
     a = root_correct, so the operator vanishes on the fitted Hessian.
 
@@ -255,7 +234,7 @@ def constrained_quadratic_fit(u: GridField, op: OperatorSpec, rho: float,
 class ScaleRecord:
     k: int
     radius: float
-    jet: QuadraticJet
+    jet: Polynomial2D
     sup_residual: float
     normalized_ratio: float
     hessian_increment: Optional[float]   # None at k = 0
@@ -380,27 +359,25 @@ def _audit(u: GridField, op: OperatorSpec, delta: float, lad: _Ladder) -> DecayA
 def _final_jet_decay(u: GridField, records, lad: _Ladder):
     """Residual decay of the last jet against r^2 psi(r) over each record's
     ball, plus the Cauchy check that Hessian increments shrink like tau at
-    the audited scales.  ``lad``'s scales run along ``records``."""
+    the audited scales (see ``c2psi_seminorm``).  ``lad``'s scales run along
+    ``records``."""
     last = records[-1].jet
     worst = 0.0
     for rec, ball, psi in zip(records, lad.fits, lad.psis):
         worst = max(worst, ball.sup_residual(u.node_values(ball.idx), last) / (rec.radius**2 * psi))
-    incs = [rec.hessian_increment for rec in records if rec.hessian_increment is not None]
-    scale = max([abs(v) for v in incs], default=0.0)
-    if len(incs) >= 2 and scale > 1e-12:
-        bound = max(i / t for i, t in zip(incs, lad.taus))
-        cauchy = all(i <= 4.0 * bound * t for i, t in zip(incs, lad.taus))
-    else:
-        cauchy = True
+    incs = [rec.hessian_increment for rec in records[1:]]
+    ratios = [rec.increment_ratio for rec in records[1:]]
+    cauchy = len(incs) < 2 or max(incs) <= 1e-12 or max(ratios) <= 4.0 * ratios[0]
     return worst, cauchy
 
 
 def c2psi_seminorm(u: GridField, audit: DecayAudit):
     """Max over audited radii of sup_{B_r}|u - P_final| / (r^2 psi(r)).
 
-    Returns (value, cauchy_ok); cauchy_ok is False when the Hessian
-    increments fail to shrink with tau at the audited scales, meaning
-    the limit jet is untrustworthy against this modulus.
+    Returns (value, cauchy_ok).  cauchy_ok is False when an increment ratio
+    |D2P_k - D2P_{k-1}| / (delta tau(r_{k-1})) exceeds 4 times the first, so
+    the increments do not shrink like tau and the limit jet is untrustworthy
+    against this modulus; fewer than 2 increments, or all <= 1e-12, pass.
     """
     if audit.K_max < 3:
         raise ConfigError("seminorm needs an audit of depth K >= 3")

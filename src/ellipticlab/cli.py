@@ -203,10 +203,10 @@ def _parse_solution(cfg: dict, n: int) -> fields.AnalyticSolution:
     kind = _read(cfg, "u_star.type")
     if kind == "quadratic":
         M = operators.SymMatrix.from_matrix(_read(cfg, "u_star.M", _array))
-        b = _read(cfg, "u_star.b", _array, np.zeros(M.n))
-        if M.n != n or b.shape != (n,):
-            raise ConfigError(f"u_star M must be {n} x {n} and b have {n} entries")
-        return fields.quadratic_solution(_read(cfg, "u_star.c", _real, 0.0), b, M)
+        if M.n != n:
+            raise ConfigError(f"u_star M must be {n} x {n}, as the operator is {n}-D")
+        return fields.quadratic_solution(_read(cfg, "u_star.c", _real, 0.0),
+                                         _read(cfg, "u_star.b", _array, np.zeros(n)), M)
     if kind == "saddle_quartic":
         if n != 2:
             raise ConfigError("u_star saddle_quartic needs a 2-D operator")
@@ -296,10 +296,9 @@ def _run_moduli_check(cfg: dict):
 
 def _run_operator_verify(cfg: dict):
     op = _parse_operator(cfg)
-    seed, count = _read(cfg, "seed", _int), _read(cfg, "samples", _int, 400)
-    if count < 1:
-        raise ConfigError(f"config key 'samples' must be at least 1, got {count}")
-    plan = operators.SamplePlan(seed=seed, count=count)
+    seed = _read(cfg, "seed", _int)
+    plan = _read(cfg, "samples", lambda v: operators.SamplePlan(seed, _int(v)),
+                 operators.SamplePlan(seed))
     structure = _read(cfg, "structure", _bool, False)
     require_structure = _read(cfg, "require_structure", _bool, False)
     tangential = _read(cfg, "tangential", _bool, False)
@@ -307,8 +306,6 @@ def _run_operator_verify(cfg: dict):
     if theta:
         x = _read(cfg, "theta.x", _array, np.full(op.n, 0.3))
         x0 = _read(cfg, "theta.x0", _array, np.zeros(op.n))
-        if x.shape != (op.n,) or x0.shape != (op.n,):
-            raise ConfigError(f"theta x and x0 must have {op.n} entries, one per dimension")
 
     def run():
         ell = operators.verify_ellipticity(op, plan)

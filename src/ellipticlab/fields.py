@@ -295,25 +295,38 @@ def load_field(path) -> GridField:
 
 @dataclass(frozen=True)
 class Polynomial2D:
-    """c + b.x + x^T M x / 2 with exact jets, for manufactured solutions."""
+    """c + b.x + x^T M x / 2 with exact jets: a manufactured solution, or the
+    jet an audit fits in the displacement from its ball's centre.  ``b``
+    must have M.n entries; a non-finite c or b raises DomainError."""
 
     c: float
     b: np.ndarray
     M: SymMatrix
 
+    def __post_init__(self):
+        b = np.asarray(self.b, dtype=float)
+        if b.shape != (self.M.n,):
+            raise ConfigError(f"quadratic gradient b must have {self.M.n} entries, one per axis")
+        if not (np.isfinite(self.c) and np.all(np.isfinite(b))):
+            raise DomainError("quadratic coefficients c and b must be finite")
+        object.__setattr__(self, "b", b)
+
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         quad = 0.5 * np.einsum("...i,ij,...j->...", pts, self.M.matrix, pts)
-        return self.c + pts @ np.asarray(self.b, dtype=float) + quad
+        return self.c + pts @ self.b + quad
 
     def gradient(self, pts) -> np.ndarray:
         """Gradients (..., n) at stacked points (..., n)."""
-        return np.asarray(self.b, dtype=float) + np.asarray(pts, dtype=float) @ self.M.matrix
+        return self.b + np.asarray(pts, dtype=float) @ self.M.matrix
 
     def hessian(self, pts) -> np.ndarray:
         """The constant Hessian broadcast to (..., n, n) over stacked points."""
         mat = self.M.matrix
         return np.broadcast_to(mat, np.shape(pts)[:-1] + mat.shape).copy()
+
+    def describe(self) -> dict:
+        return {"c": float(self.c), "b": [float(v) for v in self.b], "M": self.M.matrix.tolist()}
 
 
 @dataclass(frozen=True)
@@ -330,7 +343,7 @@ class AnalyticSolution:
 
 
 def quadratic_solution(c: float, b, M: SymMatrix) -> AnalyticSolution:
-    q = Polynomial2D(c, np.asarray(b, dtype=float), M)
+    q = Polynomial2D(c, b, M)
     return AnalyticSolution(q, q.gradient, q.hessian)
 
 

@@ -79,8 +79,10 @@ class Modulus:
 
     ``params`` holds the family parameters by name.  Evaluation returns
     exactly 0 at r = 0 and raises :class:`DomainError` outside
-    [0, domain_cap].  For the log-bearing families the cap is kept small
-    enough that the modulus is nondecreasing on its whole domain.
+    [0, domain_cap].  The cap lies in (0, 1], and in (0, 1/2] for the
+    log-bearing families, whose constructors keep it small enough that the
+    modulus is nondecreasing on its whole domain.  A non-finite parameter
+    (a table knot included) raises ConfigError.
     """
 
     family: str
@@ -90,8 +92,12 @@ class Modulus:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown modulus family {self.family!r}")
-        if not 0.0 < self.domain_cap <= 1.0:
-            raise ConfigError("domain_cap must lie in (0, 1]")
+        for key, value in self.params.items():
+            if not np.all(np.isfinite(value)):
+                raise ConfigError(f"modulus parameter {key!r} must be finite, got {value!r}")
+        cap_max = 0.5 if self.family in ("power_log", "power_ln_z", "inverse_log") else 1.0
+        if not 0.0 < self.domain_cap <= cap_max:
+            raise ConfigError(f"a {self.family} modulus needs domain_cap in (0, {cap_max:g}]")
 
     # -- evaluation ------------------------------------------------------
 
@@ -157,8 +163,6 @@ def power_log(alpha: float, beta: float, domain_cap: Optional[float] = None) -> 
         raise ConfigError("power_log modulus needs beta >= 0")
     if domain_cap is None:
         domain_cap = min(0.5, math.exp(-beta / alpha)) if beta > 0 else 0.5
-    if domain_cap > 0.5:
-        raise ConfigError("power_log requires domain_cap <= 1/2")
     return Modulus("power_log", {"alpha": float(alpha), "beta": float(beta)}, domain_cap)
 
 
@@ -168,8 +172,6 @@ def power_ln_z(kappa: float, zeta: float, domain_cap: Optional[float] = None) ->
         raise ConfigError("power_ln_z modulus needs kappa > 0")
     if domain_cap is None:
         domain_cap = min(0.5, math.exp(-zeta / kappa)) if zeta > 0 else 0.5
-    if domain_cap > 0.5:
-        raise ConfigError("power_ln_z requires domain_cap <= 1/2")
     return Modulus(
         "power_ln_z", {"kappa": float(kappa), "zeta": float(zeta)}, domain_cap
     )
@@ -179,8 +181,6 @@ def inverse_log(gamma: float, domain_cap: float = 0.5) -> Modulus:
     """tau(r) = |log r|^{-gamma}; Dini for gamma > 1, never Hölder."""
     if gamma <= 0:
         raise ConfigError("inverse_log modulus needs gamma > 0")
-    if domain_cap > 0.5:
-        raise ConfigError("inverse_log requires domain_cap <= 1/2")
     return Modulus("inverse_log", {"gamma": float(gamma)}, domain_cap)
 
 
@@ -192,21 +192,25 @@ def from_table(rs: Sequence[float], taus: Sequence[float]) -> Modulus:
         raise ConfigError("table modulus needs matching 1-d r and tau arrays")
     order = np.argsort(rs)
     rs, taus = rs[order], taus[order]
-    if rs[0] <= 0 or np.any(np.diff(rs) <= 0):
+    if rs[0] <= 0:
+        raise ConfigError("table radii must be positive and strictly increasing")
+    mod = Modulus("table", {"table_r": rs.tolist(), "table_tau": taus.tolist()},
+                  float(min(rs[-1], 1.0)))   # refuses non-finite knots before np.diff meets them
+    if np.any(np.diff(rs) <= 0):
         raise ConfigError("table radii must be positive and strictly increasing")
     if np.any(taus < 0) or np.any(np.diff(taus) < 0):
         raise ConfigError("table values must be nonnegative and nondecreasing")
-    return Modulus("table", {"table_r": rs.tolist(), "table_tau": taus.tolist()},
-                   float(min(rs[-1], 1.0)))
+    return mod
 
 
 def from_dict(d: dict) -> Modulus:
     """Rebuild a modulus from its ``describe()`` dictionary.
 
     Parameters are converted with ``float`` (the table's knots elementwise);
-    a spec that is not a mapping, a missing, non-numeric, boolean or
-    non-finite parameter, or a domain_cap the modulus cannot keep (a
-    table's cap is min(last knot, 1)) raises ConfigError.
+    a spec that is not a mapping, a missing, non-numeric or boolean
+    parameter, one the family's constructor refuses (``Modulus`` refuses a
+    non-finite one), or a domain_cap the modulus cannot keep (a table's cap
+    is min(last knot, 1)) raises ConfigError.
     """
     if not isinstance(d, dict):
         raise ConfigError("modulus spec must be a mapping")
@@ -216,14 +220,11 @@ def from_dict(d: dict) -> Modulus:
         try:
             if any(isinstance(v, bool) for v in np.asarray(d[key], dtype=object).flat):
                 raise TypeError("a boolean is not a number")
-            value = convert(d[key])
+            return convert(d[key])
         except KeyError:
             raise ConfigError(f"missing modulus parameter {key!r} for family {fam!r}")
         except (TypeError, ValueError):
             raise ConfigError(f"modulus parameter {key!r} must be numeric, got {d[key]!r}")
-        if not np.all(np.isfinite(value)):
-            raise ConfigError(f"modulus parameter {key!r} must be finite, got {d[key]!r}")
-        return value
 
     def knots(key):
         return num(key, lambda v: np.asarray(v, dtype=float))

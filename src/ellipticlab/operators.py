@@ -11,6 +11,7 @@ Matrix norms are Frobenius throughout; every report records this.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -95,14 +96,14 @@ class SymMatrix:
 
 @dataclass(frozen=True)
 class EllipticityPair:
-    """Ellipticity constants 0 < lambda <= Lambda."""
+    """Finite ellipticity constants 0 < lambda <= Lambda."""
 
     lam: float
     Lam: float
 
     def __post_init__(self):
-        if not 0.0 < self.lam <= self.Lam:
-            raise ConfigError("ellipticity pair needs 0 < lambda <= Lambda")
+        if not 0.0 < self.lam <= self.Lam < np.inf:   # refuses NaN too
+            raise ConfigError("ellipticity pair needs finite 0 < lambda <= Lambda")
 
     def describe(self) -> dict:
         return {"lambda": self.lam, "Lambda": self.Lam}
@@ -317,10 +318,17 @@ _SAMPLE_TOL = 1e-8           # slack of the sampled ellipticity and structure ch
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Seeded mixture of symmetric-matrix samples for sampled suprema."""
+    """Seeded mixture of symmetric-matrix samples for sampled suprema; the
+    seed must be a whole number >= 0 and the count one >= 1 (ConfigError)."""
 
     seed: int = 0
     count: int = 400
+
+    def __post_init__(self):
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError(f"sample seed must be a whole number >= 0, got {self.seed!r}")
+        if not (isinstance(self.count, numbers.Integral) and self.count >= 1):
+            raise ConfigError(f"sample count must be a whole number >= 1, got {self.count!r}")
 
     def describe(self) -> dict:
         return {
@@ -482,16 +490,19 @@ def oscillation_theta(op: OperatorSpec, x, x0, plan: SamplePlan = SamplePlan()) 
     A lower bound of the true supremum; the sample mixes the standard
     matrix mixture with large-norm rays t * Xhat, t up to 1e3,
     which is where the sup is approached for coefficient-type operators.
+    An x or x0 that is not n finite numbers raises ConfigError.
     """
-    rng = np.random.default_rng(plan.seed)
     n = op.n
+    x = np.asarray(x, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    if x.shape != (n,) or x0.shape != (n,) or not np.all(np.isfinite([x, x0])):
+        raise ConfigError(f"x and x0 must each be {n} finite numbers, one per dimension")
+    rng = np.random.default_rng(plan.seed)
     mats = sample_symmetric(rng, n, plan.count)
     rays = sample_symmetric(rng, n, max(plan.count // 4, 8), (1.0,))
     ts = np.geomspace(1.0, _RAY_T_MAX, 12)
     ray_mats = (ts[:, None, None, None] * rays[None]).reshape(-1, n, n)
     mats = np.concatenate([mats, ray_mats], axis=0)
-    x = np.asarray(x, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
     vals_x = op.evaluate_batch(mats, np.broadcast_to(x, (len(mats), n)))
     vals_x0 = op.evaluate_batch(mats, np.broadcast_to(x0, (len(mats), n)))
     norms = np.linalg.norm(mats, axis=(1, 2))
@@ -551,7 +562,7 @@ def check_SC(op: OperatorSpec, plan: SamplePlan = SamplePlan()) -> StructureRepo
     )
 
     try:
-        tangential_limit(op)
+        tangential_limit(op, plan.seed)
         differentiable = True
     except (NonDifferentiableError, NumericsError):
         differentiable = False

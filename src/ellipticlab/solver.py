@@ -348,16 +348,12 @@ def solve_linear_tangential(A0: SymMatrix, boundary, N: int,
     """
     n, L = A0.n, 1.0
     if callable(boundary):
-        barr = sample_function(boundary, n=n, N=N, L=L).values
-    else:
-        barr = np.asarray(boundary, dtype=float)
-        if barr.shape != (N,) * n:
-            raise ConfigError("boundary array must be grid shaped")
+        boundary = sample_function(boundary, n=n, N=N, L=L).values
     src = source.values if source is not None else np.zeros((N,) * n)
     f = GridField(n, N, L, src)
-    inst = ProblemInstance(op=linear_trace(A0), source=f, boundary=barr)
+    inst = ProblemInstance(op=linear_trace(A0), source=f, boundary=boundary)
     zero = GridField(n, N, L, np.zeros((N,) * n))
-    scale = max(float(np.max(np.abs(src))), float(np.max(np.abs(barr))), 1.0)
+    scale = max(float(np.max(np.abs(src))), float(np.max(np.abs(inst.boundary))), 1.0)
     report = solve_newton(inst, zero, tol=1e-10 * scale, max_iter=3)
     if not report.converged:
         raise NumericsError("tangential solve residual exceeds 1e-10 relative")

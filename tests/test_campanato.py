@@ -455,6 +455,27 @@ class TestSeminorm:
         ratios = audit.ratios()
         assert ratios[-1] > ratios[0]
 
+    def test_cauchy_check_fails_increments_that_grow_against_tau(self):
+        # D2u of |x1|^2.1 + 0.3 x2^2 varies like |x1|^0.1, far rougher than
+        # power(1): inc/tau grows 0.094 -> 1.11 along the ladder, yet
+        # cauchy_ok read True, as its constant was the largest ratio itself
+        def kinked(pts):
+            p = np.asarray(pts, dtype=float)
+            return np.abs(p[..., 0]) ** 2.1 + 0.3 * p[..., 1] ** 2
+
+        u = fields.sample_function(kinked, N=257)
+        audit = campanato.decay_audit(u, LAPLACE, moduli.power(1.0), K=5)
+        ratios = [rec.increment_ratio for rec in audit.records[1:]]
+        assert ratios[0] < 0.1 and ratios[-1] > 1.0
+        assert audit.cauchy_ok is False
+        assert campanato.c2psi_seminorm(u, audit)[1] is False
+        # increments that shrink with tau, or vanish, still pass
+        saddle = fields.sample_function(fields.saddle_quartic_solution(1.0).value, N=129)
+        for field, op in [(sample("harmonic_cubic"), LAPLACE), (sample("radial_5_2"), LAPLACE),
+                          (saddle.scale(0.4 / np.max(np.abs(saddle.values))),
+                           operators.perturbed_trace(0.5))]:
+            assert campanato.decay_audit(field, op, moduli.power(1.0), K=4).cauchy_ok is True
+
     def test_off_centre_audit_measures_its_own_ball(self):
         u = sample("radial_5_2")
         audit = campanato.decay_audit(u, LAPLACE, moduli.power(0.5), K=4, x0_idx=(80, 64))

@@ -68,6 +68,21 @@ def test_operator_verify_pucci_not_differentiable(tmp_path):
     assert "disagree" in tangential["detail"]
 
 
+def test_operator_verify_uses_one_seed(tmp_path, capsys, monkeypatch):
+    # the structure check's tangential limit used to run at seed 0
+    seeds = []
+    limit = operators.tangential_limit
+
+    def spy(op, seed=0):
+        seeds.append(seed)
+        return limit(op, seed)
+
+    monkeypatch.setattr(operators, "tangential_limit", spy)
+    cfg = dict(BASE["operator-verify"], seed=5, structure=True, tangential=True)
+    assert run(tmp_path, capsys, "operator-verify", cfg)[0] == 0
+    assert seeds == [5, 5]
+
+
 def test_operator_verify_required_structure_fails(tmp_path):
     # Pucci is not differentiable at the zero matrix, so the structure gate fails
     cfg = write(tmp_path / "c.yaml", {"operator": PUCCI_PLUS, "structure": True,
