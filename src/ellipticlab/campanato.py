@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericsError
+from .errors import ConfigError, DegenerateModulusError, DomainError, NumericsError
 from .fields import GridField, Polynomial2D, ball_index
 from .moduli import Modulus, psi_transform
 from .operators import OperatorSpec, SymMatrix
@@ -299,6 +299,8 @@ class _Ladder:
 def _ladder(u: GridField, mod: Modulus, rho0: float, K: int, x0_idx) -> _Ladder:
     if not 0.0 < rho0 <= 0.5:
         raise ConfigError("rho0 must lie in (0, 1/2]")
+    if K < 0:
+        raise ConfigError(f"K must be nonnegative, got {K}")
     # the slack keeps r0 = 1 at an origin that sits 1 ulp off 0
     r0 = min(1.0, mod.domain_cap)
     room = u.L - float(np.max(np.abs(u.node_coords(x0_idx))))
@@ -313,8 +315,11 @@ def _ladder(u: GridField, mod: Modulus, rho0: float, K: int, x0_idx) -> _Ladder:
             break
     if not fits:
         raise DomainError("no scale was resolvable on this grid")
-    return _Ladder(rho0, mod, x0_idx, fits, [mod.evaluate(f.r) for f in fits],
-                   [psi_transform(mod, f.r) for f in fits], len(fits) <= K)
+    taus = [mod.evaluate(f.r) for f in fits]
+    if min(taus) <= 0.0:   # tau and psi >= tau divide every ratio
+        raise DegenerateModulusError(f"modulus vanishes at audited radius r={fits[-1].r}")
+    return _Ladder(rho0, mod, x0_idx, fits, taus, [psi_transform(mod, f.r) for f in fits],
+                   len(fits) <= K)
 
 
 def decay_audit(u: GridField, op: OperatorSpec, mod: Modulus, rho0: float = 0.5,
@@ -328,7 +333,9 @@ def decay_audit(u: GridField, op: OperatorSpec, mod: Modulus, rho0: float = 0.5,
     Hessian increment to scale k is normalized by delta tau(r_{k-1}).  The
     audit truncates with a flag (not an error) once a ball has too few
     nodes to fit.  Each scale is fitted independently; its fit operator
-    is built once and serves the fit and both sup residuals.
+    is built once and serves the fit and both sup residuals.  A negative K
+    raises ConfigError, and a modulus that vanishes at an audited radius
+    DegenerateModulusError.
     """
     x0_idx = u.origin_index() if x0_idx is None else tuple(int(i) for i in x0_idx)
     return _audit(u, op, delta, _ladder(u, mod, rho0, K, x0_idx))

@@ -102,7 +102,8 @@ def _read(cfg: dict, key: str, convert=lambda v: v, default=...):
 
 def _first_unread(cfg: dict, path: tuple = ()):
     """The key of the first value below ``cfg``'s mappings, depth first,
-    that ``_read`` was never asked for, or None."""
+    that ``_read`` was never asked for, or None.  Every spec, ``modulus``
+    included, is read key by key, so this one rule covers every key."""
     for k, v in cfg.items():
         key = path + (k,)
         if isinstance(v, dict) and v:
@@ -168,11 +169,31 @@ def _list_of(convert):
     return check
 
 
+# modulus family -> its constructor and the parameters it takes, in order
+_MODULI = {
+    "power": (moduli.power, ("alpha",)),
+    "power_log": (moduli.power_log, ("alpha", "beta")),
+    "power_ln_z": (moduli.power_ln_z, ("kappa", "zeta")),
+    "inverse_log": (moduli.inverse_log, ("gamma",)),
+    "table": (moduli.from_table, ("table_r", "table_tau")),
+}
+
+
 def _modulus(cfg: dict) -> moduli.Modulus:
-    """The config's modulus.  The keys of its ``describe()``, the dictionary
-    ``moduli.from_dict`` rebuilds from, count as read; no other key does."""
-    mod = moduli.from_dict(_read(cfg, "modulus"))
-    _ASKED.update(("modulus", key) for key in mod.describe())
+    """The config's modulus, read like every other spec: ``modulus.family``,
+    then each parameter of that family (a table's knots as arrays), then
+    ``modulus.domain_cap`` when given.  A missing or null cap leaves the
+    constructor's default; a given cap the built modulus does not have (a
+    table's is min(last knot, 1)) raises ConfigError."""
+    family = _read(cfg, "modulus.family", str)
+    if family not in _MODULI:
+        raise ConfigError(f"unknown modulus family {family!r}")
+    build, keys = _MODULI[family]
+    args = [_read(cfg, f"modulus.{key}", _array if family == "table" else _real) for key in keys]
+    cap = _read(cfg, "modulus.domain_cap", lambda v: v if v is None else _real(v), None)
+    mod = build(*args) if cap is None or family == "table" else build(*args, domain_cap=cap)
+    if cap is not None and mod.domain_cap != cap:
+        raise ConfigError(f"a {family} modulus has domain_cap {mod.domain_cap}, not {cap}")
     return mod
 
 
@@ -198,18 +219,15 @@ def _parse_operator(cfg: dict) -> operators.OperatorSpec:
     return operators.OperatorSpec(kind, n, pair)
 
 
-def _parse_solution(cfg: dict, n: int) -> fields.AnalyticSolution:
-    """The u_star spec as an n-dimensional exact solution."""
+def _parse_solution(cfg: dict) -> fields.AnalyticSolution:
+    """The u_star spec as an exact solution; ``solver.mms_generate`` refuses
+    one whose dimension is not the operator's."""
     kind = _read(cfg, "u_star.type")
     if kind == "quadratic":
         M = operators.SymMatrix.from_matrix(_read(cfg, "u_star.M", _array))
-        if M.n != n:
-            raise ConfigError(f"u_star M must be {n} x {n}, as the operator is {n}-D")
         return fields.quadratic_solution(_read(cfg, "u_star.c", _real, 0.0),
-                                         _read(cfg, "u_star.b", _array, np.zeros(n)), M)
+                                         _read(cfg, "u_star.b", _array, np.zeros(M.n)), M)
     if kind == "saddle_quartic":
-        if n != 2:
-            raise ConfigError("u_star saddle_quartic needs a 2-D operator")
         return fields.saddle_quartic_solution(_read(cfg, "u_star.delta", _real))
     raise ConfigError(f"unknown u_star type {kind!r}")
 
@@ -342,7 +360,7 @@ def _run_solve(cfg: dict):
     from . import solver   # scipy loads with it, so only solve and mms import it
     op = _parse_operator(cfg)
     N, L = _read(cfg, "grid.N", _int), _read(cfg, "grid.L", _real, 1.0)
-    u_star = _parse_solution(cfg, op.n)
+    u_star = _parse_solution(cfg)
     drift_fn = _rotation_drift(cfg)
     tol = _read(cfg, "tol", _number, 1e-10)   # solve_newton refuses it unless finite and positive
     max_iter = _read(cfg, "max_iter", _int, 30)
@@ -358,7 +376,7 @@ def _run_solve(cfg: dict):
 def _run_mms(cfg: dict):
     from . import solver
     op = _parse_operator(cfg)
-    u_star = _parse_solution(cfg, op.n)
+    u_star = _parse_solution(cfg)
     N_list = _read(cfg, "N_list", _list_of(_int), [33, 65, 129])
     min_order = _read(cfg, "min_order", _real, 1.8)
     drift_fn = _rotation_drift(cfg)

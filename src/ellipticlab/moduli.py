@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -200,49 +200,6 @@ def from_table(rs: Sequence[float], taus: Sequence[float]) -> Modulus:
         raise ConfigError("table radii must be positive and strictly increasing")
     if np.any(taus < 0) or np.any(np.diff(taus) < 0):
         raise ConfigError("table values must be nonnegative and nondecreasing")
-    return mod
-
-
-def from_dict(d: dict) -> Modulus:
-    """Rebuild a modulus from its ``describe()`` dictionary.
-
-    Parameters are converted with ``float`` (the table's knots elementwise);
-    a spec that is not a mapping, a missing, non-numeric or boolean
-    parameter, one the family's constructor refuses (``Modulus`` refuses a
-    non-finite one), or a domain_cap the modulus cannot keep (a table's cap
-    is min(last knot, 1)) raises ConfigError.
-    """
-    if not isinstance(d, dict):
-        raise ConfigError("modulus spec must be a mapping")
-    fam = d.get("family")
-
-    def num(key, convert=float):
-        try:
-            if any(isinstance(v, bool) for v in np.asarray(d[key], dtype=object).flat):
-                raise TypeError("a boolean is not a number")
-            return convert(d[key])
-        except KeyError:
-            raise ConfigError(f"missing modulus parameter {key!r} for family {fam!r}")
-        except (TypeError, ValueError):
-            raise ConfigError(f"modulus parameter {key!r} must be numeric, got {d[key]!r}")
-
-    def knots(key):
-        return num(key, lambda v: np.asarray(v, dtype=float))
-
-    # only a cap the dictionary gives is passed on: each default is the constructor's
-    caps = {} if d.get("domain_cap") is None else {"domain_cap": num("domain_cap")}
-    builders: dict[str, Callable] = {
-        "power": lambda: power(num("alpha"), **caps),
-        "power_log": lambda: power_log(num("alpha"), num("beta"), **caps),
-        "power_ln_z": lambda: power_ln_z(num("kappa"), num("zeta"), **caps),
-        "inverse_log": lambda: inverse_log(num("gamma"), **caps),
-        "table": lambda: from_table(knots("table_r"), knots("table_tau")),
-    }
-    if not isinstance(fam, str) or fam not in builders:
-        raise ConfigError(f"unknown modulus family {fam!r}")
-    mod = builders[fam]()
-    if caps and mod.domain_cap != caps["domain_cap"]:
-        raise ConfigError(f"a {fam} modulus has domain_cap {mod.domain_cap}, not {d['domain_cap']}")
     return mod
 
 

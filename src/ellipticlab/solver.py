@@ -368,7 +368,8 @@ def mms_generate(op: OperatorSpec, u_star: AnalyticSolution, N: int, L: float = 
     """Build the instance whose exact solution is u_star.
 
     The source is F(D2u*(x), x) + <B(x), Du*(x)> from analytic
-    derivatives; the boundary ring carries u* itself.
+    derivatives; the boundary ring carries u* itself.  A u* whose Hessians
+    are not n x n for the operator's n raises ConfigError.
     """
     for attr in ("value", "gradient", "hessian"):
         if not callable(getattr(u_star, attr, None)):
@@ -378,6 +379,8 @@ def mms_generate(op: OperatorSpec, u_star: AnalyticSolution, N: int, L: float = 
     template = GridField(n, N, L, np.zeros((N,) * n))
     pts = np.stack(template.meshgrid(), axis=-1)
     H = np.asarray(u_star.hessian(pts), dtype=float)
+    if H.shape != pts.shape + (n,):
+        raise ConfigError(f"u_star's Hessians must be {n} x {n}, as the operator is {n}-D")
     fvals = op.evaluate_batch(H, pts)
     if drift is not None:
         fvals = fvals + np.einsum("...i,...i->...", drift.values,

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellipticlab import campanato, fields, moduli, operators, solver
-from ellipticlab.errors import ConfigError, DomainError, NumericsError
+from ellipticlab.errors import ConfigError, DegenerateModulusError, DomainError, NumericsError
 from ellipticlab.operators import SymMatrix
 
 LAPLACE = operators.linear_trace(np.eye(2))
@@ -410,6 +410,18 @@ class TestDecayAudit:
         with pytest.raises(ConfigError):
             campanato.decay_audit(sample("harmonic_cubic", N=33), LAPLACE,
                                   moduli.power(0.5), K=2, delta=delta)
+
+    def test_negative_K(self):
+        # no scale was resolvable, so a malformed count failed as a check
+        with pytest.raises(ConfigError, match="K must be nonnegative"):
+            campanato.decay_audit(sample("harmonic_cubic", N=33), LAPLACE,
+                                  moduli.power(0.5), K=-1)
+
+    def test_modulus_vanishing_at_an_audited_radius(self):
+        # tau(0.25) = 0 below the first knot, and the ratio divided by it
+        flat = moduli.from_table([0.3, 0.5], [0.0, 0.7])
+        with pytest.raises(DegenerateModulusError, match="r=0.25"):
+            campanato.decay_audit(sample("harmonic_cubic", N=33), LAPLACE, flat, K=2)
 
     @pytest.mark.parametrize("entry", ["decay_audit", "flatness", "fit"])
     def test_operator_dimension_must_match_field(self, entry):

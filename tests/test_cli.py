@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ellipticlab import cli, fields, moduli, operators, solver
 from ellipticlab.cli import main
@@ -372,6 +375,12 @@ def assert_config_error(tmp_path, capsys, command, cfg, names=""):
     ("mms", {"tol": True}, "'tol'"),
     ("operator-verify", {"theta": {"x": [True, 0.1]}}, "theta.x"),
     ("moduli-check", {"modulus": {"family": "power", "alpha": True}}, "alpha"),
+    # a parameter the family needs
+    ("moduli-check", {"modulus": {"family": "power_log", "alpha": 0.3}},
+     "'modulus.beta' is required"),
+    # a negative K: no scale was resolvable, exit 1
+    ("audit", {"K": -1}, "K must be nonnegative"),
+    ("flatness", {"K": -1}, "K must be nonnegative"),
 ])
 def test_malformed_value_exits_2_without_traceback(tmp_path, capsys, command, change, names):
     assert_config_error(tmp_path, capsys, command, dict(BASE[command], **change), names)
@@ -492,6 +501,88 @@ def test_unread_key_exits_2_before_any_computation(tmp_path, capsys, monkeypatch
 def test_a_run_that_raises_writes_no_report(tmp_path, capsys, command, change, code):
     assert run(tmp_path, capsys, command, dict(BASE[command], **change))[0] == code
     assert not (tmp_path / "out").exists()
+
+
+# one modulus of each family, each with its constructor's default cap
+MODULI = [moduli.power(0.25), moduli.power_log(0.3, 1.0), moduli.power_ln_z(0.4, 2.0),
+          moduli.inverse_log(1.5), moduli.from_table([0.1, 0.2, 0.5], [0.01, 0.03, 0.2])]
+
+
+def check_modulus(tmp_path, capsys, spec):
+    """The modulus block of a dini-only moduli-check report for ``spec``."""
+    code, err, out = run(tmp_path, capsys, "moduli-check", {"modulus": spec, "checks": ["dini"]})
+    assert code == 0, err
+    return yaml.safe_load((out / "report.yaml").read_text())["modulus"]
+
+
+@pytest.mark.parametrize("mod", MODULI, ids=lambda mod: mod.family)
+def test_moduli_check_reports_the_modulus_its_config_describes(tmp_path, capsys, mod):
+    assert check_modulus(tmp_path, capsys, mod.describe()) == mod.describe()
+
+
+@pytest.mark.parametrize("spec, cap", [
+    ({"family": "power", "alpha": 0.5}, 1.0),
+    ({"family": "power_log", "alpha": 0.3, "beta": 1.0}, math.exp(-1.0 / 0.3)),
+    ({"family": "power_ln_z", "kappa": 0.4, "zeta": 2.0}, math.exp(-2.0 / 0.4)),
+    ({"family": "inverse_log", "gamma": 1.5}, 0.5),
+    ({"family": "table", "table_r": [0.1, 0.5], "table_tau": [0.1, 0.3]}, 0.5),
+], ids=["power", "power_log", "power_ln_z", "inverse_log", "table"])
+@pytest.mark.parametrize("given", [{}, {"domain_cap": None}], ids=["absent", "null"])
+def test_modulus_without_a_cap_gets_its_constructors_default(tmp_path, capsys, spec, cap, given):
+    assert check_modulus(tmp_path, capsys, dict(spec, **given))["domain_cap"] == cap
+
+
+def test_modulus_keeps_a_given_cap_it_can_keep(tmp_path, capsys):
+    # a cap it cannot keep is a case of test_malformed_value_exits_2_without_traceback
+    spec = {"family": "power", "alpha": 0.5, "domain_cap": 0.3}
+    assert check_modulus(tmp_path, capsys, spec) == moduli.power(0.5, domain_cap=0.3).describe()
+    table = {"family": "table", "table_r": [0.01, 0.1, 0.5], "table_tau": [0.1, 0.3, 0.7]}
+    assert check_modulus(tmp_path, capsys, dict(table, domain_cap=0.5))["domain_cap"] == 0.5
+
+
+_BAD = st.sampled_from([True, math.nan, math.inf, -math.inf, "abc"])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mod=st.sampled_from(MODULI), data=st.data())
+def test_bad_modulus_value_names_its_key(tmp_path, capsys, mod, data):
+    """true, NaN, +-inf, a string, or a list or mapping of one of them, under
+    any key but the family's name, exits 2 naming modulus.<key>."""
+    key = data.draw(st.sampled_from(sorted(set(mod.describe()) - {"family"})))
+    bad = data.draw(_BAD | _BAD.map(lambda v: [v]) | _BAD.map(lambda v: {"a": v}))
+    assert_config_error(tmp_path, capsys, "moduli-check",
+                        {"modulus": dict(mod.describe(), **{key: bad}), "checks": ["dini"]},
+                        f"'modulus.{key}'")
+
+
+def test_audit_under_a_vanishing_modulus_fails_without_traceback(tmp_path, capsys):
+    # tau is 0 below the first knot and r = 0.0078 resolves at N = 1025: the
+    # ratio divided by zero and a ZeroDivisionError escaped
+    cfg = {"field": {"profile": "harmonic_cubic", "N": 1025}, "operator": LAPLACE,
+           "modulus": {"family": "table", "table_r": [0.01, 0.1, 0.5],
+                       "table_tau": [0.0, 0.3, 0.7]},
+           "K": 6}
+    code, err, out = run(tmp_path, capsys, "audit", cfg)
+    assert code == 1
+    assert err.startswith("check failed:") and "vanishes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, change", [
+    ("solve", {"operator": dict(PUCCI_PLUS, n=3), "u_star": SADDLE}),
+    ("mms", {"operator": LAPLACE,
+             "u_star": {"type": "quadratic", "M": [[2, 0, 0], [0, -1, 0], [0, 0, -1]]}}),
+])
+def test_u_star_of_another_dimension_exits_2_before_newton(tmp_path, capsys, monkeypatch,
+                                                            command, change):
+    # the check is mms_generate's own, not a copy in the CLI
+    def reached(*args, **kwargs):
+        pytest.fail(f"{command} took a Newton step")
+
+    monkeypatch.setattr(solver, "solve_newton", reached)
+    assert_config_error(tmp_path, capsys, command, dict(BASE[command], **change),
+                        "u_star's Hessians")
 
 
 _SCIPY_PROBE = """

@@ -55,15 +55,6 @@ class TestEvaluation:
         # linear extension through zero below the first knot
         assert mod.evaluate(0.05) == pytest.approx(0.005)
 
-    def test_from_dict_round_trip(self):
-        for mod in (moduli.power(0.25), moduli.power_log(0.3, 1.0),
-                    moduli.power_ln_z(0.4, 2.0), moduli.inverse_log(1.5),
-                    moduli.from_table([0.1, 0.2, 0.5], [0.01, 0.03, 0.2])):
-            clone = moduli.from_dict(mod.describe())
-            assert clone == mod
-            assert clone.evaluate(mod.domain_cap / 3) == pytest.approx(
-                mod.evaluate(mod.domain_cap / 3), rel=1e-14)
-
     def test_table_moduli_with_different_knots_differ(self):
         # tau(0.3) is 0.15 for the first and 0.35 for the second
         first = moduli.from_table([0.1, 0.5], [0.1, 0.2])
@@ -71,34 +62,6 @@ class TestEvaluation:
         assert first != second
         assert first.describe() != second.describe()
         assert first == moduli.from_table([0.5, 0.1], [0.2, 0.1])
-
-    def test_from_dict_default_caps(self):
-        # without domain_cap, each family gets its constructor's default
-        cases = [
-            ({"family": "power", "alpha": 0.5}, moduli.power(0.5), 1.0),
-            ({"family": "power_log", "alpha": 0.3, "beta": 1.0},
-             moduli.power_log(0.3, 1.0), math.exp(-1.0 / 0.3)),
-            ({"family": "power_ln_z", "kappa": 0.4, "zeta": 2.0},
-             moduli.power_ln_z(0.4, 2.0), math.exp(-2.0 / 0.4)),
-            ({"family": "inverse_log", "gamma": 1.5}, moduli.inverse_log(1.5), 0.5),
-            ({"family": "table", "table_r": [0.1, 0.5], "table_tau": [0.1, 0.3]},
-             moduli.from_table([0.1, 0.5], [0.1, 0.3]), 0.5),
-        ]
-        for spec, mod, cap in cases:
-            clone = moduli.from_dict(spec)
-            assert clone == mod
-            assert clone.domain_cap == mod.domain_cap == cap
-        with pytest.raises(ConfigError):
-            moduli.from_dict({"family": "power_log", "alpha": 0.3})
-
-    def test_from_dict_refuses_a_cap_it_cannot_keep(self):
-        # a table's cap is its last knot; a different given cap used to be dropped
-        spec = {"family": "table", "table_r": [0.01, 0.1, 0.5], "table_tau": [0.1, 0.3, 0.7]}
-        with pytest.raises(ConfigError, match="domain_cap"):
-            moduli.from_dict(dict(spec, domain_cap=0.05))
-        assert moduli.from_dict(dict(spec, domain_cap=0.5)).domain_cap == 0.5
-        assert moduli.from_dict({"family": "power", "alpha": 0.5,
-                                 "domain_cap": 0.3}) == moduli.power(0.5, domain_cap=0.3)
 
     def test_bad_params(self):
         with pytest.raises(ConfigError):

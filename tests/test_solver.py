@@ -511,6 +511,17 @@ class TestConvergenceStudy:
             solver.convergence_study(LAPLACE, solver.saddle_quartic_solution(1.0),
                                      N_list=(9, 17))
 
+    @pytest.mark.parametrize("op, u_star", [
+        (operators.pucci_plus_op(operators.EllipticityPair(1.0, 2.0), n=3),
+         solver.saddle_quartic_solution(0.1)),
+        (LAPLACE, solver.quadratic_solution(0.0, np.zeros(3), SymMatrix.identity(3))),
+    ], ids=["3d_operator_2d_saddle", "2d_operator_3d_quadratic"])
+    def test_u_star_of_another_dimension_rejected(self, op, u_star):
+        # the first built a 3-D problem on 2 x 2 Hessians; the second let
+        # numpy's broadcast ValueError escape
+        with pytest.raises(ConfigError, match="u_star"):
+            solver.mms_generate(op, u_star, N=9)
+
     @pytest.mark.parametrize("N", [-1, 0, 8])
     @pytest.mark.parametrize("drift_fn", [None, rotation_drift()])
     def test_bad_node_count_rejected_before_allocation(self, N, drift_fn):
