@@ -20,11 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DivergentIntegralError,
-    DomainError,
-)
+from .errors import ConfigError, DegenerateModulusError, DivergentIntegralError, DomainError
 
 LN2 = math.log(2.0)
 
@@ -350,11 +346,14 @@ def check_A4(mod: Modulus, alpha0: float) -> A4Certificate:
 
     Condition (i): liminf over s of sup_{r} tau(rs)/tau(r) = 0 with r
     ranging over (0, 1/2].  Condition (ii): liminf over s of
-    sup_k s^{alpha0} tau(s^k)/tau(s^{k+1}) = 0.
+    sup_k s^{alpha0} tau(s^k)/tau(s^{k+1}) = 0.  A tau that vanishes at
+    the smallest sampled radius raises DegenerateModulusError.
     """
     if not 0.0 < alpha0 <= 1.0:
         raise ConfigError("alpha0 must lie in (0, 1]")
-
+    j_max = max(_A4_R_MAX + _A4_S_MAX, (_A4_K_MAX + 1) * _A4_S_MAX)   # smallest radius 2^-j_max
+    if not mod.log_eval_neglog(j_max * LN2) > -np.inf:   # a nondecreasing tau is least there
+        raise DegenerateModulusError(f"modulus vanishes at sampled radius r=2^-{j_max}")
     r_t = _geometric_grid(mod, _A4_R_MAX)[0] * LN2   # t = -log r
 
     # ratios in log space: the raw tau values underflow long before the
@@ -459,7 +458,10 @@ def check_LCC(mod: Modulus) -> RatioCheck:
 
 
 def check_s_over_tau(mod: Modulus) -> RatioCheck:
-    """Pass iff s/tau(s) decays to zero along the sampled grid."""
+    """Pass iff s/tau(s) decays to zero along the sampled grid.  A tau that
+    vanishes at the smallest sampled radius raises DegenerateModulusError."""
+    if not mod.log_eval_neglog(_RATIO_MAX * LN2) > -np.inf:   # a nondecreasing tau is least there
+        raise DegenerateModulusError(f"modulus vanishes at sampled radius r=2^-{_RATIO_MAX}")
     js, ss = _geometric_grid(mod, _RATIO_MAX)
     ratios = ss / mod.eval_neglog(js * LN2)
     passed = _tail_moves(ratios, -1.0) and ratios[-1] < _THRESHOLD

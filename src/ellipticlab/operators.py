@@ -1,10 +1,10 @@
 """Symmetric-matrix algebra and the fully nonlinear operator layer.
 
 Pucci extremal operators with a frame-sampling oracle, uniform-ellipticity
-verification against the Pucci envelope, Gâteaux derivatives with
-Richardson extrapolation, the elliptic scaling family and its tangential
-(linearized) limit, coefficient-oscillation estimates, and the convexity /
-homogeneity / sub-differential structure checks.
+verification against the Pucci envelope, the linearization DF(M, x), which
+also gives the solver its Jacobian, the elliptic scaling family and its
+tangential limit DF(0, 0), coefficient-oscillation estimates, and the
+convexity / homogeneity / sub-differential structure checks.
 
 Matrix norms are Frobenius throughout; every report records this.
 """
@@ -82,9 +82,6 @@ class SymMatrix:
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         return SymMatrix(self.n, self.matrix + other.matrix)
 
-    def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        return SymMatrix(self.n, self.matrix - other.matrix)
-
     def __mul__(self, c: float) -> "SymMatrix":
         return SymMatrix(self.n, self.matrix * float(c))
 
@@ -133,13 +130,11 @@ def _pucci(M, up: float, down: float):
         m = 0.5 * (a + c)
         r = np.hypot(0.5 * (a - c), b)
         lo, hi = m - r, m + r
-        val = up * (np.maximum(lo, 0.0) + np.maximum(hi, 0.0)) + down * (
+        return up * (np.maximum(lo, 0.0) + np.maximum(hi, 0.0)) + down * (
             np.minimum(lo, 0.0) + np.minimum(hi, 0.0))
-    else:
-        eigs = np.linalg.eigvalsh(mat)
-        val = up * np.sum(np.maximum(eigs, 0.0), axis=-1) - down * np.sum(
-            np.maximum(-eigs, 0.0), axis=-1)
-    return float(val) if np.ndim(val) == 0 else val
+    eigs = np.linalg.eigvalsh(mat)
+    return up * np.sum(np.maximum(eigs, 0.0), axis=-1) - down * np.sum(
+        np.maximum(-eigs, 0.0), axis=-1)
 
 
 def pucci_plus(M, pair: EllipticityPair):
@@ -404,14 +399,45 @@ def verify_ellipticity(op: OperatorSpec, plan: SamplePlan = SamplePlan()) -> Ell
     )
 
 
-# -- Gâteaux derivatives and the tangential limit ------------------------
+# -- the linearization DF(M, x) and the tangential limit -----------------
 
 
-def gateaux(op: OperatorSpec, X0: SymMatrix, M: SymMatrix, h: float = 1e-4) -> float:
-    """Central-difference derivative of F at X0 in direction M, at x = 0."""
-    if h <= 0:
-        raise ConfigError("step h must be positive")
-    return (op.evaluate(X0 + h * M) - op.evaluate(X0 - h * M)) / (2.0 * h)
+def _entry_directions(n: int) -> np.ndarray:
+    """E_ab + E_ba (E_aa if a = b) for a <= b in triu order, stacked (k, n, n)."""
+    rows, cols = np.triu_indices(n)
+    E = np.eye(n)[rows, :, None] * np.eye(n)[cols, None, :]   # E_ab
+    return np.maximum(E, np.swapaxes(E, 1, 2))
+
+
+def _from_entry_slopes(slopes: np.ndarray, n: int) -> np.ndarray:
+    """Matrices A (..., n, n) with tr(A D_k) = slopes[k] for the entry
+    directions D_k; an off-diagonal D_k carries its entry twice."""
+    rows, cols = np.triu_indices(n)
+    vals = np.moveaxis(slopes, 0, -1) * np.where(rows == cols, 1.0, 0.5)
+    A = np.empty(vals.shape[:-1] + (n, n))
+    A[..., rows, cols] = A[..., cols, rows] = vals
+    return A
+
+
+def _slopes(op: OperatorSpec, H: np.ndarray, D: np.ndarray, s, x=None) -> np.ndarray:
+    """(F(H + s D_k, x) - F(H, x)) / s at matrices H (..., n, n) along each
+    direction D_k of a stack (k, n, n), shaped (k, ...).  The step s is one
+    per matrix (...) or a signed scalar.  Every difference of F is taken here."""
+    s = np.asarray(s, dtype=float)
+    D = D.reshape(D.shape[:1] + (1,) * (H.ndim - 2) + D.shape[1:])
+    return (op.evaluate_batch(H + s[..., None, None] * D, x) - op.evaluate_batch(H, x)) / s
+
+
+def linearize(op: OperatorSpec, H, x=None) -> np.ndarray:
+    """DF(H, x): matrices A (..., n, n) with F(H + X, x) - F(H, x) ~ tr(A X)
+    at stacked H (..., n, n) and points x (..., n), or x = 0, by one-sided
+    differences along the entry directions with step 1e-6 (1 + ||H||_F) per
+    matrix.  An H not shaped (..., n, n) for the operator raises ConfigError."""
+    H = np.asarray(H, dtype=float)
+    if H.shape[-2:] != (op.n, op.n):
+        raise ConfigError(f"linearize needs (..., {op.n}, {op.n}) matrices, got {H.shape}")
+    step = 1e-6 * (1.0 + np.linalg.norm(H, axis=(-2, -1)))
+    return _from_entry_slopes(_slopes(op, H, _entry_directions(op.n), step, x), op.n)
 
 
 def scaling_family(op: OperatorSpec, sigma: float, X: SymMatrix) -> float:
@@ -426,58 +452,35 @@ _RICH_TOL = 1e-7      # relative agreement of the last two Richardson values
 _BRACKET_TOL = 1e-6   # slack of the tangential matrix against the declared pair
 
 
-def _directional_derivative(op: OperatorSpec, direction: SymMatrix) -> float:
-    """Richardson-extrapolated derivative at the zero matrix and x = 0, with
-    one-sided consistency check."""
-    d = [gateaux(op, SymMatrix.zero(op.n), direction, h) for h in _H_LADDER]
-    extr = [(100.0 * d[k + 1] - d[k]) / 99.0 for k in range(len(d) - 1)]
-    if abs(extr[-1] - extr[-2]) > _RICH_TOL * (1.0 + abs(extr[-1])):
-        raise NonDifferentiableError(
-            "Richardson extrapolation of the Gateaux derivative did not settle"
-        )
-    h = _H_LADDER[-1]
-    zero = SymMatrix.zero(op.n)
-    f0 = op.evaluate(zero)
-    fwd = (op.evaluate(h * direction) - f0) / h
-    bwd = (f0 - op.evaluate((-h) * direction)) / h
-    if abs(fwd - bwd) > 1e-3 * (1.0 + abs(extr[-1])):
-        raise NonDifferentiableError(
-            "one-sided derivatives disagree at the zero matrix"
-        )
-    return extr[-1]
-
-
 def tangential_limit(op: OperatorSpec, seed: int = 0) -> SymMatrix:
-    """Coefficient matrix of the linearization of F at M = 0 and x = 0.
+    """Coefficient matrix A0 of the linearization of F at M = 0 and x = 0.
 
-    Assembles tr(A0 M) = DF(0)(M) over the symmetric basis with Richardson
-    extrapolation, then cross-checks linearity on random directions.
-    Raises NonDifferentiableError when no linearization exists (e.g. pure
-    Pucci operators, which are 1-homogeneous but not linear).
+    Richardson-extrapolates the central slopes at +-h, h in ``_H_LADDER``,
+    along the entry directions, which give A0, and four seeded random ones,
+    which must be linear in A0.  Raises NonDifferentiableError when no
+    linearization exists (e.g. pure Pucci operators, which are
+    1-homogeneous but not linear).
     """
     n = op.n
-    A0 = np.zeros((n, n))
-    for i, j in zip(*np.triu_indices(n)):
-        e = np.zeros((n, n))
-        e[i, j] = e[j, i] = 1.0
-        # an off-diagonal direction carries the entry twice
-        weight = 1.0 if i == j else 0.5
-        A0[i, j] = A0[j, i] = weight * _directional_derivative(op, SymMatrix(n, e))
-    rng = np.random.default_rng(seed)
-    for _ in range(4):
-        g = rng.standard_normal((n, n))
-        direction = SymMatrix.from_matrix(0.5 * (g + g.T))
-        lin = float(np.sum(A0 * direction.matrix))
-        actual = _directional_derivative(op, direction)
-        if abs(lin - actual) > 1e-5 * (1.0 + direction.frobenius()):
+    basis = _entry_directions(n)
+    g = np.random.default_rng(seed).standard_normal((4, n, n))
+    dirs = np.concatenate([basis, 0.5 * (g + np.swapaxes(g, 1, 2))])
+    fwd, bwd = ([_slopes(op, np.zeros((n, n)), dirs, s * h) for h in _H_LADDER] for s in (1, -1))
+    d = [0.5 * (f + b) for f, b in zip(fwd, bwd)]
+    extr = [(100.0 * d[k + 1] - d[k]) / 99.0 for k in range(len(d) - 1)]
+    slope, A0 = extr[-1], _from_entry_slopes(extr[-1][: len(basis)], n)
+    for k, D in enumerate(dirs):
+        if abs(slope[k] - extr[-2][k]) > _RICH_TOL * (1.0 + abs(slope[k])):
             raise NonDifferentiableError(
-                "directional derivatives are not linear in the direction"
-            )
+                "Richardson extrapolation of the Gateaux derivative did not settle")
+        if abs(fwd[-1][k] - bwd[-1][k]) > 1e-3 * (1.0 + abs(slope[k])):
+            raise NonDifferentiableError("one-sided derivatives disagree at the zero matrix")
+        if k >= len(basis) and abs(np.sum(A0 * D) - slope[k]) > 1e-5 * (1.0 + np.linalg.norm(D)):
+            raise NonDifferentiableError("directional derivatives are not linear in the direction")
     eigs = np.linalg.eigvalsh(A0)
     if eigs[0] < op.pair.lam - _BRACKET_TOL or eigs[-1] > op.pair.Lam + _BRACKET_TOL:
         raise NumericsError(
-            "tangential coefficient matrix escapes the declared ellipticity bracket"
-        )
+            "tangential coefficient matrix escapes the declared ellipticity bracket")
     return SymMatrix.from_matrix(A0)
 
 

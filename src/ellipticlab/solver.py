@@ -24,7 +24,7 @@ from .errors import ConfigError, NumericsError
 from .fields import (AnalyticSolution, GridField, central_stencil, check_grid, interior_jets,
                      quadratic_solution, saddle_quartic_solution, sample_function,
                      shifted_interior)
-from .operators import OperatorSpec, SymMatrix, linear_trace
+from .operators import OperatorSpec, SymMatrix, linear_trace, linearize
 
 
 @dataclass(frozen=True)
@@ -190,29 +190,24 @@ def _assemble_jacobian(inst: ProblemInstance, u: GridField) -> sp.csc_matrix:
     both numbered in the ``_interior_pattern`` dissected order.
 
     Each entry of ``central_stencil`` contributes its weights times the
-    derivative of the residual in that jet entry: dF/dH from a one-sided
-    difference of F per Hessian entry, the drift component B_a (exact)
-    per gradient entry.  These are summed, in stencil order, into one
-    coefficient per neighbour offset and interior node, and the cached
-    CSC pattern gathers its data from them.  Neighbours on the boundary
-    ring hold fixed Dirichlet data and contribute no column.
+    derivative of the residual in that jet entry: ``linearize``'s DF[a, a],
+    or 2 DF[a, b] off the diagonal, per Hessian entry, the drift component
+    B_a (exact) per gradient entry.  These are summed, in stencil order,
+    into one coefficient per neighbour offset and interior node, and the
+    cached CSC pattern gathers its data from them.  Neighbours on the
+    boundary ring hold fixed Dirichlet data and contribute no column.
     """
     f = inst.source
     n, N, h = f.n, f.N, f.h
     _, _, indptr, indices, gather = _interior_pattern(n, N)
     offsets, slots = _offset_slots(n)
     H, _ = interior_jets(u.values, n, h)
-    pts = _interior_points(inst)
-    base = inst.op.evaluate_batch(H, pts)
-    step = 1e-6 * (1.0 + np.linalg.norm(H, axis=(-2, -1)))
-
-    coeff = np.zeros((len(offsets), base.size))
+    DF = linearize(inst.op, H, _interior_points(inst))
+    coeff = np.zeros((len(offsets), H.size // n**2))
     for entry, entry_slots in zip(central_stencil(n), slots):
         if entry.p == 2:
-            e = np.zeros((n, n))
-            e[entry.index] = e[entry.index[::-1]] = 1.0
-            perturbed = H + step[..., None, None] * e
-            dF = (inst.op.evaluate_batch(perturbed, pts) - base) / step
+            a, b = entry.index
+            dF = DF[..., a, a] if a == b else 2.0 * DF[..., a, b]
         elif inst.drift is not None:
             dF = inst.drift.values[_interior(n, N)][..., entry.index[0]]
         else:
@@ -220,7 +215,7 @@ def _assemble_jacobian(inst: ProblemInstance, u: GridField) -> sp.csc_matrix:
         dF = dF.ravel()
         for w, k in zip(entry.weights, entry_slots):
             coeff[k] += (w * dF) / (entry.c * h**entry.p)
-    return sp.csc_matrix((coeff.ravel()[gather], indices, indptr), shape=(base.size,) * 2)
+    return sp.csc_matrix((coeff.ravel()[gather], indices, indptr), shape=(coeff.shape[1],) * 2)
 
 
 # An accepted step that leaves more than this fraction of the residual

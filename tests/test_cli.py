@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -564,6 +565,17 @@ def test_audit_under_a_vanishing_modulus_fails_without_traceback(tmp_path, capsy
                        "table_tau": [0.0, 0.3, 0.7]},
            "K": 6}
     code, err, out = run(tmp_path, capsys, "audit", cfg)
+    assert code == 1
+    assert err.startswith("check failed:") and "vanishes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_moduli_check_of_a_vanishing_modulus_fails_without_nan(tmp_path, capsys):
+    # a4 and s_over_tau divided by tau = 0, warned, and wrote .nan profiles
+    cfg = {"modulus": {"family": "table", "table_r": [0.5, 0.6], "table_tau": [0.0, 0.0]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err, out = run(tmp_path, capsys, "moduli-check", cfg)
     assert code == 1
     assert err.startswith("check failed:") and "vanishes" in err and "Traceback" not in err
     assert not out.exists()

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from ellipticlab import moduli
 from ellipticlab.errors import (
     ConfigError,
+    DegenerateModulusError,
     DivergentIntegralError,
     DomainError,
 )
@@ -195,6 +196,15 @@ class TestRatioChecks:
     def test_inverse_log_never_holder(self):
         mod = moduli.inverse_log(2.0)
         assert moduli.holder_witness(mod, 0.1).is_gamma_holder_near_0 == "fail"
+
+    @pytest.mark.parametrize("check", [lambda mod: moduli.check_A4(mod, 0.5),
+                                       moduli.check_s_over_tau], ids=["a4", "s_over_tau"])
+    @pytest.mark.parametrize("tau0", [[0.0, 0.0], [0.0, 0.3]], ids=["zero", "zero_below_knot"])
+    def test_vanishing_tau_raises(self, check, tau0):
+        # both divide by tau at every sampled radius; a table with tau = 0
+        # at its first knot vanishes below it, where every sample lies
+        with pytest.raises(DegenerateModulusError, match="vanishes at sampled radius"):
+            check(moduli.from_table([0.5, 0.6], tau0))
 
     def test_plan_blocks(self):
         mod = moduli.power(0.5)

@@ -146,7 +146,7 @@ def test_pucci_2x2_closed_form_matches_references(M):
     for fn, up, down in ((ops.pucci_plus, PAIR.Lam, PAIR.lam),
                          (ops.pucci_minus, PAIR.lam, PAIR.Lam)):
         val = fn(M, PAIR)
-        assert type(val) is float and type(fn(ops.SymMatrix(2, M), PAIR)) is float
+        assert isinstance(val, float) and isinstance(fn(ops.SymMatrix(2, M), PAIR), float)
         assert abs(Decimal(val) - pucci_digits(M, up, down)) <= Decimal(tol)
         assert abs(val - pucci_eigvalsh(M, up, down)) <= 2.0 * tol
         np.testing.assert_array_equal(fn(np.stack([M, -M]), PAIR), [val, fn(-M, PAIR)])
@@ -247,15 +247,55 @@ class TestEllipticity:
         assert r1.max_upper_violation == r2.max_upper_violation
 
 
+def odd_extension(H):
+    """Degree-1 homogeneous and odd: every one-sided slope agrees, but not
+    linearly in the direction."""
+    a, b, c = H[..., 0, 0], H[..., 1, 1], H[..., 0, 1]
+    den = a * a + b * b + c * c
+    return np.trace(H, axis1=-2, axis2=-1) + 0.1 * a * b * c / np.where(den > 0, den, 1.0)
+
+
+def even_extension(H):
+    """Degree-1 homogeneous and even: the entry directions see no kink, a
+    random direction sees its two sides disagree."""
+    a, b = H[..., 0, 0], H[..., 1, 1]
+    den = np.sqrt(a * a + b * b)
+    return np.trace(H, axis1=-2, axis2=-1) + 0.1 * a * b / np.where(den > 0, den, 1.0)
+
+
 class TestDerivatives:
-    def test_gateaux_linear_exact(self):
-        op = ops.linear_trace(np.diag([1.0, 2.0]))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_linearize_linear_trace_is_its_matrix(self, n):
         rng = np.random.default_rng(3)
-        X0, M = random_sym(rng, 2), random_sym(rng, 2)
-        want = float(np.sum(np.diag([1.0, 2.0]) * np.diag(M.matrix))) \
-            + 0.0  # off-diagonal of A is zero
-        assert ops.gateaux(op, X0, M) == pytest.approx(np.trace(
-            np.diag([1.0, 2.0]) @ M.matrix), abs=1e-9)
+        A = random_sym(rng, n).matrix + n * np.eye(n)   # positive definite
+        g = rng.standard_normal((4, 5, n, n))
+        H = 2.0 * (g + np.swapaxes(g, -1, -2))
+        DF = ops.linearize(ops.linear_trace(A), H)
+        np.testing.assert_allclose(DF, np.broadcast_to(A, H.shape), rtol=0, atol=1e-7)
+
+        def a(x):
+            return 1.0 + 0.5 * np.sin(x[..., 0]) * np.cos(x[..., -1])
+
+        xs = rng.uniform(-1.0, 1.0, (4, 5, n))
+        DF = ops.linearize(ops.linear_trace(A, x_dependence=a), H, xs)
+        np.testing.assert_allclose(DF, a(xs)[..., None, None] * A, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_linearize_pucci_minus_eigenvalues_in_pair(self, n):
+        # DF = Q diag(lambda if e > 0 else Lambda) Q^T at H = Q diag(e) Q^T;
+        # |e| >= 0.5 keeps every difference step off the kinks at e = 0
+        rng = np.random.default_rng(4)
+        q = np.linalg.qr(rng.standard_normal((50, n, n)))[0]
+        e = rng.choice([-1.0, 1.0], (50, n)) * rng.uniform(0.5, 2.0, (50, n))
+        H = q @ (e[..., None] * np.swapaxes(q, 1, 2))
+        DF = ops.linearize(ops.pucci_minus_op(PAIR, n), 0.5 * (H + np.swapaxes(H, 1, 2)))
+        want = np.sort(np.where(e > 0, PAIR.lam, PAIR.Lam), axis=-1)
+        np.testing.assert_allclose(np.linalg.eigvalsh(DF), want, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2, 3), (2,)])
+    def test_linearize_rejects_wrong_shape(self, shape):
+        with pytest.raises(ConfigError):
+            ops.linearize(ops.pucci_minus_op(PAIR), np.zeros(shape))
 
     def test_scaling_family_homogeneous(self):
         op = ops.pucci_plus_op(PAIR)
@@ -284,6 +324,16 @@ class TestDerivatives:
     def test_pucci_not_differentiable(self):
         with pytest.raises(NonDifferentiableError):
             ops.tangential_limit(ops.pucci_plus_op(PAIR))
+
+    @pytest.mark.parametrize("callback, message", [
+        (odd_extension, "not linear in the direction"),
+        (even_extension, "one-sided derivatives disagree"),
+    ], ids=["odd", "even"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_homogeneous_extension_not_differentiable(self, callback, message, seed):
+        op = ops.extension(callback, ops.EllipticityPair(0.5, 2.0))
+        with pytest.raises(NonDifferentiableError, match=message):
+            ops.tangential_limit(op, seed)
 
     def test_bracket_violation_detected(self):
         # linearization eigenvalues land outside a deliberately wrong pair

@@ -25,6 +25,11 @@ def cyclic_drift(pts):
     return 0.1 * np.roll(np.asarray(pts, dtype=float), 1, axis=-1)
 
 
+def coefficient(pts):
+    """A positive coefficient a(x) for operators with an ``x_dependence``."""
+    return 1.0 + 0.25 * np.sin(np.pi * pts[..., 0]) * pts[..., 1]
+
+
 LAPLACE = operators.linear_trace(np.eye(2))
 
 
@@ -349,10 +354,13 @@ class TestJacobian:
     @pytest.mark.parametrize("op, n, N, drift_fn", [
         (operators.perturbed_trace(0.05), 2, 33, rotation_drift()),
         (operators.pucci_minus_op(operators.EllipticityPair(1.0, 2.0)), 2, 33, None),
+        # linearize meets the nodes' points stacked under its entry directions
+        (operators.OperatorSpec("pucci_minus", 2, operators.EllipticityPair(1.0, 2.0),
+                                x_dependence=coefficient), 2, 33, None),
         (operators.pucci_plus_op(operators.EllipticityPair(1.0, 2.0), n=3), 3, 17, None),
         (operators.pucci_plus_op(operators.EllipticityPair(1.0, 2.0), n=3), 3, 17,
          cyclic_drift),
-    ], ids=["perturbed_trace_2d_drift", "pucci_minus_2d", "pucci_plus_3d",
+    ], ids=["perturbed_trace_2d_drift", "pucci_minus_2d", "pucci_minus_2d_x", "pucci_plus_3d",
             "pucci_plus_3d_drift"])
     def test_matches_triplet_assembly(self, op, n, N, drift_fn):
         # in 2-D no node and offset gets more than two terms, so the sums
