@@ -6,6 +6,7 @@ only on request: ``from ellipticlab import solver``."""
 
 from . import campanato, fields, moduli, operators
 from .errors import (
+    BracketError,
     ConfigError,
     DegenerateModulusError,
     DivergentIntegralError,

@@ -5,8 +5,11 @@ quadratic jet is fitted to the field over the ball B_{r_k}(x0) by least
 squares, then corrected by a multiple of the identity so the operator
 vanishes on its Hessian.  The least-squares fit solves scaled normal
 equations with a fit operator built once per ball pattern (grid, centre,
-radius); one flatness search shares its operators, and tau and psi at
-their radii, across all its audits.  The audit records
+radius): the ball is a mask on its index box, and the Gram matrix, the
+right-hand side and the sup residual come from per-axis moments and
+per-axis columns, with no node list and no basis matrix.  One flatness
+search shares its operators, and tau and psi at their radii, across all
+its audits.  The audit records
 residual decay against delta * r^2 tau(r), Hessian increments between
 consecutive scales, an empirical second-order seminorm against the
 transform psi(t) = tau(t) + int_0^t tau(s)/s ds, a flatness-threshold
@@ -21,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateModulusError, DomainError, NumericsError
-from .fields import GridField, Polynomial2D, ball_index
+from .fields import GridField, Polynomial2D, ball_window
 from .moduli import Modulus, psi_transform
 from .operators import OperatorSpec, SymMatrix
 
@@ -113,20 +116,24 @@ def root_correct(op: OperatorSpec, Mbar: SymMatrix, x0=None) -> float:
 # -- ball fits ----------------------------------------------------------------
 
 
-def _quadratic_basis(s: np.ndarray) -> np.ndarray:
-    """Columns 1, s_i, s_i^2 / 2, s_i s_j (i < j) at the rows of s."""
-    m, n = s.shape
-    A = np.empty((m, 1 + n + n * (n + 1) // 2), order="F")   # columns contiguous
-    A[:, 0] = 1.0
-    A[:, 1 : 1 + n] = s
-    np.square(s, out=A[:, 1 + n : 1 + 2 * n])
-    A[:, 1 + n : 1 + 2 * n] *= 0.5
-    col = 1 + 2 * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            np.multiply(s[:, i], s[:, j], out=A[:, col])
-            col += 1
-    return A
+def _moments(W: np.ndarray, cols) -> np.ndarray:
+    """sum over the box of W times cols[0][i_0, q_0] ... cols[-1][i_{n-1}, q_{n-1}],
+    shaped (d,)*n for per-axis columns (len_a, d), n = 2 or 3."""
+    d = cols[0].shape[1]
+    X = W.reshape(-1, W.shape[-1]) @ cols[-1]
+    if W.ndim == 3:
+        X = cols[1].T @ X.reshape(W.shape[0], W.shape[1], d)
+    return (cols[0].T @ X.reshape(W.shape[0], -1)).reshape((d,) * W.ndim)
+
+
+def _on_box(C: np.ndarray, cols) -> np.ndarray:
+    """sum over q of C[q] cols[0][i_0, q_0] ... cols[-1][i_{n-1}, q_{n-1}] at
+    every box index i, a C-contiguous box-shaped array: the transpose of
+    ``_moments``, for a coefficient tensor C of shape (3,)*n."""
+    X = cols[0] @ C.reshape(3, -1)
+    if len(cols) == 3:
+        X = cols[1] @ X.reshape(-1, 3, 3)
+    return (X.reshape(-1, 3) @ cols[-1].T).reshape(tuple(len(c) for c in cols))
 
 
 @dataclass(frozen=True)
@@ -134,22 +141,32 @@ class _FitOperator:
     """Quadratic least squares over the nodes of one ball B_r(x0), for any
     field on the grid it was built on.
 
-    The basis is that of ``_quadratic_basis`` on the scaled displacements
-    (x - x0) / unit, where unit is the largest coordinate displacement of
-    a ball node, so every entry lies in [-1, 1] and the Gram matrix
-    G = A^T A stays well conditioned at every radius.  A jet's scaled
-    coefficient vector theta holds c, unit b, and unit^2 times M's
-    diagonal and upper entries, so A theta is the jet at the nodes.
-    ``eig`` holds G's eigenvalues w and eigenvectors V (``np.linalg.eigh``).
+    The ball is a 0/1 mask on its index box (``fields.ball_window``), and
+    every sum over its nodes is a sum over the box contracted axis by axis.
+    The basis is 1, s_i, s_i^2 / 2, s_i s_j (i < j) in the scaled
+    displacements s = (x - x0) / unit, where unit is the largest coordinate
+    displacement of a ball node, so every entry lies in [-1, 1] and the Gram
+    matrix G = A^T A of the basis A at the ball's nodes stays well
+    conditioned at every radius.  A is never formed: each basis column is
+    fac times a monomial prod_a s_a^(p_a), p_a <= 2, so G is read off the
+    mask's moments up to degree 4 per axis, and A^T vals off the 3^n moments
+    of vals * mask with the per-axis columns ``cols`` = [1, s, s^2].  A jet's
+    scaled coefficient vector theta holds c, unit b, and unit^2 times M's
+    diagonal and upper entries.  ``eig`` holds G's eigenvalues w and
+    eigenvectors V (``np.linalg.eigh``).  The methods take the field's values
+    on the box, ``u.values[box]``.
     """
 
     r: float
     n: int
-    idx: np.ndarray       # row-major flat node indices, from fields.ball_index
+    box: tuple            # one index slice per axis, from fields.ball_window
+    mask: np.ndarray      # 1.0 at the ball's nodes, 0.0 elsewhere on the box
+    cols: tuple           # per axis, (len_a, 3): 1, s, s^2
     unit: float
-    A: np.ndarray
     eig: tuple
     upper: tuple          # np.triu_indices(n, 1): the order of the basis' cross columns
+    pos: np.ndarray       # each basis column's flat index into the 3^n moment tensor
+    fac: np.ndarray       # 1 for every basis column but the s_i^2 / 2, 1/2 there
 
     def jet(self, vals: np.ndarray) -> Polynomial2D:
         """The least-squares jet, from the normal equations G theta = A^T vals,
@@ -157,7 +174,8 @@ class _FitOperator:
         theta = V (V^T A^T vals) / w with the eigenpairs of G."""
         n = self.n
         w, V = self.eig
-        theta = V @ ((V.T @ (self.A.T @ vals)) / w)
+        rhs = self.fac * _moments(vals * self.mask, self.cols).ravel()[self.pos]
+        theta = V @ ((V.T @ rhs) / w)
         q = theta[1 + n :] / self.unit**2
         M = np.diag(q[:n])
         M[self.upper] = M[self.upper[::-1]] = q[n:]
@@ -172,18 +190,24 @@ class _FitOperator:
         return Polynomial2D(jet.c, jet.b, jet.M.add_identity(root_correct(op, jet.M, x0)))
 
     def sup_residual(self, vals: np.ndarray, jet: Polynomial2D) -> float:
-        """sup |u - P| over the ball nodes, as max |vals - A theta(jet)|."""
+        """sup |u - P| over the ball nodes: the jet evaluated on the box,
+        subtracted from vals, masked, and maximized."""
         M = jet.M.matrix
         quad = np.concatenate((np.diag(M), M[self.upper]))
         theta = np.concatenate(([jet.c], self.unit * jet.b, self.unit**2 * quad))
-        res = self.A @ theta
+        C = np.zeros(3**self.n)
+        C[self.pos] = self.fac * theta
+        res = _on_box(C, self.cols)
         np.subtract(vals, res, out=res)
-        return float(np.max(np.abs(res, out=res)))
+        np.abs(res, out=res)
+        res *= self.mask
+        return float(res.max())
 
 
-def _fit_operator(r: float, idx: np.ndarray, d: np.ndarray, h: float) -> _FitOperator:
-    """The fit operator of a ball of radius r on a grid of spacing h, after
-    the guards every fit must pass (``fields.ball_index`` refuses the rest).
+def _fit_operator(r: float, window, h: float) -> _FitOperator:
+    """The fit operator of a ball of radius r on a grid of spacing h, from
+    its ``fields.ball_window`` (box, axes, mask), after the guards every fit
+    must pass (``ball_window`` refuses the rest).
 
     A radius below 3h or fewer than 15 nodes raise DomainError.  A Gram
     matrix whose smallest eigenvalue is at most m eps times its largest
@@ -191,24 +215,38 @@ def _fit_operator(r: float, idx: np.ndarray, d: np.ndarray, h: float) -> _FitOpe
     coefficients, applied to G, whose rounding floor is eps |G|) raises
     NumericsError.
     """
+    box, axes, mask = window
     if r < 3.0 * h:
         raise DomainError("fit radius below 3h is not resolvable")
-    m = len(idx)
+    m = int(np.count_nonzero(mask))
     if m < 15:   # more nodes than the 6 or 10 coefficients of a 2-D or 3-D jet
         raise DomainError(f"only {m} nodes in the fit ball; need >= 15")
-    unit = float(np.max(np.abs(d)))
-    A = _quadratic_basis(d / unit)
-    w, V = np.linalg.eigh(A.T @ A)   # one decomposition guards the rank and solves
+    n = len(axes)
+    unit = 0.0   # the largest coordinate displacement of a ball node
+    for a, t in enumerate(axes):
+        held = mask.any(axis=tuple(b for b in range(n) if b != a))   # positions with a node
+        unit = max(unit, float(np.max(np.abs(t[held]))))
+    powers = [(t / unit)[:, None] ** np.arange(5) for t in axes]   # 1, s, .., s^4
+    e = np.eye(n, dtype=int)
+    upper = np.triu_indices(n, 1)
+    p = np.concatenate([np.zeros((1, n), dtype=int), e, 2 * e, e[upper[0]] + e[upper[1]]])
+    fac = np.concatenate([np.ones(1 + n), np.full(n, 0.5), np.ones(len(upper[0]))])
+    # G[i, j] = fac_i fac_j sum over the ball of s^(p_i + p_j)
+    mask = mask.astype(float)
+    pair = np.ravel_multi_index(tuple(np.moveaxis(p[:, None] + p[None], -1, 0)), (5,) * n)
+    G = np.outer(fac, fac) * _moments(mask, powers).ravel()[pair]
+    w, V = np.linalg.eigh(G)   # one decomposition guards the rank and solves
     if w[0] <= m * np.finfo(float).eps * w[-1]:
         raise NumericsError("rank-deficient quadratic fit (degenerate node set)")
-    n = d.shape[1]
-    return _FitOperator(r, n, idx, unit, A, (w, V), np.triu_indices(n, 1))
+    cols = tuple(np.ascontiguousarray(c[:, :3]) for c in powers)
+    return _FitOperator(r, n, box, mask, cols, unit, (w, V), upper,
+                        np.ravel_multi_index(tuple(p.T), (3,) * n), fac)
 
 
 def sup_residual(u: GridField, jet: Polynomial2D, x0_idx, r: float) -> float:
     """sup |u - P| over the nodes of B_r(x0), a ball a fit would accept."""
-    fop = _fit_operator(r, *ball_index(u, x0_idx, r), u.h)
-    return fop.sup_residual(u.node_values(fop.idx), jet)
+    fop = _fit_operator(r, ball_window(u, x0_idx, r), u.h)
+    return fop.sup_residual(u.values[fop.box], jet)
 
 
 def constrained_quadratic_fit(u: GridField, op: OperatorSpec, rho: float,
@@ -223,8 +261,8 @@ def constrained_quadratic_fit(u: GridField, op: OperatorSpec, rho: float,
     Least squares replaces sup-norm fitting; the sup residual is still
     measured exactly afterwards, so audits stay sound.
     """
-    fop = _fit_operator(rho, *ball_index(u, x0_idx, rho), u.h)
-    return fop.constrained_jet(u.node_values(fop.idx), op, u.node_coords(x0_idx))
+    fop = _fit_operator(rho, ball_window(u, x0_idx, rho), u.h)
+    return fop.constrained_jet(u.values[fop.box], op, u.node_coords(x0_idx))
 
 
 # -- the dyadic audit ---------------------------------------------------------
@@ -310,7 +348,7 @@ def _ladder(u: GridField, mod: Modulus, rho0: float, K: int, x0_idx) -> _Ladder:
     for k in range(K + 1):
         r = r0 * rho0**k
         try:
-            fits.append(_fit_operator(r, *ball_index(u, x0_idx, r), u.h))
+            fits.append(_fit_operator(r, ball_window(u, x0_idx, r), u.h))
         except DomainError:
             break
     if not fits:
@@ -348,7 +386,7 @@ def _audit(u: GridField, op: OperatorSpec, delta: float, lad: _Ladder) -> DecayA
     x0 = u.node_coords(lad.x0_idx)
     records = []
     for k, (fop, tau) in enumerate(zip(lad.fits, lad.taus)):
-        v = u.node_values(fop.idx)
+        v = u.values[fop.box]
         jet = fop.constrained_jet(v, op, x0)
         sup = fop.sup_residual(v, jet)
         ratio = sup / (delta * fop.r**2 * tau)
@@ -371,7 +409,7 @@ def _final_jet_decay(u: GridField, records, lad: _Ladder):
     last = records[-1].jet
     worst = 0.0
     for rec, ball, psi in zip(records, lad.fits, lad.psis):
-        worst = max(worst, ball.sup_residual(u.node_values(ball.idx), last) / (rec.radius**2 * psi))
+        worst = max(worst, ball.sup_residual(u.values[ball.box], last) / (rec.radius**2 * psi))
     incs = [rec.hessian_increment for rec in records[1:]]
     ratios = [rec.increment_ratio for rec in records[1:]]
     cauchy = len(incs) < 2 or max(incs) <= 1e-12 or max(ratios) <= 4.0 * ratios[0]

@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from . import campanato, fields, moduli, operators
-from .errors import ConfigError, EllipticLabError, NonDifferentiableError
+from .errors import BracketError, ConfigError, EllipticLabError, NonDifferentiableError
 
 
 # -- plumbing -----------------------------------------------------------------
@@ -343,8 +343,11 @@ def _run_operator_verify(cfg: dict):
                     "matrix": A0.matrix.tolist(),
                     "differentiable": True,
                 }
-            except (NonDifferentiableError,) as exc:
+            except NonDifferentiableError as exc:
                 results["tangential"] = {"differentiable": False, "detail": str(exc)}
+            except BracketError as exc:   # the limit exists, outside the declared pair
+                results["tangential"] = {"differentiable": True, "detail": str(exc)}
+                passed = False
         if theta:
             results["theta"] = {
                 "value": operators.oscillation_theta(op, x, x0, plan),

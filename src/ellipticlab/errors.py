@@ -25,5 +25,9 @@ class NonDifferentiableError(NumericsError):
     """Directional derivatives at the base point are inconsistent."""
 
 
+class BracketError(NumericsError):
+    """A computed coefficient matrix escapes the declared ellipticity pair."""
+
+
 class DegenerateModulusError(EllipticLabError, ValueError):
     """A modulus vanishes on radii where a positive value is required."""

@@ -113,15 +113,18 @@ def sample_function(f: Callable, n: int = 2, N: int = 65, L: float = 1.0,
 # -- ball-averaged L^p norms ----------------------------------------------
 
 
-def ball_index(field: GridField, x0_idx, r: float):
-    """Row-major flat node indices and displacements x - x0, shape (m, n),
-    of the m grid nodes of the closed ball B_r(x0), in row-major node order.
+def ball_window(field: GridField, x0_idx, r: float):
+    """The closed ball B_r(x0) as a mask on its index box: ``box`` holds one
+    slice per axis, ``axes`` each axis's displacements x_a - x0_a over its
+    slice, and ``mask`` (C-contiguous bool, the box's shape) marks the ball's
+    nodes, so ``field.values[box][mask]`` are its values in row-major order.
 
     A ball that leaves the square, |x0_i| + r > L on some axis (NaN r
-    included), raises DomainError.  Only the index box
-    x0_idx +- (floor(r/h) + 1), clipped to the grid, is searched, so the
-    cost is O((r/h)^n), not O(N^n); on a ball touching the edge the box
-    overshoots the grid by one node.
+    included), raises DomainError.  The box is x0_idx +- (floor(r/h) + 1),
+    clipped to the grid, so the cost is O((r/h)^n), not O(N^n); on a ball
+    touching the edge the box overshoots the grid by one node.  The mask is
+    sqrt(sq) <= r + 1e-12 on squared distances sq summed axis by axis, in
+    np.linalg.norm's order.
     """
     x0 = field.node_coords(x0_idx)
     if not np.all(np.abs(x0) + r <= field.L + 1e-12):
@@ -130,11 +133,18 @@ def ball_index(field: GridField, x0_idx, r: float):
     box = tuple(slice(max(int(i) - reach, 0), int(i) + reach + 1) for i in x0_idx)
     c = field.axis_coords()
     axes = [c[w] - x0[a] for a, w in enumerate(box)]
-    # squared distances summed axis by axis, in np.linalg.norm's order
     sq = 0.0
     for a, t in enumerate(axes):
         sq = sq + (t * t).reshape((-1,) + (1,) * (field.n - 1 - a))
-    local = np.nonzero(np.sqrt(sq) <= r + 1e-12)
+    return box, axes, np.sqrt(sq) <= r + 1e-12
+
+
+def ball_index(field: GridField, x0_idx, r: float):
+    """Row-major flat node indices and displacements x - x0, shape (m, n),
+    of the m grid nodes of the closed ball B_r(x0), in row-major node order:
+    the nodes of ``ball_window``'s mask, which also refuses the ball."""
+    box, axes, mask = ball_window(field, x0_idx, r)
+    local = np.nonzero(mask)
     d = np.stack([t[i] for t, i in zip(axes, local)], axis=-1)
     nodes = tuple(i + w.start for i, w in zip(local, box))
     return np.ravel_multi_index(nodes, (field.N,) * field.n), d

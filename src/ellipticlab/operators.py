@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NonDifferentiableError, NumericsError
+from .errors import BracketError, ConfigError, DomainError, NonDifferentiableError
 
 MATRIX_NORM = "frobenius"
 
@@ -78,9 +78,6 @@ class SymMatrix:
         return float(np.trace(self.matrix))
 
     # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        return SymMatrix(self.n, self.matrix + other.matrix)
 
     def __mul__(self, c: float) -> "SymMatrix":
         return SymMatrix(self.n, self.matrix * float(c))
@@ -459,7 +456,8 @@ def tangential_limit(op: OperatorSpec, seed: int = 0) -> SymMatrix:
     along the entry directions, which give A0, and four seeded random ones,
     which must be linear in A0.  Raises NonDifferentiableError when no
     linearization exists (e.g. pure Pucci operators, which are
-    1-homogeneous but not linear).
+    1-homogeneous but not linear), and BracketError when A0 escapes the
+    declared ellipticity pair.
     """
     n = op.n
     basis = _entry_directions(n)
@@ -479,7 +477,7 @@ def tangential_limit(op: OperatorSpec, seed: int = 0) -> SymMatrix:
             raise NonDifferentiableError("directional derivatives are not linear in the direction")
     eigs = np.linalg.eigvalsh(A0)
     if eigs[0] < op.pair.lam - _BRACKET_TOL or eigs[-1] > op.pair.Lam + _BRACKET_TOL:
-        raise NumericsError(
+        raise BracketError(
             "tangential coefficient matrix escapes the declared ellipticity bracket")
     return SymMatrix.from_matrix(A0)
 
@@ -567,8 +565,10 @@ def check_SC(op: OperatorSpec, plan: SamplePlan = SamplePlan()) -> StructureRepo
     try:
         tangential_limit(op, plan.seed)
         differentiable = True
-    except (NonDifferentiableError, NumericsError):
+    except NonDifferentiableError:
         differentiable = False
+    except BracketError:   # the limit exists, outside the declared pair
+        differentiable = True
 
     mus = np.array([0.25, 0.5, 2.0, 7.5])
     scaled = (mus[:, None, None, None] * mats[None, : 64]).reshape(-1, n, n)

@@ -176,7 +176,7 @@ class TestRootCorrect:
         for delta in (0.05, 0.1, 0.2, 0.4, 0.8, 1.6):
             u = probe.scale(delta / sup)
             for fop in lad.fits:
-                M = fop.jet(u.node_values(fop.idx)).M
+                M = fop.jet(u.values[fop.box]).M
                 assert campanato.root_correct(op, M, x0) == campanato.root_correct(base, M, x0)
                 roots += 1
         assert len(calls) / roots <= 8.0
@@ -252,6 +252,22 @@ def reference_lstsq(d, vals, r):
     return coef, rank
 
 
+def _degenerate_masks():
+    """Node sets past the 3h and 15-node guards on which no quadratic is
+    determined, each with its grid spacing."""
+    row = np.zeros((21, 21), dtype=bool)
+    row[10] = True
+    # the 20 lattice points with x^2 + y^2 = 25^2: 1, x^2 and y^2 are dependent
+    t = np.arange(-25, 26)
+    circle = t[:, None] ** 2 + t[None, :] ** 2 == 625
+    t = np.arange(-4, 5)
+    plane = (t[:, None, None] ** 2 + t[None, :, None] ** 2 <= 16) & (t == 0)
+    return {"collinear": (row, 0.1), "on_a_circle": (circle, 0.04), "3d_in_a_plane": (plane, 0.25)}
+
+
+DEGENERATE = _degenerate_masks()
+
+
 class TestFitOperator:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -273,9 +289,9 @@ class TestFitOperator:
         u = fields.sample_function(
             lambda pts: quad(pts) + noise * rng.standard_normal(pts.shape[:-1]), n=n, N=N)
         idx, d = fields.ball_index(u, x0, r)
-        fop = campanato._fit_operator(r, idx, d, u.h)
+        fop = campanato._fit_operator(r, fields.ball_window(u, x0, r), u.h)
         vals = u.node_values(idx)
-        jet = fop.jet(vals)
+        jet = fop.jet(u.values[fop.box])
         M = jet.M.matrix
         upper = np.triu_indices(n, 1)
         scaled = np.concatenate(([jet.c], r * jet.b, r**2 * np.diag(M), r**2 * M[upper]))
@@ -293,7 +309,8 @@ class TestFitOperator:
                                    n=n, N=N)
         idx, d = fields.ball_index(u, x0, r)
         vals = u.node_values(idx)
-        jet = campanato._fit_operator(r, idx, d, u.h).jet(vals)
+        fop = campanato._fit_operator(r, fields.ball_window(u, x0, r), u.h)
+        jet = fop.jet(u.values[fop.box])
         M = jet.M.matrix
         scaled = np.concatenate(([jet.c], r * jet.b, r**2 * np.diag(M),
                                  r**2 * M[np.triu_indices(n, 1)]))
@@ -301,16 +318,35 @@ class TestFitOperator:
         assert rank == len(coef)
         assert np.max(np.abs(scaled - coef)) <= 1e-12 * np.max(np.abs(coef))
 
-    @pytest.mark.parametrize("d", [
-        np.stack([np.linspace(-1.0, 1.0, 21), np.linspace(-0.5, 0.5, 21)], axis=1),
-        np.stack([np.cos(np.linspace(0.0, 6.0, 21)), np.sin(np.linspace(0.0, 6.0, 21))],
-                 axis=1),
-        np.stack([np.cos(np.linspace(0.0, 6.0, 21)), np.sin(np.linspace(0.0, 6.0, 21)),
-                  np.zeros(21)], axis=1),
-    ], ids=["collinear", "on_a_circle", "3d_in_a_plane"])
-    def test_degenerate_node_set_raises(self, d):
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_window_sup_residual_is_the_max_over_ball_nodes(self, data):
+        n = data.draw(st.sampled_from([2, 3]))
+        N = data.draw(st.sampled_from([17, 33, 65] if n == 2 else [9, 17]))
+        x0 = tuple(data.draw(st.integers(0, N - 1)) for _ in range(n))
+        h = 2.0 / (N - 1)
+        room = 1.0 - np.max(np.abs(-1.0 + h * np.asarray(x0, dtype=float)))
+        assume(room >= 3.0 * h)
+        r = data.draw(st.floats(3.0 * h, room))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        u = fields.GridField(n, N, 1.0, rng.standard_normal((N,) * n))
+        g = rng.standard_normal((n, n))
+        jet = fields.Polynomial2D(rng.standard_normal(), rng.standard_normal(n),
+                                  SymMatrix.from_matrix(g + g.T))
+        fop = campanato._fit_operator(r, fields.ball_window(u, x0, r), u.h)
+        idx, d = fields.ball_index(u, x0, r)
+        ref = np.max(np.abs(u.node_values(idx) - jet(d)))
+        sup = fop.sup_residual(u.values[fop.box], jet)
+        assert abs(sup - ref) <= 1e-13 * np.max(np.abs(u.values))
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_node_set_raises(self, name):
+        # a hand-made window: the mask on its box, with axes centred at spacing h
+        mask, h = DEGENERATE[name]
+        axes = [h * (np.arange(k) - (k - 1) // 2) for k in mask.shape]
+        window = tuple(slice(0, k) for k in mask.shape), axes, mask
         with pytest.raises(NumericsError, match="rank-deficient"):
-            campanato._fit_operator(1.0, np.arange(len(d)), d, 0.1)
+            campanato._fit_operator(1.0, window, h)
 
 
 class TestDecayAudit:
@@ -599,11 +635,11 @@ class TestFlatness:
 
     def test_search_shares_one_ladder(self, monkeypatch):
         built, psis = Counter(), Counter()
-        ball_index, psi_transform = campanato.ball_index, campanato.psi_transform
+        ball_window, psi_transform = campanato.ball_window, campanato.psi_transform
 
         def counted_ball(u, x0_idx, r):
             built[(tuple(x0_idx), r)] += 1
-            return ball_index(u, x0_idx, r)
+            return ball_window(u, x0_idx, r)
 
         def counted_psi(mod, t):
             psis[t] += 1
@@ -611,7 +647,7 @@ class TestFlatness:
 
         fam = self.family(N=65)
         op, mod = operators.perturbed_trace(0.5), moduli.power(1.0)
-        monkeypatch.setattr(campanato, "ball_index", counted_ball)
+        monkeypatch.setattr(campanato, "ball_window", counted_ball)
         monkeypatch.setattr(campanato, "psi_transform", counted_psi)
         # K = 5 on N = 65 truncates at r = 1/16 < 3h
         search = campanato.flatness_threshold_search(

@@ -72,6 +72,24 @@ def test_operator_verify_pucci_not_differentiable(tmp_path):
     assert "disagree" in tangential["detail"]
 
 
+def test_operator_verify_reports_a_tangential_matrix_outside_its_pair(tmp_path):
+    # diag(1, 4) is differentiable, but its tangential matrix escapes the pair
+    cfg = write(tmp_path / "c.yaml", {
+        "operator": {"kind": "linear_trace", "matrix": [[1.0, 0.0], [0.0, 4.0]],
+                     "pair": {"lambda": 1.0, "Lambda": 2.0}},
+        "structure": True,
+        "tangential": True,
+    })
+    out = tmp_path / "out"
+    assert main(["operator-verify", "--config", cfg, "--out", str(out)]) == 1
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["passed"] is False
+    assert report["results"]["structure"]["differentiable_at_origin"] is True
+    tangential = report["results"]["tangential"]
+    assert tangential["differentiable"] is True and "matrix" not in tangential
+    assert "bracket" in tangential["detail"]
+
+
 def test_operator_verify_uses_one_seed(tmp_path, capsys, monkeypatch):
     # the structure check's tangential limit used to run at seed 0
     seeds = []

@@ -46,11 +46,16 @@ def points(good):
     return wrong_length | holed.map(list)
 
 
-def knots(good_values):
-    """The table knots ``good_values`` with one replaced by a non-finite or
-    non-positive value."""
-    return st.tuples(st.integers(0, len(good_values) - 1), NON_FINITE | at_most(0.0)).map(
-        lambda iv: [iv[1] if k == iv[0] else v for k, v in enumerate(good_values)])
+def knots(good_values, first_may_vanish=False):
+    """The table knots ``good_values`` with one replaced by a non-finite,
+    negative or zero value.  With ``first_may_vanish`` (table values, which
+    start at 0 in a valid table), a zero replaces a later knot only."""
+    negative = st.floats(max_value=0.0, exclude_max=True)
+    zero = st.sampled_from([0.0, -0.0])
+    first = 1 if first_may_vanish else 0
+    swaps = (st.tuples(st.integers(0, len(good_values) - 1), NON_FINITE | negative)
+             | st.tuples(st.integers(first, len(good_values) - 1), zero))
+    return swaps.map(lambda iv: [iv[1] if k == iv[0] else v for k, v in enumerate(good_values)])
 
 
 def boundary_arrays():
@@ -83,7 +88,7 @@ CASES = {
     ]),
     "from_table": (moduli.from_table, [
         (st.just([0.01, 0.1, 0.5]), knots([0.01, 0.1, 0.5])),
-        (st.just([0.1, 0.3, 0.7]), knots([0.1, 0.3, 0.7])),
+        (st.just([0.1, 0.3, 0.7]), knots([0.1, 0.3, 0.7], first_may_vanish=True)),
     ]),
     "EllipticityPair": (operators.EllipticityPair, [
         (st.floats(0.1, 1.0), at_most(0.0) | above(10.0) | NON_FINITE),
@@ -125,7 +130,14 @@ def one_bad(pairs):
 @example(("oscillation_theta", ([0.1, 0.2, 0.3], [0.0, 0.0])))
 @example(("quadratic_solution", (0.0, [1.0, 2.0, 3.0])))
 @example(("from_table", ([0.01, 0.1, INF], [0.1, 0.3, 0.7])))
+@example(("from_table", ([0.01, 0.1, 0.5], [0.1, 0.0, 0.7])))
 def test_a_bad_value_raises_a_package_error(case):
     name, args = case
     with pytest.raises(EllipticLabError):
         CASES[name][0](*args)
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_a_table_may_start_at_zero(first):
+    mod = moduli.from_table([0.01, 0.1, 0.5], [first, 0.3, 0.7])
+    assert mod.evaluate(0.1) == 0.3
