@@ -5,9 +5,9 @@ quadratic jet is fitted to the field over the ball B_{r_k}(x0) by least
 squares, then corrected by a multiple of the identity so the operator
 vanishes on its Hessian.  The least-squares fit solves scaled normal
 equations with a fit operator built once per ball pattern (grid, centre,
-radius): the ball is a mask on its index box, and the Gram matrix, the
-right-hand side and the sup residual come from per-axis moments and
-per-axis columns, with no node list and no basis matrix.  One flatness
+radius): the ball is ``fields.ball_window``'s mask on its index box, and
+the Gram matrix, the right-hand side and the sup residual come from
+per-axis moments and per-axis columns, with no basis matrix.  One flatness
 search shares its operators, and tau and psi at their radii, across all
 its audits.  The audit records
 residual decay against delta * r^2 tau(r), Hessian increments between
@@ -423,6 +423,10 @@ def c2psi_seminorm(u: GridField, audit: DecayAudit):
     |D2P_k - D2P_{k-1}| / (delta tau(r_{k-1})) exceeds 4 times the first, so
     the increments do not shrink like tau and the limit jet is untrustworthy
     against this modulus; fewer than 2 increments, or all <= 1e-12, pass.
+    So cauchy_ok cannot see a defect that scaling leaves unchanged: every
+    ball's jet of a field homogeneous of degree 2, C^{1,1} but not C^2
+    (r^2 cos 4 theta), is the same quadratic, its increments are round-off
+    (about 1e-16), and it passes while its ratios and value grow.
     """
     if audit.K_max < 3:
         raise ConfigError("seminorm needs an audit of depth K >= 3")

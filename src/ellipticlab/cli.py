@@ -212,11 +212,12 @@ def _parse_operator(cfg: dict) -> operators.OperatorSpec:
     n = 2 if n is None else n
     if kind == "perturbed_trace":
         return operators.perturbed_trace(_read(cfg, "operator.eps", _real), n=n, pair=pair)
-    if kind not in ("pucci_plus", "pucci_minus"):
+    pucci = {"pucci_plus": operators.pucci_plus_op, "pucci_minus": operators.pucci_minus_op}
+    if kind not in pucci:
         raise ConfigError(f"unsupported operator kind {kind!r} in configs")
     if pair is None:
         raise ConfigError("config key 'operator.pair' is required")
-    return operators.OperatorSpec(kind, n, pair)
+    return pucci[kind](pair, n)
 
 
 def _parse_solution(cfg: dict) -> fields.AnalyticSolution:

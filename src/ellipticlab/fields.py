@@ -2,12 +2,13 @@
 
 Scalar fields (solutions, sources) and n-component fields (drifts) live
 on a uniform grid over [-L, L]^n with an odd node count per side, so the
-origin is always a node.  The module provides L^p ball-averaged norms,
-modulus-constant estimation from those averages, the central-difference
-stencil table behind every jet (and behind the solver's residual and
-Jacobian), a text file format of hex words with bit-exact round trips, and the
-analytic profiles and exact solutions (with their derivatives) behind
-manufactured-solution studies.
+origin is always a node.  The module provides balls as masks on their
+index boxes (``ball_window``, the one way a ball's nodes are read), L^p
+ball-averaged norms, modulus-constant estimation from those averages, the
+central-difference stencil table behind every jet (and behind the solver's
+residual and Jacobian), a text file format of hex words with bit-exact
+round trips, and the analytic profiles and exact solutions (with their
+derivatives) behind manufactured-solution studies.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ class GridField:
     def origin_index(self) -> tuple:
         return ((self.N - 1) // 2,) * self.n
 
-    def node_values(self, flat) -> np.ndarray:
-        """Values at row-major flat node indices, one row per node."""
-        return self.values.reshape((self.N ** self.n,) + self.values.shape[self.n:])[flat]
-
     def scale(self, c: float) -> "GridField":
         return GridField(self.n, self.N, self.L, self.values * float(c), self.components)
 
@@ -139,17 +136,6 @@ def ball_window(field: GridField, x0_idx, r: float):
     return box, axes, np.sqrt(sq) <= r + 1e-12
 
 
-def ball_index(field: GridField, x0_idx, r: float):
-    """Row-major flat node indices and displacements x - x0, shape (m, n),
-    of the m grid nodes of the closed ball B_r(x0), in row-major node order:
-    the nodes of ``ball_window``'s mask, which also refuses the ball."""
-    box, axes, mask = ball_window(field, x0_idx, r)
-    local = np.nonzero(mask)
-    d = np.stack([t[i] for t, i in zip(axes, local)], axis=-1)
-    nodes = tuple(i + w.start for i, w in zip(local, box))
-    return np.ravel_multi_index(nodes, (field.N,) * field.n), d
-
-
 def ball_average_lp(field: GridField, x0_idx, r: float, p0: float | None = None) -> float:
     """(average over nodes in B_r(x0) of |f - f(x0)|^p0)^(1/p0).
 
@@ -162,7 +148,8 @@ def ball_average_lp(field: GridField, x0_idx, r: float, p0: float | None = None)
         raise ConfigError("p0 must exceed the dimension n")
     if r < 2.0 * field.h:
         raise DomainError("radius must be at least 2h")
-    vals = field.node_values(ball_index(field, x0_idx, r)[0])
+    box, _, mask = ball_window(field, x0_idx, r)
+    vals = field.values[box][mask]
     diff = vals - field.values[tuple(int(i) for i in x0_idx)]
     mag = np.abs(diff) if field.components == 1 else np.linalg.norm(diff, axis=-1)
     return float(np.mean(mag ** p0) ** (1.0 / p0))

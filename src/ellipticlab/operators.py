@@ -71,9 +71,6 @@ class SymMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
     def trace(self) -> float:
         return float(np.trace(self.matrix))
 
@@ -189,52 +186,35 @@ def pucci_sup_sampled(M, pair: EllipticityPair, n_samples: int = 10_000,
 
 # -- operator descriptors -----------------------------------------------
 
-# kind -> (F on stacked matrices (..., n, n), the field describe() reports)
-_KINDS = {
-    "linear_trace": (lambda op, H: np.einsum("...ij,ij->...", H, op.matrix.matrix), "matrix"),
-    "pucci_plus": (lambda op, H: pucci_plus(H, op.pair), None),
-    "pucci_minus": (lambda op, H: pucci_minus(H, op.pair), None),
-    # the grouping of the perturbation is part of the reported values
-    "perturbed_trace": (lambda op, H: np.trace(H, axis1=-2, axis2=-1) + op.eps * (
-        np.sin(H[..., 0, 0]) * (1.0 - np.cos(H[..., 1, 1]))), "eps"),
-    "extension": (lambda op, H: op.callback(H), "callback_id"),
-}
-
 
 @dataclass(frozen=True)
 class OperatorSpec:
     """A fully nonlinear operator F(M, x) with declared ellipticity pair.
 
-    ``x_dependence`` is an optional scalar coefficient field a(x)
-    (vectorized over points) applied multiplicatively, which preserves
-    the normalization F(0, x) = 0.
+    ``core`` is F on stacked matrices (..., n, n); ``params`` is what
+    ``describe()`` reports of it, named as in ``Modulus.params``: ``kind``
+    plus that kind's ``matrix`` (nested lists), ``eps`` or ``callback_id``.
+    The factories below build both.  ``x_dependence`` is an optional scalar
+    coefficient field a(x) (vectorized over points) applied
+    multiplicatively, which preserves the normalization F(0, x) = 0.
     """
 
-    kind: str
     n: int
     pair: EllipticityPair
-    matrix: Optional[SymMatrix] = None          # linear_trace
-    eps: float = 0.0                            # perturbed_trace
-    callback: Optional[Callable] = field(default=None, compare=False)  # extension
-    callback_id: Optional[str] = None
+    core: Callable = field(compare=False)
+    params: dict
     x_dependence: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown operator kind {self.kind!r}")
         if not 2 <= self.n <= 4:
             raise ConfigError("operator dimension must be 2..4")
-        if self.kind == "linear_trace" and self.matrix is None:
-            raise ConfigError("linear_trace needs a coefficient matrix")
-        if self.kind == "extension" and self.callback is None:
-            raise ConfigError("extension needs a callback")
 
     # -- evaluation ------------------------------------------------------
 
     def evaluate_batch(self, mats: np.ndarray, xs: Optional[np.ndarray] = None):
         """Evaluate F over stacked matrices (..., n, n) at points (..., n)."""
         mats = np.asarray(mats, dtype=float)
-        vals = _KINDS[self.kind][0](self, mats)
+        vals = self.core(mats)
         if self.x_dependence is not None:
             if xs is None:
                 xs = np.zeros(mats.shape[:-2] + (self.n,))
@@ -247,12 +227,9 @@ class OperatorSpec:
         return float(self.evaluate_batch(mat, xs))
 
     def describe(self) -> dict:
-        d = {"kind": self.kind, "n": self.n, "matrix_norm": MATRIX_NORM}
+        d = {"kind": self.params["kind"], "n": self.n, "matrix_norm": MATRIX_NORM}
         d.update(self.pair.describe())
-        reported = _KINDS[self.kind][1]
-        if reported is not None:
-            value = getattr(self, reported)
-            d[reported] = value.matrix.tolist() if isinstance(value, SymMatrix) else value
+        d.update(self.params)
         if self.x_dependence is not None:
             d["x_dependence"] = getattr(self.x_dependence, "__name__", "callable")
         return d
@@ -269,15 +246,16 @@ def linear_trace(A, pair: Optional[EllipticityPair] = None, x_dependence=None) -
         if eigs[0] <= 0:
             raise ConfigError("linear_trace coefficient matrix must be positive definite")
         pair = EllipticityPair(float(eigs[0]), float(eigs[-1]))
-    return OperatorSpec("linear_trace", A.n, pair, matrix=A, x_dependence=x_dependence)
+    return OperatorSpec(A.n, pair, lambda H: np.einsum("...ij,ij->...", H, A.matrix),
+                        {"kind": "linear_trace", "matrix": A.matrix.tolist()}, x_dependence)
 
 
 def pucci_plus_op(pair: EllipticityPair, n: int = 2) -> OperatorSpec:
-    return OperatorSpec("pucci_plus", n, pair)
+    return OperatorSpec(n, pair, lambda H: pucci_plus(H, pair), {"kind": "pucci_plus"})
 
 
 def pucci_minus_op(pair: EllipticityPair, n: int = 2) -> OperatorSpec:
-    return OperatorSpec("pucci_minus", n, pair)
+    return OperatorSpec(n, pair, lambda H: pucci_minus(H, pair), {"kind": "pucci_minus"})
 
 
 def perturbed_trace(eps: float, n: int = 2, pair: Optional[EllipticityPair] = None) -> OperatorSpec:
@@ -292,12 +270,18 @@ def perturbed_trace(eps: float, n: int = 2, pair: Optional[EllipticityPair] = No
         raise ConfigError("perturbed_trace needs eps >= 0")
     if pair is None:
         pair = EllipticityPair(max(1.0 - 2.0 * eps, 1e-2), 1.0 + 2.0 * eps)
-    return OperatorSpec("perturbed_trace", n, pair, eps=float(eps))
+    eps = float(eps)
+
+    def core(H):   # the grouping of the perturbation is part of the reported values
+        return np.trace(H, axis1=-2, axis2=-1) + eps * (
+            np.sin(H[..., 0, 0]) * (1.0 - np.cos(H[..., 1, 1])))
+
+    return OperatorSpec(n, pair, core, {"kind": "perturbed_trace", "eps": eps})
 
 
 def extension(callback: Callable, pair: EllipticityPair, n: int = 2,
               callback_id: str = "custom") -> OperatorSpec:
-    return OperatorSpec("extension", n, pair, callback=callback, callback_id=callback_id)
+    return OperatorSpec(n, pair, callback, {"kind": "extension", "callback_id": callback_id})
 
 
 # -- sampling plans ------------------------------------------------------

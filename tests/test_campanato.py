@@ -94,7 +94,8 @@ class TestRootCorrect:
     @settings(max_examples=150, deadline=None)
     def test_roots_equal_reference_bit_for_bit(self, data):
         n = data.draw(st.sampled_from([2, 3]))
-        kind = data.draw(st.sampled_from(sorted(operators._KINDS)))
+        kind = data.draw(st.sampled_from(
+            ["extension", "linear_trace", "perturbed_trace", "pucci_minus", "pucci_plus"]))
         op = {
             "linear_trace": lambda: operators.linear_trace(
                 np.diag(np.arange(1.0, n + 1.0)) + 0.3 * (np.ones((n, n)) - np.eye(n))),
@@ -183,9 +184,7 @@ class TestRootCorrect:
 
     def test_non_elliptic_bracket_detected(self):
         # declared pair wildly overstates lambda: bracket too narrow
-        lying = operators.OperatorSpec("linear_trace", 2,
-                                       operators.EllipticityPair(10.0, 10.0),
-                                       matrix=SymMatrix.identity(2))
+        lying = operators.linear_trace(SymMatrix.identity(2), operators.EllipticityPair(10.0, 10.0))
         with pytest.raises(NumericsError):
             campanato.root_correct(lying, SymMatrix.diagonal([3.0, 3.0]))
 
@@ -240,6 +239,14 @@ class TestQuadraticFit:
             campanato.sup_residual(u, jet, u.origin_index(), 0.05)
 
 
+def full_grid_ball(u, x0_idx, r):
+    """Reference ball over the whole grid: displacements and values of the
+    nodes of B_r(x0), row-major."""
+    d = np.stack(u.meshgrid(), axis=-1) - u.node_coords(x0_idx)
+    mask = np.linalg.norm(d, axis=-1) <= r + 1e-12
+    return d[mask], u.values[mask]
+
+
 def reference_lstsq(d, vals, r):
     """Reference fit: lstsq (SVD) on the quadratic basis of d / r,
     so its coefficients are c, r b, r^2 diag(M) and r^2 M_ij (i < j)."""
@@ -288,9 +295,8 @@ class TestFitOperator:
         noise = data.draw(st.sampled_from([0.0, 1e-3, 0.1]))
         u = fields.sample_function(
             lambda pts: quad(pts) + noise * rng.standard_normal(pts.shape[:-1]), n=n, N=N)
-        idx, d = fields.ball_index(u, x0, r)
+        d, vals = full_grid_ball(u, x0, r)
         fop = campanato._fit_operator(r, fields.ball_window(u, x0, r), u.h)
-        vals = u.node_values(idx)
         jet = fop.jet(u.values[fop.box])
         M = jet.M.matrix
         upper = np.triu_indices(n, 1)
@@ -307,8 +313,7 @@ class TestFitOperator:
         a = np.array([0.7, -1.3, 0.4])[:n]
         u = fields.sample_function(lambda pts: np.exp(pts @ a) + np.sin(3.0 * pts[..., 0]),
                                    n=n, N=N)
-        idx, d = fields.ball_index(u, x0, r)
-        vals = u.node_values(idx)
+        d, vals = full_grid_ball(u, x0, r)
         fop = campanato._fit_operator(r, fields.ball_window(u, x0, r), u.h)
         jet = fop.jet(u.values[fop.box])
         M = jet.M.matrix
@@ -334,8 +339,8 @@ class TestFitOperator:
         jet = fields.Polynomial2D(rng.standard_normal(), rng.standard_normal(n),
                                   SymMatrix.from_matrix(g + g.T))
         fop = campanato._fit_operator(r, fields.ball_window(u, x0, r), u.h)
-        idx, d = fields.ball_index(u, x0, r)
-        ref = np.max(np.abs(u.node_values(idx) - jet(d)))
+        d, vals = full_grid_ball(u, x0, r)
+        ref = np.max(np.abs(vals - jet(d)))
         sup = fop.sup_residual(u.values[fop.box], jet)
         assert abs(sup - ref) <= 1e-13 * np.max(np.abs(u.values))
 
@@ -523,6 +528,32 @@ class TestSeminorm:
                           (saddle.scale(0.4 / np.max(np.abs(saddle.values))),
                            operators.perturbed_trace(0.5))]:
             assert campanato.decay_audit(field, op, moduli.power(1.0), K=4).cauchy_ok is True
+
+    def test_degree_two_homogeneous_field_is_a_cauchy_blind_spot(self):
+        # w = r^2 cos 4 theta is C^{1,1} but not C^2: sup|w - P| ~ r^2 against
+        # r^2 sqrt(r), so the ratios and fitted_C0 grow like sqrt(2) per level
+        # and per grid doubling; every ball's jet is the same quadratic, so
+        # the increments are round-off and cauchy_ok cannot see the defect
+        def cos4theta(pts):
+            x1, x2 = pts[..., 0], pts[..., 1]
+            r2 = x1**2 + x2**2
+            return np.divide(x1**4 - 6.0 * x1**2 * x2**2 + x2**4, r2,
+                             out=np.zeros_like(r2), where=r2 > 0)
+
+        C0 = []
+        for N in (129, 257, 513):
+            u = fields.sample_function(cos4theta, N=N)
+            audit = campanato.decay_audit(u, LAPLACE, moduli.power(0.5), K=7)
+            ratios = audit.ratios()
+            growth = np.divide(ratios[1:], ratios[:-1])
+            assert np.all((1.3 < growth) & (growth < 1.6))
+            if N == 257:
+                assert ratios == pytest.approx([1.0, 1.41, 1.99, 2.80, 3.93, 6.12], abs=0.01)
+            assert max(rec.hessian_increment for rec in audit.records[1:]) <= 1e-15
+            assert audit.cauchy_ok is True
+            C0.append(audit.fitted_C0)
+        assert C0 == pytest.approx([1.44, 2.04, 2.88], abs=0.01)
+        assert np.all(np.abs(np.divide(C0[1:], C0[:-1]) - np.sqrt(2.0)) < 0.01)
 
     def test_off_centre_audit_measures_its_own_ball(self):
         u = sample("radial_5_2")

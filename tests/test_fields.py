@@ -71,12 +71,14 @@ class TestBallNodes:
         u = fields.GridField(n, N, L, vals, components)
         if not np.all(np.abs(u.node_coords(x0)) + r <= L + 1e-12):
             with pytest.raises(DomainError, match="outside the grid square"):
-                fields.ball_index(u, x0, r)
+                fields.ball_window(u, x0, r)
             return
-        flat, d = fields.ball_index(u, x0, r)
-        v = u.node_values(flat)
+        box, axes, mask = fields.ball_window(u, x0, r)
+        assert mask.shape == u.values[box].shape[:n] == tuple(len(t) for t in axes)
+        assert mask.dtype == bool and mask.flags.c_contiguous
+        d = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)[mask]
         d_ref, v_ref = full_grid_ball(u, x0, r)
-        assert np.array_equal(d, d_ref) and np.array_equal(v, v_ref)
+        assert np.array_equal(d, d_ref) and np.array_equal(u.values[box][mask], v_ref)
 
     @pytest.mark.parametrize("x0, r", [
         ((16, 16), 1.0 + 1e-9),   # the origin's ball just past the edge
@@ -87,7 +89,7 @@ class TestBallNodes:
     def test_ball_leaving_square_refused(self, x0, r):
         u = grid(N=33)
         with pytest.raises(DomainError, match="outside the grid square"):
-            fields.ball_index(u, x0, r)
+            fields.ball_window(u, x0, r)
 
 
 class TestBallAverage:

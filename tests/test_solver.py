@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -355,8 +356,8 @@ class TestJacobian:
         (operators.perturbed_trace(0.05), 2, 33, rotation_drift()),
         (operators.pucci_minus_op(operators.EllipticityPair(1.0, 2.0)), 2, 33, None),
         # linearize meets the nodes' points stacked under its entry directions
-        (operators.OperatorSpec("pucci_minus", 2, operators.EllipticityPair(1.0, 2.0),
-                                x_dependence=coefficient), 2, 33, None),
+        (dataclasses.replace(operators.pucci_minus_op(operators.EllipticityPair(1.0, 2.0)),
+                             x_dependence=coefficient), 2, 33, None),
         (operators.pucci_plus_op(operators.EllipticityPair(1.0, 2.0), n=3), 3, 17, None),
         (operators.pucci_plus_op(operators.EllipticityPair(1.0, 2.0), n=3), 3, 17,
          cyclic_drift),
@@ -505,8 +506,8 @@ class TestConvergenceStudy:
 
     @pytest.mark.parametrize("op", [
         operators.linear_trace(np.eye(2), x_dependence=lambda x: 1.0 + x[..., 0] ** 2 / 4.0),
-        operators.OperatorSpec("pucci_minus", 2, operators.EllipticityPair(1.0, 2.0),
-                               x_dependence=lambda x: 1.0 + x[..., 0] ** 2 / 4.0),
+        dataclasses.replace(operators.pucci_minus_op(operators.EllipticityPair(1.0, 2.0)),
+                            x_dependence=lambda x: 1.0 + x[..., 0] ** 2 / 4.0),
     ], ids=["linear_trace", "pucci_minus"])
     def test_x_dependent_coefficient_second_order(self, op):
         # an x_dependence makes the residual and Jacobian pass node coordinates
