@@ -7,13 +7,16 @@ index boxes (``ball_window``, the one way a ball's nodes are read), L^p
 ball-averaged norms, modulus-constant estimation from those averages, the
 central-difference stencil table behind every jet (and behind the solver's
 residual and Jacobian), a text file format of hex words with bit-exact
-round trips, and the analytic profiles and exact solutions (with their
-derivatives) behind manufactured-solution studies.
+round trips, written and read in blocks of 2^16 values so that no copy of
+the whole body is held, and the analytic profiles and exact solutions
+(with their derivatives) behind manufactured-solution studies.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -244,28 +247,59 @@ def interior_jets(vals: np.ndarray, n: int, h: float):
 # -- file I/O --------------------------------------------------------------
 
 
+# Values per block of a field file's body: 8192 lines, 1.1 MB of text.  A
+# multiple of 8, so that every block but the last ends a line.
+_CHUNK_VALUES = 2**16
+
+# The bytes bytes.fromhex skips between hex pairs: ASCII whitespace.
+_SPACE = b" \t\n\v\f\r"
+
+
 def save_field(field: GridField, path) -> None:
     """Write the `n N L components` header, then the row-major values as hex
     words, each the 16 lowercase hex digits of the value's big-endian binary64
     bit pattern (1.0 is 3ff0000000000000), space-separated and 8 to a line,
-    so load_field(save_field(f)) reproduces f bit for bit."""
-    body = bytearray(field.values.astype(">f8").tobytes().hex(" ", 8), "ascii")
-    np.frombuffer(body, np.uint8)[135::136] = ord("\n")   # every 8th separator
+    so load_field(save_field(f)) reproduces f bit for bit.  The body is
+    formatted and written ``_CHUNK_VALUES`` values at a time."""
+    flat = field.values.reshape(-1)
     with open(path, "wb") as fh:
-        fh.writelines([f"{field.n} {field.N} {field.L:.17g} {field.components}\n".encode(),
-                       body, b"\n"])
+        fh.write(f"{field.n} {field.N} {field.L:.17g} {field.components}\n".encode())
+        for start in range(0, flat.size, _CHUNK_VALUES):
+            block = flat[start : start + _CHUNK_VALUES].astype(">f8").tobytes()
+            text = bytearray(block.hex(" ", 8), "ascii")
+            np.frombuffer(text, np.uint8)[135::136] = ord("\n")   # every 8th separator
+            fh.write(text)
+            fh.write(b"\n")
+
+
+def _pair_boundary(text: bytes) -> int:
+    """The length of the longest prefix of ``text`` that bytes.fromhex parses
+    exactly as it would the whole: up to the last whitespace byte, or, with
+    none, the even part of one run of digits.  ``text`` must start between
+    hex pairs."""
+    # a line break is almost always near the end: look for it alone first
+    cut = text.rfind(b"\n") + 1 or max(map(text.rfind, _SPACE)) + 1
+    return cut or len(text) & ~1
 
 
 def load_field(path) -> GridField:
     """The field saved at ``path``.  A file that cannot be opened, a
     malformed header, or a body that is not exactly one hex word per value
-    (such as the decimal body of older versions) raises ConfigError."""
+    (such as the decimal body of older versions) raises ConfigError.  Any
+    ASCII whitespace may stand between hex pairs, as bytes.fromhex allows.
+
+    The body is read and decoded about ``_CHUNK_VALUES`` values at a time,
+    each block cut between hex pairs and the rest carried to the next, into
+    one preallocated buffer of 8 bytes per value.  A file too short to hold
+    16 bytes per value is decoded and counted without storing, so a header
+    that claims more values than its body holds allocates nothing."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise ConfigError(f"cannot read field file {path}: {exc}") from None
     with fh:
-        header = fh.readline().split()
+        line = fh.readline()
+        header = line.split()
         if len(header) != 4:
             raise ConfigError(f"malformed field header in {path}")
         try:
@@ -274,15 +308,30 @@ def load_field(path) -> GridField:
         except ValueError:
             raise ConfigError(f"malformed field header in {path}") from None
         check_grid(n, N, L, components)
-        try:
-            raw = bytes.fromhex(fh.read().decode("ascii"))
-        except ValueError:   # UnicodeDecodeError included
-            raise ConfigError(f"field body in {path} is not hex words; regenerate the file "
-                              "with this version of save_field") from None
-    shape = (N,) * n + (() if components == 1 else (components,))
-    count = int(np.prod(shape))
-    if len(raw) != 8 * count:
-        raise ConfigError(f"field body in {path} has {len(raw)} bytes, expected {count} values "
+        shape = (N,) * n + (() if components == 1 else (components,))
+        count = math.prod(shape)
+        # a body under 16 bytes a value cannot fill the buffer: count it
+        # without one (a pipe's size is unknown, so it gets the buffer)
+        st = os.fstat(fh.fileno())
+        fits = not stat.S_ISREG(st.st_mode) or st.st_size - len(line) >= 16 * count
+        raw, size, carry = bytearray(8 * count if fits else 0), 0, b""
+        while True:
+            chunk = fh.read(17 * _CHUNK_VALUES)
+            text = carry + chunk
+            cut = _pair_boundary(text) if chunk else len(text)
+            try:
+                block = bytes.fromhex(text[:cut].decode("ascii"))
+            except ValueError:   # UnicodeDecodeError included
+                raise ConfigError(f"field body in {path} is not hex words; regenerate the "
+                                  "file with this version of save_field") from None
+            if size + len(block) <= len(raw):
+                raw[size : size + len(block)] = block
+            size += len(block)
+            carry = text[cut:]
+            if not chunk:
+                break
+    if size != 8 * count:
+        raise ConfigError(f"field body in {path} has {size} bytes, expected {count} values "
                           f"of 8 bytes")
     return GridField(n, N, L, np.frombuffer(raw, ">f8").astype(float).reshape(shape), components)
 

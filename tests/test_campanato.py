@@ -555,6 +555,30 @@ class TestSeminorm:
         assert C0 == pytest.approx([1.44, 2.04, 2.88], abs=0.01)
         assert np.all(np.abs(np.divide(C0[1:], C0[:-1]) - np.sqrt(2.0)) < 0.01)
 
+    def test_degree_two_homogeneous_field_in_3d_is_a_cauchy_blind_spot(self):
+        # the 3-D analogue x1^2 x2^2 x3^2 / |x|^4: C^{1,1}, not C^2, so the
+        # ratios and fitted_C0 grow, and cauchy_ok again cannot see it
+        def w3(pts):
+            x1, x2, x3 = pts[..., 0], pts[..., 1], pts[..., 2]
+            r2 = x1**2 + x2**2 + x3**2
+            return np.divide(x1**2 * x2**2 * x3**2, r2**2, out=np.zeros_like(r2), where=r2 > 0)
+
+        laplace3 = operators.linear_trace(np.eye(3))
+        C0 = []
+        for N, K_max in [(33, 2), (65, 3), (129, 4)]:
+            u = fields.sample_function(w3, n=3, N=N)
+            audit = campanato.decay_audit(u, laplace3, moduli.power(0.5), rho0=0.5, K=7)
+            assert audit.K_max == K_max
+            ratios = audit.ratios()
+            assert np.all(np.diff(ratios) > 0)
+            if N == 129:
+                assert ratios == pytest.approx([0.036, 0.051, 0.070, 0.087, 0.111], abs=0.001)
+            assert max(rec.hessian_increment for rec in audit.records[1:]) <= 1e-16
+            assert audit.cauchy_ok is True
+            C0.append(audit.fitted_C0)
+        assert C0 == pytest.approx([0.018, 0.026, 0.037], abs=0.001)
+        assert np.all(np.diff(C0) > 0)
+
     def test_off_centre_audit_measures_its_own_ball(self):
         u = sample("radial_5_2")
         audit = campanato.decay_audit(u, LAPLACE, moduli.power(0.5), K=4, x0_idx=(80, 64))

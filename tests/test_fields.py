@@ -243,6 +243,9 @@ class TestJets:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=1e-6)
 
 
+CHUNK_SIZES = (8, 24, fields._CHUNK_VALUES)
+
+
 class TestFileIO:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -274,7 +277,7 @@ class TestFileIO:
         (2, 33, 2),
         (3, 17, 1),
     ])
-    def test_bytes_match_per_value_writer(self, tmp_path, n, N, components):
+    def test_bytes_match_per_value_writer(self, tmp_path, monkeypatch, n, N, components):
         rng = np.random.default_rng(N)
         shape = (N,) * n + (() if components == 1 else (components,))
         vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
@@ -282,17 +285,60 @@ class TestFileIO:
                                 1.7976931348623157e308]
         u = fields.GridField(n, N, 1.25, vals, components)
         path = tmp_path / "u.field"
-        fields.save_field(u, path)
         flat = vals.reshape(-1)
         want = [f"{n} {N} {1.25:.17g} {components}\n"] + [
             " ".join(struct.pack(">d", v).hex() for v in flat[k : k + 8]) + "\n"
             for k in range(0, flat.size, 8)]
-        got = path.read_text().splitlines(keepends=True)
-        assert len(got) == len(want)
-        for k, (a, b) in enumerate(zip(got, want)):   # line by line: a short failure diff
-            assert a == b, f"line {k}"
-        loaded = fields.load_field(path).values
-        np.testing.assert_array_equal(loaded.view(np.int64), vals.view(np.int64))
+        # small blocks, so that every field here crosses many of them
+        for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(fields, "_CHUNK_VALUES", chunk)
+            fields.save_field(u, path)
+            got = path.read_text().splitlines(keepends=True)
+            assert len(got) == len(want)
+            for k, (a, b) in enumerate(zip(got, want)):   # line by line: a short failure diff
+                assert a == b, f"line {k} at {chunk} values a block"
+            loaded = fields.load_field(path).values
+            np.testing.assert_array_equal(loaded.view(np.int64), vals.view(np.int64))
+
+    @pytest.mark.parametrize("layout", ["three_words_a_line", "break_between_hex_pairs", "crlf",
+                                        "one_line", "no_separators"])
+    def test_load_accepts_whitespace_between_hex_pairs(self, tmp_path, monkeypatch, layout):
+        # bytes.fromhex skips ASCII whitespace between hex pairs, so these
+        # bodies load as save_field's own does, wherever a block is cut
+        vals = np.random.default_rng(5).standard_normal((17, 17))
+        words = [struct.pack(">d", v).hex() for v in vals.reshape(-1)]
+        body = {
+            "three_words_a_line": "".join(" ".join(words[k : k + 3]) + "\n"
+                                          for k in range(0, len(words), 3)),
+            "break_between_hex_pairs": "".join(w[:6] + "\n" + w[6:] + " " for w in words),
+            "crlf": "".join(" ".join(words[k : k + 8]) + "\r\n" for k in range(0, len(words), 8)),
+            "one_line": " \t ".join(words) + "\n",
+            "no_separators": "".join(words),
+        }[layout]
+        path = tmp_path / "u.field"
+        path.write_bytes(b"2 17 1 1\n" + body.encode())
+        for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(fields, "_CHUNK_VALUES", chunk)
+            loaded = fields.load_field(path).values
+            np.testing.assert_array_equal(loaded.view(np.int64), vals.view(np.int64))
+
+    def test_break_inside_hex_pair_rejected(self, tmp_path, monkeypatch):
+        words = [struct.pack(">d", 1.0).hex()] * 25
+        words[20] = words[20][:5] + "\n" + words[20][5:]
+        path = tmp_path / "bad.field"
+        path.write_text("2 5 1 1\n" + " ".join(words) + "\n")
+        for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(fields, "_CHUNK_VALUES", chunk)
+            with pytest.raises(ConfigError, match="not hex words"):
+                fields.load_field(path)
+
+    def test_header_claiming_more_values_than_body_allocates_nothing(self, tmp_path):
+        # a buffer for the header's 100001^3 values would take 8e15 bytes:
+        # allocating it first would raise MemoryError, not this ConfigError
+        path = tmp_path / "bad.field"
+        path.write_text("3 100001 1 1\n" + " ".join([struct.pack(">d", 1.0).hex()] * 25) + "\n")
+        with pytest.raises(ConfigError, match="has 200 bytes"):
+            fields.load_field(path)
 
     @pytest.mark.parametrize("header", ["2 abc 1 1", "2 5 x 1", "2.0 5 1 1", "2 -5 1 1",
                                         "2 5 nan 1", "2 5 inf 1"])
