@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateModulusError, DomainError, NumericsError
-from .fields import GridField, Polynomial2D, ball_window
+from .fields import GridField, Polynomial2D, ball_window, row_blocks
 from .moduli import Modulus, psi_transform
 from .operators import OperatorSpec, SymMatrix
 
@@ -116,14 +116,23 @@ def root_correct(op: OperatorSpec, Mbar: SymMatrix, x0=None) -> float:
 # -- ball fits ----------------------------------------------------------------
 
 
-def _moments(W: np.ndarray, cols) -> np.ndarray:
-    """sum over the box of W times cols[0][i_0, q_0] ... cols[-1][i_{n-1}, q_{n-1}],
-    shaped (d,)*n for per-axis columns (len_a, d), n = 2 or 3."""
+def _moments(mask: np.ndarray, cols, vals: Optional[np.ndarray] = None) -> np.ndarray:
+    """sum over the ball's nodes (the bool ``mask`` on its box) of vals, or
+    of 1 without vals, times cols[0][i_0, q_0] ... cols[-1][i_{n-1}, q_{n-1}],
+    shaped (d,)*n for per-axis columns (len_a, d), n = 2 or 3.
+
+    The box is read one ``fields.row_blocks`` block of 2^16 nodes at a time,
+    each block contracted over every axis but the first; the contraction
+    over the first axis runs once, on the gathered rows."""
     d = cols[0].shape[1]
-    X = W.reshape(-1, W.shape[-1]) @ cols[-1]
-    if W.ndim == 3:
-        X = cols[1].T @ X.reshape(W.shape[0], W.shape[1], d)
-    return (cols[0].T @ X.reshape(W.shape[0], -1)).reshape((d,) * W.ndim)
+    X = np.empty((mask.shape[0],) + (d,) * (mask.ndim - 1))
+    for blk in row_blocks(mask.shape):
+        W = mask[blk].astype(float) if vals is None else vals[blk] * mask[blk]
+        Y = W.reshape(-1, W.shape[-1]) @ cols[-1]
+        if W.ndim == 3:
+            Y = cols[1].T @ Y.reshape(W.shape[0], W.shape[1], d)
+        X[blk] = Y
+    return (cols[0].T @ X.reshape(X.shape[0], -1)).reshape((d,) * mask.ndim)
 
 
 def _on_box(C: np.ndarray, cols) -> np.ndarray:
@@ -141,8 +150,10 @@ class _FitOperator:
     """Quadratic least squares over the nodes of one ball B_r(x0), for any
     field on the grid it was built on.
 
-    The ball is a 0/1 mask on its index box (``fields.ball_window``), and
-    every sum over its nodes is a sum over the box contracted axis by axis.
+    The ball is a bool mask on its index box (``fields.ball_window``), and
+    every sum over its nodes is a sum over the box contracted axis by axis,
+    one ``fields.row_blocks`` block of 2^16 nodes at a time, so no float
+    array the size of the box is formed.
     The basis is 1, s_i, s_i^2 / 2, s_i s_j (i < j) in the scaled
     displacements s = (x - x0) / unit, where unit is the largest coordinate
     displacement of a ball node, so every entry lies in [-1, 1] and the Gram
@@ -150,7 +161,7 @@ class _FitOperator:
     conditioned at every radius.  A is never formed: each basis column is
     fac times a monomial prod_a s_a^(p_a), p_a <= 2, so G is read off the
     mask's moments up to degree 4 per axis, and A^T vals off the 3^n moments
-    of vals * mask with the per-axis columns ``cols`` = [1, s, s^2].  A jet's
+    of vals on the ball with the per-axis columns ``cols`` = [1, s, s^2].  A jet's
     scaled coefficient vector theta holds c, unit b, and unit^2 times M's
     diagonal and upper entries.  ``eig`` holds G's eigenvalues w and
     eigenvectors V (``np.linalg.eigh``).  The methods take the field's values
@@ -160,7 +171,7 @@ class _FitOperator:
     r: float
     n: int
     box: tuple            # one index slice per axis, from fields.ball_window
-    mask: np.ndarray      # 1.0 at the ball's nodes, 0.0 elsewhere on the box
+    mask: np.ndarray      # bool, the box's shape: True at the ball's nodes
     cols: tuple           # per axis, (len_a, 3): 1, s, s^2
     unit: float
     eig: tuple
@@ -174,7 +185,7 @@ class _FitOperator:
         theta = V (V^T A^T vals) / w with the eigenpairs of G."""
         n = self.n
         w, V = self.eig
-        rhs = self.fac * _moments(vals * self.mask, self.cols).ravel()[self.pos]
+        rhs = self.fac * _moments(self.mask, self.cols, vals).ravel()[self.pos]
         theta = V @ ((V.T @ rhs) / w)
         q = theta[1 + n :] / self.unit**2
         M = np.diag(q[:n])
@@ -191,17 +202,21 @@ class _FitOperator:
 
     def sup_residual(self, vals: np.ndarray, jet: Polynomial2D) -> float:
         """sup |u - P| over the ball nodes: the jet evaluated on the box,
-        subtracted from vals, masked, and maximized."""
+        subtracted from vals, masked by the bool mask, and maximized, one
+        ``fields.row_blocks`` block of 2^16 nodes at a time."""
         M = jet.M.matrix
         quad = np.concatenate((np.diag(M), M[self.upper]))
         theta = np.concatenate(([jet.c], self.unit * jet.b, self.unit**2 * quad))
         C = np.zeros(3**self.n)
         C[self.pos] = self.fac * theta
-        res = _on_box(C, self.cols)
-        np.subtract(vals, res, out=res)
-        np.abs(res, out=res)
-        res *= self.mask
-        return float(res.max())
+        sup = 0.0
+        for blk in row_blocks(self.mask.shape):
+            res = _on_box(C, (self.cols[0][blk],) + self.cols[1:])
+            np.subtract(vals[blk], res, out=res)
+            np.abs(res, out=res)
+            res *= self.mask[blk]
+            sup = np.maximum(sup, res.max())   # NaN propagates, as in one max
+        return float(sup)
 
 
 def _fit_operator(r: float, window, h: float) -> _FitOperator:
@@ -232,7 +247,6 @@ def _fit_operator(r: float, window, h: float) -> _FitOperator:
     p = np.concatenate([np.zeros((1, n), dtype=int), e, 2 * e, e[upper[0]] + e[upper[1]]])
     fac = np.concatenate([np.ones(1 + n), np.full(n, 0.5), np.ones(len(upper[0]))])
     # G[i, j] = fac_i fac_j sum over the ball of s^(p_i + p_j)
-    mask = mask.astype(float)
     pair = np.ravel_multi_index(tuple(np.moveaxis(p[:, None] + p[None], -1, 0)), (5,) * n)
     G = np.outer(fac, fac) * _moments(mask, powers).ravel()[pair]
     w, V = np.linalg.eigh(G)   # one decomposition guards the rank and solves

@@ -2,14 +2,17 @@
 
 Scalar fields (solutions, sources) and n-component fields (drifts) live
 on a uniform grid over [-L, L]^n with an odd node count per side, so the
-origin is always a node.  The module provides balls as masks on their
+origin is always a node.  The module provides balls as bool masks on their
 index boxes (``ball_window``, the one way a ball's nodes are read), L^p
 ball-averaged norms, modulus-constant estimation from those averages, the
 central-difference stencil table behind every jet (and behind the solver's
 residual and Jacobian), a text file format of hex words with bit-exact
 round trips, written and read in blocks of 2^16 values so that no copy of
 the whole body is held, and the analytic profiles and exact solutions
-(with their derivatives) behind manufactured-solution studies.
+(with their derivatives) behind manufactured-solution studies.  Sampling
+and ball masks, like the audit's fit moments and sup residuals, run over
+the grid in ``row_blocks`` of 2^16 nodes, whole rows along the first axis,
+so no float temporary the size of the grid is held.
 """
 
 from __future__ import annotations
@@ -89,25 +92,56 @@ class GridField:
         return GridField(self.n, self.N, self.L, self.values * float(c), self.components)
 
 
+# Nodes per block of a full-grid pass, and values per block of a field file's
+# body (8192 lines, 1.1 MB of text).  A multiple of 8, so that every block of
+# a body but the last ends a line.
+_CHUNK_VALUES = 2**16
+
+
+def row_blocks(shape) -> list:
+    """Slices of the first axis of an array of ``shape``: runs of whole rows
+    (slabs in 3-D) of about ``_CHUNK_VALUES`` nodes each, at least one row,
+    in order.  Full-grid passes run block by block over them, so that no
+    temporary the size of the grid is held."""
+    rows = max(1, _CHUNK_VALUES // max(1, math.prod(shape[1:])))
+    return [slice(i, min(i + rows, shape[0])) for i in range(0, shape[0], rows)]
+
+
 def sample_function(f: Callable, n: int = 2, N: int = 65, L: float = 1.0,
                     components: int = 1) -> GridField:
     """Evaluate ``f`` nodewise.  The callback receives stacked coordinates
-    of shape (..., n) and must return (...,) or (..., components)."""
+    of shape (..., n) and must return real values that broadcast to (...,)
+    or (..., components); anything else, or a non-finite value, raises
+    DomainError.  It is called once per ``row_blocks`` block of the grid."""
     check_grid(n, N, L, components)
-    dummy = GridField(n, N, L, np.zeros((N,) * n + (() if components == 1 else (components,))),
-                      components)
-    pts = np.stack(dummy.meshgrid(), axis=-1)
-    try:
-        vals = np.asarray(f(pts), dtype=float)
-    except Exception as exc:  # pragma: no cover - message plumbing
-        raise DomainError(f"field evaluation failed on the grid: {exc}") from exc
-    want = pts.shape[:-1] + (() if components == 1 else (components,))
-    if vals.shape != want:
-        vals = np.broadcast_to(vals, want).copy()
-    bad = np.argwhere(~np.isfinite(vals))
-    if len(bad):
-        raise DomainError(f"non-finite field value at node index {tuple(bad[0])}")
-    return GridField(n, N, L, vals, components)
+    tail = () if components == 1 else (components,)
+    form = "(...,)" if components == 1 else f"(..., {components})"
+    # all zeros, so it passes GridField's checks; each block is checked as
+    # it is filled in place
+    field = GridField(n, N, L, np.zeros((N,) * n + tail), components)
+    c = field.axis_coords()
+    for blk in row_blocks((N,) * n):
+        pts = np.stack(np.meshgrid(c[blk], *([c] * (n - 1)), indexing="ij"), axis=-1)
+        want = pts.shape[:-1] + tail
+        expected = f"{want}, {form} for points {pts.shape}"
+        try:
+            out = np.asarray(f(pts))
+            if not np.iscomplexobj(out):
+                out = np.asarray(out, dtype=float)
+        except Exception as exc:  # pragma: no cover - message plumbing
+            raise DomainError(f"field evaluation failed on the grid: {exc}") from exc
+        if np.iscomplexobj(out):
+            raise DomainError(f"field values must be real, of shape {expected}; got complex ones")
+        try:
+            field.values[blk] = np.broadcast_to(out, want)
+        except ValueError:
+            raise DomainError(f"field values of shape {out.shape} do not broadcast to "
+                              f"{expected}") from None
+        bad = np.argwhere(~np.isfinite(field.values[blk]))
+        if len(bad):
+            idx = (blk.start + int(bad[0][0]),) + tuple(int(i) for i in bad[0][1:])
+            raise DomainError(f"non-finite field value at node index {idx}")
+    return field
 
 
 # -- ball-averaged L^p norms ----------------------------------------------
@@ -124,7 +158,8 @@ def ball_window(field: GridField, x0_idx, r: float):
     clipped to the grid, so the cost is O((r/h)^n), not O(N^n); on a ball
     touching the edge the box overshoots the grid by one node.  The mask is
     sqrt(sq) <= r + 1e-12 on squared distances sq summed axis by axis, in
-    np.linalg.norm's order.
+    np.linalg.norm's order, filled one ``row_blocks`` block of the box at a
+    time.
     """
     x0 = field.node_coords(x0_idx)
     if not np.all(np.abs(x0) + r <= field.L + 1e-12):
@@ -133,10 +168,14 @@ def ball_window(field: GridField, x0_idx, r: float):
     box = tuple(slice(max(int(i) - reach, 0), int(i) + reach + 1) for i in x0_idx)
     c = field.axis_coords()
     axes = [c[w] - x0[a] for a, w in enumerate(box)]
-    sq = 0.0
-    for a, t in enumerate(axes):
-        sq = sq + (t * t).reshape((-1,) + (1,) * (field.n - 1 - a))
-    return box, axes, np.sqrt(sq) <= r + 1e-12
+    shape = tuple(len(t) for t in axes)
+    mask = np.empty(shape, dtype=bool)
+    for blk in row_blocks(shape):
+        sq = 0.0
+        for a, t in enumerate([axes[0][blk]] + axes[1:]):
+            sq = sq + (t * t).reshape((-1,) + (1,) * (field.n - 1 - a))
+        mask[blk] = np.sqrt(sq) <= r + 1e-12
+    return box, axes, mask
 
 
 def ball_average_lp(field: GridField, x0_idx, r: float, p0: float | None = None) -> float:
@@ -247,10 +286,6 @@ def interior_jets(vals: np.ndarray, n: int, h: float):
 # -- file I/O --------------------------------------------------------------
 
 
-# Values per block of a field file's body: 8192 lines, 1.1 MB of text.  A
-# multiple of 8, so that every block but the last ends a line.
-_CHUNK_VALUES = 2**16
-
 # The bytes bytes.fromhex skips between hex pairs: ASCII whitespace.
 _SPACE = b" \t\n\v\f\r"
 
@@ -290,7 +325,8 @@ def load_field(path) -> GridField:
 
     The body is read and decoded about ``_CHUNK_VALUES`` values at a time,
     each block cut between hex pairs and the rest carried to the next, into
-    one preallocated buffer of 8 bytes per value.  A file too short to hold
+    one preallocated buffer of 8 bytes per value, which becomes the field's
+    values once its words are byte-swapped in place.  A file too short to hold
     16 bytes per value is decoded and counted without storing, so a header
     that claims more values than its body holds allocates nothing."""
     try:
@@ -333,7 +369,10 @@ def load_field(path) -> GridField:
     if size != 8 * count:
         raise ConfigError(f"field body in {path} has {size} bytes, expected {count} values "
                           f"of 8 bytes")
-    return GridField(n, N, L, np.frombuffer(raw, ">f8").astype(float).reshape(shape), components)
+    vals = np.frombuffer(raw, ">f8")
+    if not vals.dtype.isnative:   # swapped in place, not copied
+        vals = vals.byteswap(inplace=True).view(vals.dtype.newbyteorder())
+    return GridField(n, N, L, vals.reshape(shape), components)
 
 
 # -- analytic test profiles -------------------------------------------------

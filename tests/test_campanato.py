@@ -274,6 +274,10 @@ def _degenerate_masks():
 
 DEGENERATE = _degenerate_masks()
 
+# block sizes for the fit passes, which run in blocks of fields._CHUNK_VALUES
+# nodes: small ones, so that every ball here crosses many blocks
+CHUNK_SIZES = (8, 24, fields._CHUNK_VALUES)
+
 
 class TestFitOperator:
     @given(st.data())
@@ -296,32 +300,37 @@ class TestFitOperator:
         u = fields.sample_function(
             lambda pts: quad(pts) + noise * rng.standard_normal(pts.shape[:-1]), n=n, N=N)
         d, vals = full_grid_ball(u, x0, r)
-        fop = campanato._fit_operator(r, fields.ball_window(u, x0, r), u.h)
-        jet = fop.jet(u.values[fop.box])
-        M = jet.M.matrix
-        upper = np.triu_indices(n, 1)
-        scaled = np.concatenate(([jet.c], r * jet.b, r**2 * np.diag(M), r**2 * M[upper]))
         coef, rank = reference_lstsq(d, vals, r)
         assert rank == len(coef)
-        assert np.max(np.abs(scaled - coef)) <= 1e-12 * np.max(np.abs(vals))
+        upper = np.triu_indices(n, 1)
+        for chunk in CHUNK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fields, "_CHUNK_VALUES", chunk)
+                fop = campanato._fit_operator(r, fields.ball_window(u, x0, r), u.h)
+                jet = fop.jet(u.values[fop.box])
+            M = jet.M.matrix
+            scaled = np.concatenate(([jet.c], r * jet.b, r**2 * np.diag(M), r**2 * M[upper]))
+            assert np.max(np.abs(scaled - coef)) <= 1e-12 * np.max(np.abs(vals)), chunk
 
     @pytest.mark.parametrize("n, N, x0, r", [(2, 65, (40, 27), 0.4), (2, 33, (16, 16), 1.0),
                                              (3, 17, (8, 9, 7), 0.5), (3, 9, (4, 4, 4), 1.0)])
-    def test_eigh_jet_matches_lstsq(self, n, N, x0, r):
+    def test_eigh_jet_matches_lstsq(self, monkeypatch, n, N, x0, r):
         """The jet solved with the eigenpairs that guard the rank is lstsq's
         jet, relative to its largest coefficient."""
         a = np.array([0.7, -1.3, 0.4])[:n]
         u = fields.sample_function(lambda pts: np.exp(pts @ a) + np.sin(3.0 * pts[..., 0]),
                                    n=n, N=N)
         d, vals = full_grid_ball(u, x0, r)
-        fop = campanato._fit_operator(r, fields.ball_window(u, x0, r), u.h)
-        jet = fop.jet(u.values[fop.box])
-        M = jet.M.matrix
-        scaled = np.concatenate(([jet.c], r * jet.b, r**2 * np.diag(M),
-                                 r**2 * M[np.triu_indices(n, 1)]))
         coef, rank = reference_lstsq(d, vals, r)
         assert rank == len(coef)
-        assert np.max(np.abs(scaled - coef)) <= 1e-12 * np.max(np.abs(coef))
+        for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(fields, "_CHUNK_VALUES", chunk)
+            fop = campanato._fit_operator(r, fields.ball_window(u, x0, r), u.h)
+            jet = fop.jet(u.values[fop.box])
+            M = jet.M.matrix
+            scaled = np.concatenate(([jet.c], r * jet.b, r**2 * np.diag(M),
+                                     r**2 * M[np.triu_indices(n, 1)]))
+            assert np.max(np.abs(scaled - coef)) <= 1e-12 * np.max(np.abs(coef)), chunk
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -338,11 +347,14 @@ class TestFitOperator:
         g = rng.standard_normal((n, n))
         jet = fields.Polynomial2D(rng.standard_normal(), rng.standard_normal(n),
                                   SymMatrix.from_matrix(g + g.T))
-        fop = campanato._fit_operator(r, fields.ball_window(u, x0, r), u.h)
         d, vals = full_grid_ball(u, x0, r)
         ref = np.max(np.abs(vals - jet(d)))
-        sup = fop.sup_residual(u.values[fop.box], jet)
-        assert abs(sup - ref) <= 1e-13 * np.max(np.abs(u.values))
+        for chunk in CHUNK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fields, "_CHUNK_VALUES", chunk)
+                fop = campanato._fit_operator(r, fields.ball_window(u, x0, r), u.h)
+                sup = fop.sup_residual(u.values[fop.box], jet)
+            assert abs(sup - ref) <= 1e-13 * np.max(np.abs(u.values)), chunk
 
     @pytest.mark.parametrize("name", sorted(DEGENERATE))
     def test_degenerate_node_set_raises(self, name):

@@ -16,6 +16,11 @@ def grid(N=65, L=1.0, f=None, components=1):
     return fields.sample_function(f, n=2, N=N, L=L, components=components)
 
 
+# block sizes for the passes that run in blocks of fields._CHUNK_VALUES:
+# small ones, so that every grid here crosses many blocks
+CHUNK_SIZES = (8, 24, fields._CHUNK_VALUES)
+
+
 class TestGridField:
     def test_origin_is_a_node(self):
         u = grid(N=65)
@@ -43,6 +48,58 @@ class TestGridField:
         bad = lambda pts: np.where(np.asarray(pts)[..., 0] > 0.5, np.inf, 0.0)
         with pytest.raises(DomainError):
             grid(N=9, f=bad)
+
+    @pytest.mark.parametrize("n, N, components, idx", [
+        (2, 9, 1, (6, 3)),
+        (3, 5, 2, (3, 0, 4, 1)),   # the second component of node (3, 0, 4)
+    ])
+    def test_nonfinite_message_names_the_global_node_index(self, monkeypatch, n, N,
+                                                           components, idx):
+        h = 2.0 / (N - 1)
+        at = -1.0 + h * np.asarray(idx[:n], dtype=float)
+
+        def bad(pts):
+            v = np.where(np.all(pts == at, axis=-1), np.nan, 1.0)
+            return v if components == 1 else np.stack([np.ones_like(v), v], axis=-1)
+
+        for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(fields, "_CHUNK_VALUES", chunk)
+            with pytest.raises(DomainError, match=rf"node index \({', '.join(map(str, idx))}\)$"):
+                fields.sample_function(bad, n=n, N=N, components=components)
+
+    @pytest.mark.parametrize("f, components, shape", [
+        (lambda pts: pts, 3, r"\(5, 5, 3\)"),        # (..., 2) for 3 components
+        (lambda pts: np.ones(7), 1, r"\(5, 5\)"),
+        (lambda pts: np.ones(pts.shape[:-1] + (2,)), 1, r"\(5, 5\)"),
+    ], ids=["points_for_3_components", "seven_values", "two_values_a_node"])
+    def test_output_that_does_not_broadcast_rejected(self, f, components, shape):
+        with pytest.raises(DomainError, match=rf"do not broadcast to {shape}"):
+            fields.sample_function(f, n=2, N=5, components=components)
+
+    def test_complex_output_rejected(self):
+        with pytest.raises(DomainError, match=r"must be real, of shape \(5, 5\)"):
+            fields.sample_function(lambda pts: pts[..., 0] + 1j * pts[..., 1], n=2, N=5)
+
+    @pytest.mark.parametrize("n, N, components", [(2, 9, 1), (2, 33, 2), (3, 5, 1), (3, 9, 2)])
+    def test_blocks_match_full_meshgrid(self, monkeypatch, n, N, components):
+        """Each block's evaluation is the full-grid evaluation's, bit for bit."""
+        rng = np.random.default_rng(N * n + components)
+        g = rng.standard_normal((n, n))
+        quad = fields.Polynomial2D(0.3, rng.standard_normal(n), SymMatrix.from_matrix(g + g.T))
+        pts = np.stack(np.meshgrid(*[-1.5 + 3.0 / (N - 1) * np.arange(N)] * n,
+                                   indexing="ij"), axis=-1)
+
+        def with_quad(profile):
+            return lambda p: np.stack([profile(p), quad(p)], axis=-1)
+
+        for f in [quad] + list(fields.PROFILES.values()):
+            if components == 2:
+                f = with_quad(f)
+            want = f(pts)
+            for chunk in CHUNK_SIZES:
+                monkeypatch.setattr(fields, "_CHUNK_VALUES", chunk)
+                got = fields.sample_function(f, n=n, N=N, L=1.5, components=components)
+                assert got.values.tobytes() == want.tobytes(), f"{chunk} nodes a block"
 
 
 def full_grid_ball(u, x0_idx, r):
@@ -73,12 +130,15 @@ class TestBallNodes:
             with pytest.raises(DomainError, match="outside the grid square"):
                 fields.ball_window(u, x0, r)
             return
-        box, axes, mask = fields.ball_window(u, x0, r)
-        assert mask.shape == u.values[box].shape[:n] == tuple(len(t) for t in axes)
-        assert mask.dtype == bool and mask.flags.c_contiguous
-        d = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)[mask]
         d_ref, v_ref = full_grid_ball(u, x0, r)
-        assert np.array_equal(d, d_ref) and np.array_equal(u.values[box][mask], v_ref)
+        for chunk in CHUNK_SIZES:   # the mask is filled in blocks of this many nodes
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fields, "_CHUNK_VALUES", chunk)
+                box, axes, mask = fields.ball_window(u, x0, r)
+            assert mask.shape == u.values[box].shape[:n] == tuple(len(t) for t in axes)
+            assert mask.dtype == bool and mask.flags.c_contiguous
+            d = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)[mask]
+            assert np.array_equal(d, d_ref) and np.array_equal(u.values[box][mask], v_ref)
 
     @pytest.mark.parametrize("x0, r", [
         ((16, 16), 1.0 + 1e-9),   # the origin's ball just past the edge
@@ -242,8 +302,6 @@ class TestJets:
             errs.append(abs(node_jets(u, u.origin_index())[0][0, 0]))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=1e-6)
 
-
-CHUNK_SIZES = (8, 24, fields._CHUNK_VALUES)
 
 
 class TestFileIO:
