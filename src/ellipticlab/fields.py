@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateModulusError, DomainError
+from .errors import ConfigError, DegenerateModulusError, DomainError, EllipticLabError
 from .moduli import Modulus
 from .operators import SymMatrix
 
@@ -112,7 +112,8 @@ def sample_function(f: Callable, n: int = 2, N: int = 65, L: float = 1.0,
     """Evaluate ``f`` nodewise.  The callback receives stacked coordinates
     of shape (..., n) and must return real values that broadcast to (...,)
     or (..., components); anything else, or a non-finite value, raises
-    DomainError.  It is called once per ``row_blocks`` block of the grid."""
+    DomainError, but a package error the callback raises keeps its class.
+    It is called once per ``row_blocks`` block of the grid."""
     check_grid(n, N, L, components)
     tail = () if components == 1 else (components,)
     form = "(...,)" if components == 1 else f"(..., {components})"
@@ -128,6 +129,8 @@ def sample_function(f: Callable, n: int = 2, N: int = 65, L: float = 1.0,
             out = np.asarray(f(pts))
             if not np.iscomplexobj(out):
                 out = np.asarray(out, dtype=float)
+        except EllipticLabError:   # keeps its class: mms_generate's ConfigError
+            raise
         except Exception as exc:  # pragma: no cover - message plumbing
             raise DomainError(f"field evaluation failed on the grid: {exc}") from exc
         if np.iscomplexobj(out):

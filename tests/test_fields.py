@@ -80,6 +80,18 @@ class TestGridField:
         with pytest.raises(DomainError, match=r"must be real, of shape \(5, 5\)"):
             fields.sample_function(lambda pts: pts[..., 0] + 1j * pts[..., 1], n=2, N=5)
 
+    def test_callback_errors(self):
+        """A callback's package error keeps its class (``mms_generate``'s
+        ConfigError for a u* of another dimension is exit 2); any other
+        exception becomes DomainError."""
+        def refuse(pts):
+            raise ConfigError("u_star's Hessians must be 2 x 2")
+
+        with pytest.raises(ConfigError, match="u_star"):
+            fields.sample_function(refuse, n=2, N=5)
+        with pytest.raises(DomainError, match="evaluation failed"):
+            fields.sample_function(lambda pts: 1 / 0, n=2, N=5)
+
     @pytest.mark.parametrize("n, N, components", [(2, 9, 1), (2, 33, 2), (3, 5, 1), (3, 9, 2)])
     def test_blocks_match_full_meshgrid(self, monkeypatch, n, N, components):
         """Each block's evaluation is the full-grid evaluation's, bit for bit."""
