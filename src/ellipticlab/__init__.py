@@ -1,8 +1,8 @@
 """Numerical laboratory for moduli of continuity, uniformly elliptic
 operators, grid solvers, and dyadic quadratic-approximation audits.
 
-``solver``, the one module that loads scipy (for sparse LU), is imported
-only on request: ``from ellipticlab import solver``."""
+``solver``, the one module that loads scipy (for GMRES and sine
+transforms), is imported only on request: ``from ellipticlab import solver``."""
 
 from . import campanato, fields, moduli, operators
 from .errors import (

@@ -1,11 +1,11 @@
 """Desk-scale grid solver for F(D2u, x) + <B(x), Du> = f(x).
 
 Dirichlet problems on the square are discretized with central differences
-(second order, exact on quadratics) and solved by a damped Newton
-iteration on the nodewise residual that reuses each LU factorization for
-chord steps while the residual contracts.  A constant-coefficient tangential
-solver and a manufactured-solutions harness give independent ground
-truth for accuracy studies.
+(second order, exact on quadratics) and solved by a damped inexact Newton
+iteration on the nodewise residual, each step by GMRES preconditioned with
+a fast sine transform.  A constant-coefficient tangential solver and a
+manufactured-solutions harness give independent ground truth for accuracy
+studies.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, NumericsError
@@ -65,12 +64,12 @@ class SolveReport:
     iterations: int
     converged: bool
     damping_events: list
-    factorizations: int
+    krylov_iterations: int
 
     def describe(self) -> dict:
         return {
             "iterations": self.iterations,
-            "factorizations": self.factorizations,
+            "krylov_iterations": self.krylov_iterations,
             "converged": bool(self.converged),
             "residual_norm_history": [float(v) for v in self.residual_norm_history],
             "damping_events": list(self.damping_events),
@@ -89,8 +88,8 @@ def _interior_points(inst: ProblemInstance) -> Optional[np.ndarray]:
     ``x_dependence``: ``evaluate_batch`` reads the points for nothing else."""
     if inst.op.x_dependence is None:
         return None
-    f = inst.source
-    return np.stack(f.meshgrid(), axis=-1)[_interior(f.n, f.N)]
+    c = inst.source.axis_coords()[1:-1]
+    return np.stack(np.meshgrid(*([c] * inst.source.n), indexing="ij"), axis=-1)
 
 
 def _check_on_grid(inst: ProblemInstance, u: GridField) -> None:
@@ -114,96 +113,38 @@ def discrete_residual(inst: ProblemInstance, u: GridField) -> GridField:
     return GridField(f.n, f.N, f.L, res)
 
 
-# Dissection stops at blocks of at most this many nodes.  Measured on the
-# benchmark's Newton solves: 16 leaves 12-15 % less LU fill than 64, and of
-# 8, 16 and 32 it gives the fastest pass; 8 cuts fill by another 1-2 % but
-# is no faster and takes longer to dissect.
-_LEAF_NODES = 16
-
-
+@lru_cache(maxsize=None)
 def _offset_slots(n: int):
     """The distinct neighbour offsets of ``central_stencil(n)`` in order of
     first use, and for each stencil entry the slot of each of its offsets
-    in that list."""
+    in that list: the Jacobian's stencil pattern, built once per dimension
+    as nested tuples and shared by every ``_jacobian``."""
     first = {}
     slots = tuple(tuple(first.setdefault(tuple(off), len(first)) for off in entry.offsets)
                   for entry in central_stencil(n))
     return tuple(first), slots
 
 
-@lru_cache(maxsize=8)
-def _interior_pattern(n: int, N: int):
-    """Nested-dissection order and the Jacobian's CSC pattern for the
-    (N-2)^n interior nodes, shared by every solve on the grid.
+def _jacobian(inst: ProblemInstance, u: GridField):
+    """The Jacobian of the interior residual in the interior unknowns as a
+    stencil, and the interior means of DF's diagonal.
 
-    Returns ``(perm, inv, indptr, indices, gather)``, all read-only.
-    ``perm[k]`` is the C-order interior index of the k-th node in
-    dissected order and ``inv`` its inverse.  The order splits the longest
-    axis of a block at a one-node separator, numbers both halves
-    recursively and the separator last, and keeps blocks of at most
-    ``_LEAF_NODES`` nodes in C order (George, SIAM J. Numer. Anal. 1973).
-    ``indptr``/``indices`` are the CSC pattern of the Jacobian in
-    dissected rows and columns, with sorted row indices.  Entry ``e`` of
-    it couples a row to its neighbour at offset ``k = gather[e] // m**n``
-    of ``_offset_slots(n)``, and ``gather[e] % m**n`` is the row's C-order
-    interior index; neighbours on the boundary ring have no entry.
-    """
-    m = N - 2
-    natural = np.arange(m**n).reshape((m,) * n)
-    blocks = []
-
-    def dissect(block):
-        if block.size <= _LEAF_NODES:
-            blocks.append(block.ravel())
-            return
-        axis = block.shape.index(max(block.shape))
-        mid = block.shape[axis] // 2
-        lower, sep, upper = (block[(slice(None),) * axis + (part,)] for part in
-                             (slice(None, mid), slice(mid, mid + 1), slice(mid + 1, None)))
-        dissect(lower)
-        dissect(upper)
-        blocks.append(sep.ravel())
-
-    dissect(natural)
-    perm = np.concatenate(blocks).astype(np.int32)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size, dtype=np.int32)
-    padded = np.full((N,) * n, -1, dtype=np.int32)
-    padded[_interior(n, N)] = inv.reshape((m,) * n)
-    offsets, _ = _offset_slots(n)
-    # (row, offset) triplets in row-major order, so the one conversion to
-    # CSC leaves each column's rows sorted; distinct offsets never collide,
-    # so there are no duplicates to sum
-    cols = np.stack([shifted_interior(padded, off).ravel()[perm] for off in offsets], axis=1)
-    ids = np.arange(len(offsets)) * perm.size + perm[:, None].astype(np.int64)
-    rows = np.broadcast_to(np.arange(perm.size, dtype=np.int32)[:, None], cols.shape)
-    keep = cols >= 0
-    J = sp.coo_matrix((ids[keep], (rows[keep], cols[keep])), shape=(perm.size,) * 2).tocsc()
-    indptr, indices, gather = J.indptr, J.indices, J.data
-    for arr in (perm, inv, indptr, indices, gather):
-        arr.flags.writeable = False
-    return perm, inv, indptr, indices, gather
-
-
-def _assemble_jacobian(inst: ProblemInstance, u: GridField) -> sp.csc_matrix:
-    """Sparse Jacobian of the interior residual in the interior unknowns,
-    both numbered in the ``_interior_pattern`` dissected order.
-
-    Each entry of ``central_stencil`` contributes its weights times the
-    derivative of the residual in that jet entry: ``linearize``'s DF[a, a],
-    or 2 DF[a, b] off the diagonal, per Hessian entry, the drift component
-    B_a (exact) per gradient entry.  These are summed, in stencil order,
-    into one coefficient per neighbour offset and interior node, and the
-    cached CSC pattern gathers its data from them.  Neighbours on the
-    boundary ring hold fixed Dirichlet data and contribute no column.
+    Returns ``(offsets, coeff, abar)``: the distinct neighbour offsets of
+    ``central_stencil(n)``, one coefficient per offset and interior node
+    (shape (len(offsets),) + (N-2,)*n), and abar[a], the mean of DF[..., a, a]
+    over the interior nodes.  Each stencil entry contributes its weights
+    times the derivative of the residual in that jet entry: ``linearize``'s
+    DF[a, a], or 2 DF[a, b] off the diagonal, per Hessian entry, the drift
+    component B_a (exact) per gradient entry, summed in stencil order.
+    Neighbours on the boundary ring hold fixed Dirichlet data, so
+    ``_apply_jacobian`` reads them as zero.
     """
     f = inst.source
     n, N, h = f.n, f.N, f.h
-    _, _, indptr, indices, gather = _interior_pattern(n, N)
     offsets, slots = _offset_slots(n)
     H, _ = interior_jets(u.values, n, h)
     DF = linearize(inst.op, H, _interior_points(inst))
-    coeff = np.zeros((len(offsets), H.size // n**2))
+    coeff = np.zeros((len(offsets),) + H.shape[:-2])
     for entry, entry_slots in zip(central_stencil(n), slots):
         if entry.p == 2:
             a, b = entry.index
@@ -212,38 +153,69 @@ def _assemble_jacobian(inst: ProblemInstance, u: GridField) -> sp.csc_matrix:
             dF = inst.drift.values[_interior(n, N)][..., entry.index[0]]
         else:
             continue
-        dF = dF.ravel()
         for w, k in zip(entry.weights, entry_slots):
             coeff[k] += (w * dF) / (entry.c * h**entry.p)
-    return sp.csc_matrix((coeff.ravel()[gather], indices, indptr), shape=(coeff.shape[1],) * 2)
+    abar = np.array([np.mean(DF[..., a, a]) for a in range(n)])
+    return offsets, coeff, abar
 
 
-# An accepted step that leaves more than this fraction of the residual
-# sup-norm drops the LU factor, so the next iteration refactors (Kelley,
-# 1995).  Measured: at 0.25 the zero-interior Pucci solves need more than 8
-# steps, and 0.5 is no faster than 0.1.
-_CHORD_RATE = 0.1
+def _apply_jacobian(offsets, coeff, v: np.ndarray) -> np.ndarray:
+    """J v for v on the interior nodes: the sum over offsets of each
+    offset's coefficients times v moved by it, zero beyond the interior."""
+    padded = np.pad(v, 1)
+    out = np.zeros_like(v)
+    for off, c in zip(offsets, coeff):
+        out += c * shifted_interior(padded, off)
+    return out
+
+
+def _sine_inverse(abar: np.ndarray, h: float, m: int) -> Callable:
+    """The exact inverse of sum_a abar[a] D_aa on (m,)*n interior nodes with
+    zero Dirichlet data, D_aa the (1, -2, 1)/h^2 difference along axis a.
+    The DST-I modes are its eigenvectors, with eigenvalues
+    sum_a abar[a] lam[j_a], lam[j] = -4/h^2 sin^2(pi (j+1) / (2 (m+1)))."""
+    # imported here: scipy.fft at module level adds about 5 MB to every
+    # process that imports solver, solving or not
+    from scipy.fft import dstn, idstn
+    n = abar.size
+    lam = -4.0 / h**2 * np.sin(np.pi * np.arange(1, m + 1) / (2 * (m + 1)))**2
+    eig = sum(a * lam.reshape((m,) + (1,) * (n - 1 - k)) for k, a in enumerate(abar))
+    return lambda v: idstn(dstn(v, type=1) / eig, type=1)
+
+
+# GMRES restarts after this many iterations and runs at most this many
+# cycles per Newton step.
+_RESTART = 30
+_CYCLES = 4
 
 
 def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
                  max_iter: int = 30) -> SolveReport:
-    """Damped Newton on the nodewise residual, reusing each LU factor for
-    chord steps while the residual keeps contracting (Shamanskii's method).
+    """Damped inexact Newton on the nodewise residual, each step solved by
+    GMRES with a sine-transform preconditioner (Newton-Krylov).
 
     The Dirichlet data is imposed on the boundary ring of the start, and
-    the unknowns are the interior nodes only, solved in the
-    nested-dissection order of ``_interior_pattern``.  So
+    the unknowns are the interior nodes only.  So
     ``residual_norm_history[0]`` is the residual sup-norm of the start
     after the boundary is imposed, and every later residual is zero on
     the ring.
 
-    While a factor is kept, each iteration first takes the full chord
-    step with it.  If that does not lower the residual sup-norm, the step
-    is discarded and the Jacobian is refactored at the same iterate for a
-    Newton step, halved (at most 20 times) until the residual sup-norm
-    decreases.  The factor is dropped after a step that needed halvings or
-    that left more than ``_CHORD_RATE`` of the residual.  ``iterations``
-    counts accepted steps and ``factorizations`` the LU factorizations.
+    Each iteration linearizes at the iterate (``_jacobian``) and solves
+    J s = -r by GMRES(``_RESTART``), at most ``_CYCLES`` cycles, right
+    preconditioned by M, the exact ``_sine_inverse`` of sum_a abar_a D_aa
+    (Knoll-Keyes, JCP 2004): GMRES runs on J M, so its tolerance bounds the
+    true residual of the step.  That tolerance, relative to ||r||_2, is the
+    Eisenstat-Walker forcing term min(0.1, 0.9 (||r_k||_2 / ||r_{k-1}||_2)^2)
+    (SISC 1996), 0.1 at the first step, and at least 0.25 tol / ||r_k||_inf.
+    M, a sine-transform factorization, is rebuilt only when some abar_a
+    moves by more than 1e-6 relative, so the steps of a linear problem
+    share one.
+    The step is halved (at most 20 times) until the residual sup-norm
+    decreases; a step that misses its tolerance is still tried.  An abar_a
+    that is not finite and positive (F = 0, say) records a ``singular``
+    event, as does a step that is not finite; a step that no halving makes
+    decrease records ``stalled``.  ``iterations`` counts accepted steps and
+    ``krylov_iterations`` the GMRES iterations of every step.
     Deterministic for a fixed instance and starting guess.  Raises
     ``ConfigError`` unless ``tol`` is finite and positive and
     ``max_iter >= 1``.
@@ -255,28 +227,23 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
     _check_on_grid(inst, u0)
     f = inst.source
     core = _interior(f.n, f.N)
-    perm, inv, *_ = _interior_pattern(f.n, f.N)
     u = inst.boundary.copy()
     u[core] = np.asarray(u0.values, dtype=float)[core]
     damping_events = []
-    lu, factorizations, it = None, 0, 0
+    krylov, it, last_norm2 = 0, 0, None
+    M = built = None   # the sine factorization and the abar it was built from
 
     def resid(vals):
         return discrete_residual(inst, GridField(f.n, f.N, f.L, vals)).values
 
-    def lu_step():
-        step = np.zeros_like(u)
-        step[core] = lu.solve(-r[core].ravel()[perm])[inv].reshape(u[core].shape)
-        return step
-
-    def first_decrease(step, halvings):
-        """The first trial u + 2^-k step, k <= halvings, whose residual
-        sup-norm is below the current one or meets ``tol``, as (trial, its
-        residual, its sup-norm, k); None when there is none or the step is
-        not finite, as a singular factor leaves it."""
+    def first_decrease(step):
+        """The first trial u + 2^-k step, k <= 20, whose residual sup-norm
+        is below the current one or meets ``tol``, as (trial, its residual,
+        its sup-norm, k); None when there is none or the step is not
+        finite."""
         if not np.all(np.isfinite(step)):   # GridField rejects a non-finite trial
             return None
-        for k in range(halvings + 1):
+        for k in range(21):
             trial = u + 0.5**k * step
             r_trial = resid(trial)
             t_norm = float(np.max(np.abs(r_trial)))
@@ -289,39 +256,39 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
     history = [rnorm]
     while rnorm > tol and it < max_iter:
         it += 1
-        accepted = None
-        if lu is not None:
-            accepted = first_decrease(lu_step(), 0)
-            if accepted is None:
-                lu = None
+        offsets, coeff, abar = _jacobian(inst, GridField(f.n, f.N, f.L, u))
+        if not np.all(np.isfinite(abar) & (abar > 0)):
+            damping_events.append({"iteration": it, "event": "singular"})
+            break
+        if M is None or not np.allclose(abar, built, rtol=1e-6, atol=0.0):
+            # the step is M y, so M shapes only GMRES's iterations; an abar
+            # within 1e-6 of the one M was built from (the round-off of
+            # linearize on a linear F) changes nothing measurable
+            M, built = _sine_inverse(abar, f.h, f.N - 2), abar
+        rhs = -r[core]
+        norm2 = float(np.linalg.norm(rhs))
+        eta = 0.1 if last_norm2 is None else min(0.1, 0.9 * (norm2 / last_norm2)**2)
+        JM = spla.LinearOperator((rhs.size,) * 2, dtype=float, matvec=lambda y: (
+            _apply_jacobian(offsets, coeff, M(y.reshape(rhs.shape))).ravel()))
+        counted = []   # one entry per GMRES iteration
+        y, _ = spla.gmres(JM, rhs.ravel(), rtol=max(eta, 0.25 * tol / rnorm), restart=_RESTART,
+                          maxiter=_CYCLES, callback=counted.append, callback_type="pr_norm")
+        krylov += len(counted)
+        step = np.zeros_like(u)
+        step[core] = M(y.reshape(rhs.shape))
+        accepted = first_decrease(step)
         if accepted is None:
-            # assemble after the stale factor is freed: two live factors
-            # would double the solve's peak memory
-            J = _assemble_jacobian(inst, GridField(f.n, f.N, f.L, u))
-            try:
-                lu = spla.splu(J, permc_spec="NATURAL")
-            except RuntimeError as exc:
-                if "singular" not in str(exc):
-                    raise NumericsError(f"LU factorization failed in Newton iteration {it}: {exc}")
-                damping_events.append({"iteration": it, "event": "singular"})
-                break
-            factorizations += 1
-            step = lu_step()
-            accepted = first_decrease(step, 20)
-            if accepted is None:
-                event = "stalled" if np.all(np.isfinite(step)) else "singular"
-                damping_events.append({"iteration": it, "event": event})
-                break
-        u, r, t_norm, halving = accepted
+            event = "stalled" if np.all(np.isfinite(step)) else "singular"
+            damping_events.append({"iteration": it, "event": event})
+            break
+        u, r, rnorm, halving = accepted
         if halving:
             damping_events.append({"iteration": it, "halvings": halving})
-        if halving or t_norm > _CHORD_RATE * rnorm:
-            lu = None
-        rnorm = t_norm
+        last_norm2 = norm2
         history.append(rnorm)
     # a singular or stalled iteration leaves rnorm above tol
     return SolveReport(GridField(f.n, f.N, f.L, u), history, it, rnorm <= tol, damping_events,
-                       factorizations)
+                       krylov)
 
 
 # -- constant-coefficient tangential solve ----------------------------------
@@ -330,16 +297,16 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
 def solve_linear_tangential(A0: SymMatrix, boundary, N: int,
                             source: Optional[GridField] = None) -> GridField:
     """Solve tr(A0 D2u) = f with Dirichlet data on [-1, 1]^n, from a zero
-    interior, by one LU factorization and at most three steps with it.
+    interior, by ``solve_newton`` to a residual of 1e-10 relative.
 
     ``boundary`` is a callback on stacked points or a grid-shaped array;
     ``linear_trace`` rejects an A0 that is not positive definite.  The
-    assembled residual is checked to 1e-10 relative.  The problem is
-    linear, but one sparse direct solve leaves a residual near 1e-10 times
-    the starting defect (2e-6 relative for exp(x1) cos(2 x2) data with
-    A0 = I at N=257 from a zero interior).  Each step cuts the residual far
-    below ``_CHORD_RATE``, so ``solve_newton`` keeps the factor and the
-    later steps are chord steps: iterative refinement on the one factor.
+    residual is relative to the largest of the source, the boundary data
+    and 1.  The problem is linear, but each Newton step solves it only to
+    its forcing term, so a solve takes a few steps.  For a diagonal A0 the
+    preconditioner is the Jacobian's inverse up to the round-off of
+    ``linearize``, and each step takes one Krylov iteration; every step
+    reuses the first step's preconditioner.
     """
     n, L = A0.n, 1.0
     if callable(boundary):
@@ -349,7 +316,7 @@ def solve_linear_tangential(A0: SymMatrix, boundary, N: int,
     inst = ProblemInstance(op=linear_trace(A0), source=f, boundary=boundary)
     zero = GridField(n, N, L, np.zeros((N,) * n))
     scale = max(float(np.max(np.abs(src))), float(np.max(np.abs(inst.boundary))), 1.0)
-    report = solve_newton(inst, zero, tol=1e-10 * scale, max_iter=3)
+    report = solve_newton(inst, zero, tol=1e-10 * scale)
     if not report.converged:
         raise NumericsError("tangential solve residual exceeds 1e-10 relative")
     return report.solution

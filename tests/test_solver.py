@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellipticlab import fields, operators, solver
 from ellipticlab.errors import ConfigError
@@ -150,6 +151,24 @@ class TestNewton:
         pts = np.stack(inst.source.meshgrid(), axis=-1)
         assert np.max(np.abs(rep.solution.values - u_star.value(pts))) < 1e-4
 
+    def test_lost_ellipticity_solve_matches_the_direct_solver(self):
+        # ROADMAP item 3's solve: DF's least eigenvalue at the solution is
+        # near 0, so the sine preconditioner is far from J, yet the solve
+        # converges to the sup error a sparse LU solve reached
+        # (8.228217128536386e-06, 17 Newton steps)
+        rep, err = solver.mms_solve(operators.perturbed_trace(0.5),
+                                    solver.saddle_quartic_solution(np.pi), 129, 1.0, None, 1e-10)
+        assert rep.converged and rep.iterations <= 17
+        assert abs(err - 8.228217128536386e-06) <= 1e-12
+
+    def test_pucci_plus_3d_at_33_in_six_steps(self):
+        u_star = solver.quadratic_solution(0.1, [0.2, -0.1, 0.3],
+                                           SymMatrix.diagonal([1.0, -0.5, 0.3]))
+        rep, err = solver.mms_solve(operators.pucci_plus_op(operators.EllipticityPair(1.0, 2.0),
+                                                            n=3), u_star, 33, 1.0, None, 1e-10)
+        assert rep.converged and rep.iterations <= 6
+        assert err <= 1e-10
+
     def test_all_zero_start_takes_full_steps(self):
         # the Dirichlet data is imposed on the start, so the sup-norm merit
         # never trades boundary rows against h^-2-scaled interior rows
@@ -161,69 +180,89 @@ class TestNewton:
         assert not any("halvings" in e for e in rep.damping_events)
         np.testing.assert_array_equal(rep.solution.values[0], inst.boundary[0])
 
-    def test_reuses_factorizations(self):
-        # every perturbed_trace step after the first cuts the residual by
-        # more than _CHORD_RATE, so one factorization serves the whole solve
+    def test_krylov_iterations_reported(self):
+        # each Newton step runs at least one GMRES iteration, and the report
+        # carries their total
         op = operators.perturbed_trace(0.05)
         inst = solver.mms_generate(op, solver.saddle_quartic_solution(1e-2), N=65)
         u0 = inst.boundary.copy()
         u0[1:-1, 1:-1] = 0.0
         rep = solver.solve_newton(inst, fields.GridField(2, 65, 1.0, u0), tol=1e-10)
-        assert rep.converged and rep.iterations <= 8
-        assert rep.factorizations == 1
-        assert rep.describe()["factorizations"] == 1
+        assert rep.converged and rep.iterations <= 4
+        assert rep.krylov_iterations >= rep.iterations
+        assert rep.describe()["krylov_iterations"] == rep.krylov_iterations
 
-    def test_failed_chord_step_refactors_uncounted(self, monkeypatch):
-        # with the factor never dropped for slow contraction, the second
-        # factorization comes from a chord step that did not lower the
-        # residual; that trial is discarded, so it is neither an iteration
-        # nor a history entry
-        monkeypatch.setattr(solver, "_CHORD_RATE", 1.0)
+    def test_forcing_terms_follow_eisenstat_walker(self, monkeypatch):
+        # GMRES's relative tolerance is 0.1 at the first step, then
+        # min(0.1, 0.9 (|r_k|_2 / |r_k-1|_2)^2), never below 0.25 tol / |r_k|_inf
+        rtols, iterates = [], []
+        gmres, jacobian = solver.spla.gmres, solver._jacobian
+
+        def recording_gmres(*args, **kwargs):
+            rtols.append(kwargs["rtol"])
+            return gmres(*args, **kwargs)
+
+        def recording_jacobian(inst, u):
+            iterates.append(u.values.copy())
+            return jacobian(inst, u)
+
+        monkeypatch.setattr(solver.spla, "gmres", recording_gmres)
+        monkeypatch.setattr(solver, "_jacobian", recording_jacobian)
         op = operators.pucci_minus_op(operators.EllipticityPair(1.0, 2.0))
         inst = solver.mms_generate(op, solver.saddle_quartic_solution(1e-2), N=33)
         u0 = inst.boundary.copy()
         u0[1:-1, 1:-1] = 0.0
-        rep = solver.solve_newton(inst, fields.GridField(2, 33, 1.0, u0), tol=1e-10)
-        assert rep.converged and rep.damping_events == []
-        assert rep.factorizations == 2
-        hist = rep.residual_norm_history
-        assert len(hist) == rep.iterations + 1
-        assert all(b < a for a, b in zip(hist, hist[1:]))
+        tol = 1e-10
+        rep = solver.solve_newton(inst, fields.GridField(2, 33, 1.0, u0), tol=tol)
+        assert rep.converged
+        assert len(rtols) == len(iterates) == rep.iterations >= 3
+        norms = [np.linalg.norm(solver.discrete_residual(inst, fields.GridField(2, 33, 1.0, u))
+                                .values) for u in iterates]
+        floors = [0.25 * tol / r for r in rep.residual_norm_history]
+        assert rtols[0] == max(0.1, floors[0])
+        for k in range(1, len(rtols)):
+            eta = min(0.1, 0.9 * (norms[k] / norms[k - 1]) ** 2)
+            assert rtols[k] == pytest.approx(max(eta, floors[k]), rel=1e-12)
 
     def test_damped_step_drops_factor(self, monkeypatch):
-        # the first step needs a halving, so the next iteration refactors
-        # at the iterate that step reached instead of taking a chord step;
-        # with _CHORD_RATE = 1 only the halving can drop the factor
-        monkeypatch.setattr(solver, "_CHORD_RATE", 1.0)
-        assembled = []
-        assemble = solver._assemble_jacobian
+        # the second step needs a halving, the event records it, and the
+        # next iteration linearizes at the iterate that damped step reached
+        linearized = []
+        jacobian = solver._jacobian
 
         def recording(inst, u):
-            assembled.append(u.values.copy())
-            return assemble(inst, u)
+            linearized.append(u.values.copy())
+            return jacobian(inst, u)
 
-        monkeypatch.setattr(solver, "_assemble_jacobian", recording)
+        monkeypatch.setattr(solver, "_jacobian", recording)
         inst = solver.mms_generate(operators.perturbed_trace(0.5),
-                                   solver.saddle_quartic_solution(1.0), N=17)
-        u0 = 0.01 * np.random.default_rng(0).standard_normal((17, 17))
-        rep = solver.solve_newton(inst, fields.GridField(2, 17, 1.0, u0), max_iter=2)
-        assert rep.damping_events[0] == {"iteration": 1, "halvings": 1}
-        assert rep.factorizations == 2
-        res = solver.discrete_residual(inst, fields.GridField(2, 17, 1.0, assembled[1]))
-        assert np.max(np.abs(res.values)) == rep.residual_norm_history[1]
+                                   solver.saddle_quartic_solution(4.0), N=17)
+        u0 = inst.boundary.copy()
+        u0[1:-1, 1:-1] = 0.0
+        rep = solver.solve_newton(inst, fields.GridField(2, 17, 1.0, u0), max_iter=3)
+        assert rep.damping_events == [{"iteration": 2, "halvings": 1}]
+        assert len(linearized) == 3
+        res = solver.discrete_residual(inst, fields.GridField(2, 17, 1.0, linearized[2]))
+        assert np.max(np.abs(res.values)) == rep.residual_norm_history[2]
 
     def test_uphill_step_stalls(self, monkeypatch):
-        # with the Jacobian negated, no halving of the Newton step lowers
-        # the residual, so the first iteration gives up after 20 halvings
-        assemble = solver._assemble_jacobian
-        monkeypatch.setattr(solver, "_assemble_jacobian", lambda inst, u: -assemble(inst, u))
+        # with the Jacobian's coefficients negated and the preconditioner
+        # kept, GMRES returns the uphill step, no halving of it lowers the
+        # residual, and the first iteration gives up after 20 halvings
+        jacobian = solver._jacobian
+
+        def negated(inst, u):
+            offsets, coeff, abar = jacobian(inst, u)
+            return offsets, -coeff, abar
+
+        monkeypatch.setattr(solver, "_jacobian", negated)
         inst = solver.mms_generate(operators.perturbed_trace(0.05),
                                    solver.saddle_quartic_solution(1e-2), N=33)
         u0 = inst.boundary.copy()
         u0[1:-1, 1:-1] = 0.0
         rep = solver.solve_newton(inst, fields.GridField(2, 33, 1.0, u0))
         assert not rep.converged
-        assert rep.factorizations == 1
+        assert rep.iterations == 1 and rep.krylov_iterations >= 1
         assert rep.damping_events == [{"iteration": 1, "event": "stalled"}]
         assert len(rep.residual_norm_history) == 1
 
@@ -239,28 +278,35 @@ class TestNewton:
             solver.solve_newton(inst, u0, tol=tol, max_iter=max_iter)
 
     def test_singular_jacobian_reported(self):
-        # F = 0 has a zero Jacobian: the factorization fails, and the solve
-        # reports it instead of raising or warning
+        # F = 0 has a zero Jacobian, so the means of DF's diagonal the
+        # preconditioner needs are zero, and the solve reports it instead of
+        # raising or warning
         op = operators.extension(lambda H: np.zeros(np.shape(H)[:-2]),
                                  operators.EllipticityPair(1.0, 2.0), callback_id="zero")
         N = 17
         inst = solver.ProblemInstance(op, fields.GridField(2, N, 1.0, np.ones((N, N))),
                                       np.zeros((N, N)))
         with warnings.catch_warnings():
-            warnings.simplefilter("error", spla.MatrixRankWarning)
+            warnings.simplefilter("error")
             rep = solver.solve_newton(inst, fields.GridField(2, N, 1.0, np.zeros((N, N))))
-        assert not rep.converged
+        assert not rep.converged and rep.krylov_iterations == 0
         assert rep.damping_events == [{"iteration": 1, "event": "singular"}]
 
 
+def jacobian_times(inst, u, v):
+    """J v for v on the interior nodes, from the solver's stencil."""
+    offsets, coeff, _ = solver._jacobian(inst, u)
+    return solver._apply_jacobian(offsets, coeff, v)
+
+
 class TestJacobian:
-    """J @ v against the central directional difference of the interior
+    """J v against the central directional difference of the interior
     residual, for v zero on the boundary ring.
 
     u is a quadratic with Hessian eigenvalues away from 0 plus grid-scale
     noise, so Pucci's eigenvalue kinks lie beyond every difference step
-    and the one-sided dF/dH steps in J stay small.  J is numbered in the
-    dissected order of ``_interior_pattern``.
+    and the one-sided dF/dH steps in J stay small.  J acts on the interior
+    nodes in natural C order.
     """
 
     @pytest.mark.parametrize("op, n, N, drift_fn", [
@@ -284,49 +330,22 @@ class TestJacobian:
         def residual(w):
             return solver.discrete_residual(inst, fields.GridField(n, N, 1.0, w)).values[core]
 
-        perm, inv, *_ = solver._interior_pattern(n, N)
-        J = solver._assemble_jacobian(inst, fields.GridField(n, N, 1.0, u))
-        Jv = (J @ v[core].ravel()[perm])[inv].reshape(v[core].shape)
+        Jv = jacobian_times(inst, fields.GridField(n, N, 1.0, u), v[core])
         eps = 1e-6
         fd = (residual(u + eps * v) - residual(u - eps * v)) / (2.0 * eps)
         assert np.max(np.abs(Jv - fd)) <= 1e-6 * np.max(np.abs(Jv))
 
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("N", [3, 5, 17, 33])
-    def test_dissection_order_is_a_permutation(self, n, N):
-        perm, inv, *_ = solver._interior_pattern(n, N)
-        np.testing.assert_array_equal(np.sort(perm), np.arange((N - 2) ** n))
-        np.testing.assert_array_equal(inv[perm], np.arange((N - 2) ** n))
-
-    def test_dissected_step_matches_natural_solve(self):
-        # one Newton step from a zero interior against a natural-order
-        # solve of the same interior system
-        op = operators.perturbed_trace(0.05)
-        drift = fields.sample_function(rotation_drift(), N=33, components=2)
-        inst = solver.mms_generate(op, solver.saddle_quartic_solution(1e-2),
-                                   N=33, drift=drift)
-        u0 = inst.boundary.copy()
-        u0[1:-1, 1:-1] = 0.0
-        u0 = fields.GridField(2, 33, 1.0, u0)
-        rep = solver.solve_newton(inst, u0, tol=1e-300, max_iter=1)
-        assert rep.damping_events == []
-        _, inv, *_ = solver._interior_pattern(2, 33)
-        J = solver._assemble_jacobian(inst, u0)[inv][:, inv]
-        r = solver.discrete_residual(inst, u0).values[1:-1, 1:-1]
-        natural = spla.spsolve(J.tocsc(), -r.ravel()).reshape(r.shape)
-        step = rep.solution.values[1:-1, 1:-1] - u0.values[1:-1, 1:-1]
-        assert np.max(np.abs(step - natural)) <= 1e-12 * np.max(np.abs(natural))
-
     @staticmethod
     def triplet_jacobian(inst, u):
-        """The Jacobian assembled the direct way: one COO triplet per
-        stencil term and interior neighbour, duplicates summed by tocsc."""
+        """The Jacobian assembled the direct way, in natural order: one COO
+        triplet per stencil term and interior neighbour, duplicates summed
+        by tocsc."""
         f = inst.source
         n, N, h = f.n, f.N, f.h
         core = (slice(1, -1),) * n
-        perm, inv, *_ = solver._interior_pattern(n, N)
+        size = (N - 2) ** n
         padded = np.full((N,) * n, -1)
-        padded[core] = inv.reshape((N - 2,) * n)
+        padded[core] = np.arange(size).reshape((N - 2,) * n)
         H, _ = fields.interior_jets(u.values, n, h)
         pts = solver._interior_points(inst)
         base = inst.op.evaluate_batch(H, pts)
@@ -341,15 +360,15 @@ class TestJacobian:
                 dF = inst.drift.values[core][..., entry.index[0]]
             else:
                 continue
-            dF = dF.ravel()[perm]
+            dF = dF.ravel()
             for w, off in zip(entry.weights, entry.offsets):
-                c = fields.shifted_interior(padded, off).ravel()[perm]
+                c = fields.shifted_interior(padded, off).ravel()
                 r = np.flatnonzero(c >= 0)
                 rows.append(r)
                 cols.append(c[r])
                 data.append((w * dF[r]) / (entry.c * h**entry.p))
         J = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(perm.size, perm.size))
+                          shape=(size, size))
         return J.tocsc()
 
     @pytest.mark.parametrize("op, n, N, drift_fn", [
@@ -364,9 +383,7 @@ class TestJacobian:
     ], ids=["perturbed_trace_2d_drift", "pucci_minus_2d", "pucci_minus_2d_x", "pucci_plus_3d",
             "pucci_plus_3d_drift"])
     def test_matches_triplet_assembly(self, op, n, N, drift_fn):
-        # in 2-D no node and offset gets more than two terms, so the sums
-        # are exact in any order; in 3-D the centre gets three, and the
-        # order tocsc sums them in may move the last bit
+        # the stencil and the matrix sum the same products in other orders
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         u_star = solver.quadratic_solution(
@@ -378,78 +395,125 @@ class TestJacobian:
         u = inst.boundary.copy()
         u[(slice(1, -1),) * n] = 0.3 * rng.standard_normal((N - 2,) * n)
         u = fields.GridField(n, N, 1.0, u)
-        J = solver._assemble_jacobian(inst, u)
+        v = rng.standard_normal((N - 2,) * n)
         ref = self.triplet_jacobian(inst, u)
-        ref.sort_indices()
-        J.sort_indices()
-        np.testing.assert_array_equal(J.indptr, ref.indptr)
-        np.testing.assert_array_equal(J.indices, ref.indices)
-        if n == 2:
-            np.testing.assert_array_equal(J.data, ref.data)
-        else:
-            bound = 4 * np.finfo(float).eps * np.max(np.abs(ref.data))
-            assert np.max(np.abs(J.data - ref.data)) <= bound
+        Jv = jacobian_times(inst, u, v).ravel()
+        bound = 4 * np.finfo(float).eps * np.max(abs(ref) @ np.abs(v.ravel()))
+        assert np.max(np.abs(Jv - ref @ v.ravel())) <= bound
 
-    @pytest.mark.parametrize("n, N, bound", [(2, 129, 1_000_000), (3, 17, 630_000)])
-    def test_dissected_laplacian_fill(self, n, N, bound):
-        # leaf blocks of 64 nodes gave 1,100,752 and 678,674
+    def test_step_meets_its_forcing_term(self):
+        # the first step from a zero interior solves J s = -r to GMRES's
+        # tolerance of 0.1, checked against the triplet matrix
+        op = operators.perturbed_trace(0.05)
+        drift = fields.sample_function(rotation_drift(), N=33, components=2)
+        inst = solver.mms_generate(op, solver.saddle_quartic_solution(1e-2),
+                                   N=33, drift=drift)
+        u0 = inst.boundary.copy()
+        u0[1:-1, 1:-1] = 0.0
+        u0 = fields.GridField(2, 33, 1.0, u0)
+        rep = solver.solve_newton(inst, u0, tol=1e-300, max_iter=1)
+        assert rep.damping_events == [] and rep.krylov_iterations >= 1
+        r = solver.discrete_residual(inst, u0).values[1:-1, 1:-1].ravel()
+        step = (rep.solution.values - u0.values)[1:-1, 1:-1].ravel()
+        J = self.triplet_jacobian(inst, u0)
+        assert np.linalg.norm(J @ step + r) <= 0.1 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("n, N", [(2, 17), (3, 9)])
+    def test_interior_points_are_the_sliced_meshgrid(self, n, N):
+        # read only by an operator with an x_dependence
         zero = fields.GridField(n, N, 1.0, np.zeros((N,) * n))
-        inst = solver.ProblemInstance(operators.linear_trace(np.eye(n)), zero, zero.values)
-        lu = spla.splu(solver._assemble_jacobian(inst, zero), permc_spec="NATURAL")
-        assert lu.L.nnz + lu.U.nnz <= bound
+        op = operators.linear_trace(np.eye(n))
+        assert solver._interior_points(solver.ProblemInstance(op, zero, zero.values)) is None
+        inst = solver.ProblemInstance(dataclasses.replace(op, x_dependence=coefficient), zero,
+                                      zero.values)
+        full = np.stack(zero.meshgrid(), axis=-1)[(slice(1, -1),) * n]
+        np.testing.assert_array_equal(solver._interior_points(inst), full)
+
 
     def test_pattern_is_cached_read_only_and_shared(self):
         inst = solver.mms_generate(operators.perturbed_trace(0.05),
                                    solver.saddle_quartic_solution(1e-2), N=17)
-        pattern = solver._interior_pattern(2, 17)
-        assert solver._interior_pattern(2, 17) is pattern
-        _, _, indptr, indices, gather = pattern
-        for arr in pattern:
-            assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            gather[0] = 0
+        pattern = solver._offset_slots(2)
+        assert solver._offset_slots(2) is pattern
+        offsets, slots = pattern
+        for part in (offsets, *offsets, slots, *slots):
+            assert isinstance(part, tuple)
+        with pytest.raises(TypeError):
+            offsets[0] = (0, 0)
         zero = fields.GridField(2, 17, 1.0, np.zeros((17, 17)))
         for u in (zero, fields.GridField(2, 17, 1.0, inst.boundary)):
-            J = solver._assemble_jacobian(inst, u)
-            assert np.shares_memory(J.indptr, indptr) and np.shares_memory(J.indices, indices)
-            assert J.data.size == gather.size
+            shared, coeff, _ = solver._jacobian(inst, u)
+            assert shared is offsets and coeff.shape[0] == len(offsets)
 
 
-def count_factorizations(monkeypatch) -> list:
-    """A list that gains one entry per ``splu`` call the solver makes."""
-    calls = []
-    splu = solver.spla.splu
+def constant_operator(abar, h, w):
+    """sum_a abar[a] (1, -2, 1)/h^2 along axis a, on w with zero data beyond it."""
+    n, p = w.ndim, np.pad(w, 1)
+    out = np.zeros_like(w)
+    for a, c in enumerate(abar):
+        lo, hi = [slice(1, -1)] * n, [slice(1, -1)] * n
+        lo[a], hi[a] = slice(None, -2), slice(2, None)
+        out += c * (p[tuple(hi)] - 2.0 * w + p[tuple(lo)]) / h**2
+    return out
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
 
-    monkeypatch.setattr(solver.spla, "splu", counted)
-    return calls
+class TestSinePreconditioner:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_inverts_the_constant_coefficient_operator(self, data):
+        # odd N, N - 1 a power of two (9, 17, 33) or not (7, 19, 35)
+        n = data.draw(st.sampled_from([2, 3]), label="n")
+        N = data.draw(st.sampled_from([3, 7, 9, 17, 19, 33, 35]), label="N")
+        abar = np.array(data.draw(st.lists(st.floats(1e-2, 1e2), min_size=n, max_size=n),
+                                  label="abar"))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        m, h = N - 2, 2.0 / (N - 1)
+        v = np.random.default_rng(seed).standard_normal((m,) * n)
+        w = solver._sine_inverse(abar, h, m)(v)
+        assert np.max(np.abs(constant_operator(abar, h, w) - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+def recorded_reports(monkeypatch) -> list:
+    """A list that gains the report of every ``solve_newton`` call."""
+    reports = []
+    solve = solver.solve_newton
+
+    def recording(*args, **kwargs):
+        reports.append(solve(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(solver, "solve_newton", recording)
+    return reports
+
+
+def one_krylov_iteration_per_step(report) -> bool:
+    return report.converged and report.krylov_iterations == report.iterations
 
 
 class TestTangentialSolve:
     # the two exact-quadratic cases used to start from the boundary callback
-    # sampled at every node, the answer itself, and factor nothing
+    # sampled at every node, the answer itself; for a diagonal A0 the sine
+    # preconditioner inverts the Jacobian, so each step takes one Krylov
+    # iteration
     def test_harmonic_quadratic_exact(self, monkeypatch):
-        calls = count_factorizations(monkeypatch)
+        reports = recorded_reports(monkeypatch)
         u = solver.solve_linear_tangential(
             SymMatrix.identity(2),
             lambda pts: np.asarray(pts)[..., 0] * np.asarray(pts)[..., 1],
             N=33)
         pts = np.stack(u.meshgrid(), axis=-1)
         np.testing.assert_allclose(u.values, pts[..., 0] * pts[..., 1], atol=1e-11)
-        assert len(calls) == 1
+        assert one_krylov_iteration_per_step(reports[0])
 
     def test_anisotropic_null_quadratic(self, monkeypatch):
         # tr(diag(1,2) M) = 0 for M = diag(2,-1): quadratic reproduced exactly
-        calls = count_factorizations(monkeypatch)
+        reports = recorded_reports(monkeypatch)
         A0 = SymMatrix.diagonal([1.0, 2.0])
         bnd = lambda pts: np.asarray(pts)[..., 0] ** 2 - 0.5 * np.asarray(pts)[..., 1] ** 2
         u = solver.solve_linear_tangential(A0, bnd, N=33)
         pts = np.stack(u.meshgrid(), axis=-1)
         np.testing.assert_allclose(u.values, bnd(pts), atol=1e-10)
-        assert len(calls) == 1
+        assert one_krylov_iteration_per_step(reports[0])
 
     def test_zero_boundary_zero_solution(self):
         u = solver.solve_linear_tangential(SymMatrix.identity(2),
@@ -475,10 +539,30 @@ class TestTangentialSolve:
             np.testing.assert_array_equal(u.values[0], bnd(pts[0]))
 
     def test_refinement_reuses_one_factorization(self, monkeypatch):
-        calls = count_factorizations(monkeypatch)
+        # abar moves only by linearize's round-off from step to step, so the
+        # second step reuses the first step's sine-transform factorization
+        reports = recorded_reports(monkeypatch)
+        calls = []
+        sine_inverse = solver._sine_inverse
+
+        def counted(*args):
+            calls.append(args)
+            return sine_inverse(*args)
+
+        monkeypatch.setattr(solver, "_sine_inverse", counted)
         bnd = lambda pts: np.exp(pts[..., 0]) * np.cos(2.0 * pts[..., 1])
         solver.solve_linear_tangential(SymMatrix.identity(2), bnd, N=129)
+        assert reports[0].converged and reports[0].iterations >= 2
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("diagonal", [[1.0, 1.0], [1.0, 3.0], [2.0, 0.5, 1.0]],
+                             ids=["identity", "anisotropic", "3d"])
+    def test_diagonal_matrix_takes_one_krylov_iteration_per_step(self, monkeypatch, diagonal):
+        reports = recorded_reports(monkeypatch)
+        bnd = lambda pts: np.exp(pts[..., 0]) * np.cos(2.0 * pts[..., -1])
+        n = len(diagonal)
+        solver.solve_linear_tangential(SymMatrix.diagonal(diagonal), bnd, N=129 if n == 2 else 33)
+        assert one_krylov_iteration_per_step(reports[0])
 
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(ConfigError):
