@@ -85,7 +85,8 @@ def _interior(n: int, N: int):
 
 def _interior_points(inst: ProblemInstance) -> Optional[np.ndarray]:
     """Interior node coordinates, or None when the operator has no
-    ``x_dependence``: ``evaluate_batch`` reads the points for nothing else."""
+    ``x_dependence``: ``evaluate_batch`` reads the points for nothing else.
+    ``solve_newton`` builds them once per solve."""
     if inst.op.x_dependence is None:
         return None
     c = inst.source.axis_coords()[1:-1]
@@ -98,18 +99,27 @@ def _check_on_grid(inst: ProblemInstance, u: GridField) -> None:
         raise ConfigError("candidate solution must be a scalar field on the problem grid")
 
 
+def _residual_jets(inst: ProblemInstance, vals: np.ndarray, pts: Optional[np.ndarray]):
+    """The nodewise residual of grid values ``vals`` (see ``discrete_residual``),
+    with the interior Hessians H and F(H, x) it was computed from: ``pts``
+    is ``_interior_points(inst)``."""
+    f = inst.source
+    core = _interior(f.n, f.N)
+    res = vals - inst.boundary
+    H, G = interior_jets(vals, f.n, f.h)
+    FH = inst.op.evaluate_batch(H, pts)
+    defect = FH if inst.drift is None else (
+        FH + np.einsum("...i,...i->...", inst.drift.values[core], G))
+    res[core] = defect - f.values[core]
+    return res, H, FH
+
+
 def discrete_residual(inst: ProblemInstance, u: GridField) -> GridField:
     """Nodewise residual: the PDE defect at interior nodes, u minus the
     boundary data on the boundary ring."""
     f = inst.source
     _check_on_grid(inst, u)
-    res = u.values - inst.boundary
-    H, G = interior_jets(u.values, f.n, f.h)
-    pts = _interior_points(inst)
-    vals = inst.op.evaluate_batch(H, pts)
-    if inst.drift is not None:
-        vals = vals + np.einsum("...i,...i->...", inst.drift.values[_interior(f.n, f.N)], G)
-    res[_interior(f.n, f.N)] = vals - f.values[_interior(f.n, f.N)]
+    res, _, _ = _residual_jets(inst, u.values, _interior_points(inst))
     return GridField(f.n, f.N, f.L, res)
 
 
@@ -125,9 +135,11 @@ def _offset_slots(n: int):
     return tuple(first), slots
 
 
-def _jacobian(inst: ProblemInstance, u: GridField):
+def _jacobian(inst: ProblemInstance, H: np.ndarray, FH: np.ndarray, pts: Optional[np.ndarray]):
     """The Jacobian of the interior residual in the interior unknowns as a
-    stencil, and the interior means of DF's diagonal.
+    stencil, and the interior means of DF's diagonal, at the iterate whose
+    interior Hessians are H and F(H, x) is FH (``_residual_jets`` gives
+    both, and ``pts`` is ``_interior_points(inst)``).
 
     Returns ``(offsets, coeff, abar)``: the distinct neighbour offsets of
     ``central_stencil(n)``, one coefficient per offset and interior node
@@ -142,8 +154,7 @@ def _jacobian(inst: ProblemInstance, u: GridField):
     f = inst.source
     n, N, h = f.n, f.N, f.h
     offsets, slots = _offset_slots(n)
-    H, _ = interior_jets(u.values, n, h)
-    DF = linearize(inst.op, H, _interior_points(inst))
+    DF = linearize(inst.op, H, pts, FH)
     coeff = np.zeros((len(offsets),) + H.shape[:-2])
     for entry, entry_slots in zip(central_stencil(n), slots):
         if entry.p == 2:
@@ -200,11 +211,14 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
     after the boundary is imposed, and every later residual is zero on
     the ring.
 
-    Each iteration linearizes at the iterate (``_jacobian``) and solves
-    J s = -r by GMRES(``_RESTART``), at most ``_CYCLES`` cycles, right
-    preconditioned by M, the exact ``_sine_inverse`` of sum_a abar_a D_aa
-    (Knoll-Keyes, JCP 2004): GMRES runs on J M, so its tolerance bounds the
-    true residual of the step.  That tolerance, relative to ||r||_2, is the
+    Each iteration linearizes at the iterate (``_jacobian``) from the
+    interior Hessians H and values F(H, x) that the iterate's residual
+    evaluation computed (the start's, or the accepted trial's), then drops
+    them, so no Jacobian evaluates F at H again; the interior points are
+    built once per solve.  It solves J s = -r by GMRES(``_RESTART``), at
+    most ``_CYCLES`` cycles, right preconditioned by M, the exact
+    ``_sine_inverse`` of sum_a abar_a D_aa (Knoll-Keyes, JCP 2004): GMRES
+    runs on J M, so its tolerance bounds the true residual of the step.  That tolerance, relative to ||r||_2, is the
     Eisenstat-Walker forcing term min(0.1, 0.9 (||r_k||_2 / ||r_{k-1}||_2)^2)
     (SISC 1996), 0.1 at the first step, and at least 0.25 tol / ||r_k||_inf.
     M, a sine-transform factorization, is rebuilt only when some abar_a
@@ -232,31 +246,37 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
     damping_events = []
     krylov, it, last_norm2 = 0, 0, None
     M = built = None   # the sine factorization and the abar it was built from
+    pts = _interior_points(inst)
 
     def resid(vals):
-        return discrete_residual(inst, GridField(f.n, f.N, f.L, vals)).values
+        """The residual of grid values, its sup-norm, and the jets (H, F(H, x))
+        a Jacobian at them is built from; GridField refuses a non-finite
+        iterate or residual, as ``discrete_residual`` does."""
+        r_vals, *jets = _residual_jets(inst, GridField(f.n, f.N, f.L, vals).values, pts)
+        r_vals = GridField(f.n, f.N, f.L, r_vals).values
+        return r_vals, float(np.max(np.abs(r_vals))), jets
 
     def first_decrease(step):
         """The first trial u + 2^-k step, k <= 20, whose residual sup-norm
         is below the current one or meets ``tol``, as (trial, its residual,
-        its sup-norm, k); None when there is none or the step is not
-        finite."""
+        its sup-norm, its jets, k); None when there is none or the step is
+        not finite."""
         if not np.all(np.isfinite(step)):   # GridField rejects a non-finite trial
             return None
         for k in range(21):
             trial = u + 0.5**k * step
-            r_trial = resid(trial)
-            t_norm = float(np.max(np.abs(r_trial)))
+            r_trial, t_norm, jets = resid(trial)
             if t_norm < rnorm or t_norm <= tol:
-                return trial, r_trial, t_norm, k
+                return trial, r_trial, t_norm, jets, k
+            del jets   # a rejected trial's jets are freed before the next is built
         return None
 
-    r = resid(u)
-    rnorm = float(np.max(np.abs(r)))
+    r, rnorm, jets = resid(u)
     history = [rnorm]
     while rnorm > tol and it < max_iter:
         it += 1
-        offsets, coeff, abar = _jacobian(inst, GridField(f.n, f.N, f.L, u))
+        offsets, coeff, abar = _jacobian(inst, *jets, pts)
+        jets = accepted = None   # H and F(H, x) are not held through GMRES and the line search
         if not np.all(np.isfinite(abar) & (abar > 0)):
             damping_events.append({"iteration": it, "event": "singular"})
             break
@@ -281,7 +301,7 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
             event = "stalled" if np.all(np.isfinite(step)) else "singular"
             damping_events.append({"iteration": it, "event": event})
             break
-        u, r, rnorm, halving = accepted
+        u, r, rnorm, jets, halving = accepted
         if halving:
             damping_events.append({"iteration": it, "halvings": halving})
         last_norm2 = norm2

@@ -1,3 +1,4 @@
+import dataclasses
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -149,6 +150,94 @@ def test_pucci_2x2_closed_form_matches_references(M):
         np.testing.assert_array_equal(fn(np.stack([M, -M]), PAIR), [val, fn(-M, PAIR)])
 
 
+def rotation3(alpha, beta, gamma):
+    """The rotation R_z(alpha) R_y(beta) R_z(gamma)."""
+    def rz(t):
+        c, s = np.cos(t), np.sin(t)
+        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    c, s = np.cos(beta), np.sin(beta)
+    return rz(alpha) @ np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]) @ rz(gamma)
+
+
+_ANGLE = st.floats(min_value=0.0, max_value=2.0 * np.pi)
+# a gap of 0 or 10^-k between two eigenvalues, either sign
+_GAP = st.one_of(st.just(0.0), st.integers(1, 16).map(lambda k: 10.0**-k),
+                 st.integers(1, 16).map(lambda k: -(10.0**-k)))
+
+
+@st.composite
+def sym3(draw):
+    """3 x 3 symmetric matrices from ``_UNIT`` entries: a structure, then a
+    scale 10^k, |k| <= 150.
+    The spectral ones, Q diag(lambda) Q^T, have a pair of eigenvalues
+    exactly or nearly repeated, around a value in [-1, 1] or straddling 0."""
+    shape = draw(st.sampled_from(["general", "diagonal", "scalar", "zero", "rank_one",
+                                  "repeated", "straddling"]))
+    unit = [draw(_UNIT) for _ in range(6)]
+    if shape == "general":
+        M = np.array(unit)[[[0, 3, 4], [3, 1, 5], [4, 5, 2]]]
+    elif shape == "diagonal":
+        M = np.diag(unit[:3])
+    elif shape == "scalar":
+        M = unit[0] * np.eye(3)
+    elif shape == "zero":
+        M = np.zeros((3, 3))
+    elif shape == "rank_one":
+        M = unit[0] * np.outer(unit[1:4], unit[1:4])
+    else:
+        gap = draw(_GAP)
+        if shape == "repeated":
+            lam = [unit[0], unit[0] + gap, unit[1]]
+        else:
+            lam = [gap, -gap * abs(unit[0]), unit[1]]
+        Q = rotation3(draw(_ANGLE), draw(_ANGLE), draw(_ANGLE))
+        M = Q @ np.diag(lam) @ Q.T
+        M = 0.5 * (M + M.T)
+    return M * 10.0 ** draw(st.integers(min_value=-150, max_value=150))
+
+
+@given(sym3())
+@settings(max_examples=300, deadline=None)
+def test_pucci_3x3_closed_form_matches_eigvalsh(M):
+    """Within 64 eps max|M| of the value from LAPACK's eigenvalues (at most
+    32 measured over adversarial families), batched and dual."""
+    tol = 64.0 * _EPS * np.max(np.abs(M))
+    for fn, up, down in ((ops.pucci_plus, PAIR.Lam, PAIR.lam),
+                         (ops.pucci_minus, PAIR.lam, PAIR.Lam)):
+        val = fn(M, PAIR)
+        assert isinstance(val, float) and isinstance(fn(ops.SymMatrix(3, M), PAIR), float)
+        assert abs(val - pucci_eigvalsh(M, up, down)) <= tol
+        np.testing.assert_array_equal(fn(np.stack([M, -M]), PAIR), [val, fn(-M, PAIR)])
+    assert abs(ops.pucci_minus(M, PAIR) + ops.pucci_plus(-M, PAIR)) <= tol
+
+
+def test_pucci_3x3_sends_only_nearly_repeated_spectra_to_lapack(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    Q = rotation3(0.3, 1.1, -0.7)
+    distinct, repeated = (Q @ np.diag(lam) @ Q.T for lam in ([1.0, -0.5, 0.3], [1.0, 1.0, -2.0]))
+    mats = np.stack([distinct, repeated, 2.0 * np.eye(3), np.zeros((3, 3)), distinct])
+    vals = ops.pucci_plus(mats, PAIR)
+    assert calls == [(1, 3, 3)]   # the repeated one; q alone gives the scalar matrices
+    np.testing.assert_allclose(vals, [2.1, 2.0, 12.0, 0.0, 2.1], rtol=1e-14)
+    assert vals[2] == 12.0 and vals[3] == 0.0
+    calls.clear()
+    assert ops.pucci_minus(distinct, PAIR) == pytest.approx(0.3, rel=1e-14) and calls == []
+
+
+def test_pucci_3x3_non_finite_matrix_is_nan():
+    M = np.stack([np.diag([np.inf, 1.0, 2.0]), np.full((3, 3), np.nan), np.eye(3)])
+    vals = ops.pucci_plus(M, PAIR)
+    assert np.isnan(vals[:2]).all() and vals[2] == 6.0
+
+
 @given(sym2(scaled=False), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_pucci_sampled_sup_below_2x2_closed_form(M, seed):
@@ -298,6 +387,42 @@ class TestDerivatives:
         DF = ops.linearize(ops.pucci_minus_op(PAIR, n), 0.5 * (H + np.swapaxes(H, 1, 2)))
         want = np.sort(np.where(e > 0, PAIR.lam, PAIR.Lam), axis=-1)
         np.testing.assert_allclose(np.linalg.eigvalsh(DF), want, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("directions", ["entry", "random"])
+    @pytest.mark.parametrize("step", ["per_matrix", 1e-3, -1e-3])
+    def test_slopes_stack_is_the_broadcast_formula(self, n, directions, step):
+        # linearize's entry directions with a step per matrix, and
+        # tangential_limit's random ones at the zero matrix with a signed step
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((4, n, n))
+        D = (ops._entry_directions(n) if directions == "entry"
+             else 0.5 * (g + np.swapaxes(g, 1, 2)))
+        if step == "per_matrix":
+            g = rng.standard_normal((5, 4, n, n))
+            H = g + np.swapaxes(g, -1, -2)
+            s = 1e-6 * (1.0 + np.linalg.norm(H, axis=(-2, -1)))
+        else:
+            H, s = np.zeros((n, n)), np.asarray(step)
+        xs = rng.uniform(-1.0, 1.0, H.shape[:-1])
+        stacks = []
+        for inner in (ops.pucci_minus_op(PAIR, n), ops.perturbed_trace(0.3, n)):
+            def core(M, inner=inner):
+                stacks.append(np.array(M))
+                return inner.core(M)
+
+            op = dataclasses.replace(inner, core=core, x_dependence=lambda x: 1.0 + x[..., 0]**2)
+            Dk = D.reshape(D.shape[:1] + (1,) * (H.ndim - 2) + D.shape[1:])
+            want_stack = H + s[..., None, None] * Dk
+            want = (op.evaluate_batch(want_stack, xs) - op.evaluate_batch(H, xs)) / s
+            stacks.clear()
+            got = ops._slopes(op, H, D, s, xs)
+            assert got.shape == (len(D),) + H.shape[:-2]
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(next(m for m in stacks if m.ndim == H.ndim + 1),
+                                          want_stack)
+            base = op.evaluate_batch(H, xs)
+            np.testing.assert_array_equal(ops._slopes(op, H, D, s, xs, base), want)
 
     @pytest.mark.parametrize("shape", [(3, 3), (4, 2, 3), (2,)])
     def test_linearize_rejects_wrong_shape(self, shape):

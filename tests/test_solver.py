@@ -35,6 +35,33 @@ def coefficient(pts):
 LAPLACE = operators.linear_trace(np.eye(2))
 
 
+def jacobian_at(inst, u):
+    """``solver._jacobian`` at u, from the jets of u's residual evaluation."""
+    pts = solver._interior_points(inst)
+    _, H, FH = solver._residual_jets(inst, u.values, pts)
+    return solver._jacobian(inst, H, FH, pts)
+
+
+def linearized_iterates(monkeypatch) -> list:
+    """Records, for each ``_jacobian`` a solve builds, the grid values it
+    linearizes at: those of the residual evaluation whose Hessians it gets."""
+    evaluated, iterates = [], []
+    residual_jets, jacobian = solver._residual_jets, solver._jacobian
+
+    def recording_residual(inst, vals, pts):
+        out = residual_jets(inst, vals, pts)
+        evaluated.append((vals.copy(), out[1]))
+        return out
+
+    def recording_jacobian(inst, H, FH, pts):
+        iterates.append(next(vals for vals, h in evaluated if h is H))
+        return jacobian(inst, H, FH, pts)
+
+    monkeypatch.setattr(solver, "_residual_jets", recording_residual)
+    monkeypatch.setattr(solver, "_jacobian", recording_jacobian)
+    return iterates
+
+
 class TestResidual:
     def test_zero_problem(self):
         N = 17
@@ -195,19 +222,15 @@ class TestNewton:
     def test_forcing_terms_follow_eisenstat_walker(self, monkeypatch):
         # GMRES's relative tolerance is 0.1 at the first step, then
         # min(0.1, 0.9 (|r_k|_2 / |r_k-1|_2)^2), never below 0.25 tol / |r_k|_inf
-        rtols, iterates = [], []
-        gmres, jacobian = solver.spla.gmres, solver._jacobian
+        rtols = []
+        gmres = solver.spla.gmres
 
         def recording_gmres(*args, **kwargs):
             rtols.append(kwargs["rtol"])
             return gmres(*args, **kwargs)
 
-        def recording_jacobian(inst, u):
-            iterates.append(u.values.copy())
-            return jacobian(inst, u)
-
         monkeypatch.setattr(solver.spla, "gmres", recording_gmres)
-        monkeypatch.setattr(solver, "_jacobian", recording_jacobian)
+        iterates = linearized_iterates(monkeypatch)
         op = operators.pucci_minus_op(operators.EllipticityPair(1.0, 2.0))
         inst = solver.mms_generate(op, solver.saddle_quartic_solution(1e-2), N=33)
         u0 = inst.boundary.copy()
@@ -227,14 +250,7 @@ class TestNewton:
     def test_damped_step_drops_factor(self, monkeypatch):
         # the second step needs a halving, the event records it, and the
         # next iteration linearizes at the iterate that damped step reached
-        linearized = []
-        jacobian = solver._jacobian
-
-        def recording(inst, u):
-            linearized.append(u.values.copy())
-            return jacobian(inst, u)
-
-        monkeypatch.setattr(solver, "_jacobian", recording)
+        linearized = linearized_iterates(monkeypatch)
         inst = solver.mms_generate(operators.perturbed_trace(0.5),
                                    solver.saddle_quartic_solution(4.0), N=17)
         u0 = inst.boundary.copy()
@@ -251,8 +267,8 @@ class TestNewton:
         # residual, and the first iteration gives up after 20 halvings
         jacobian = solver._jacobian
 
-        def negated(inst, u):
-            offsets, coeff, abar = jacobian(inst, u)
+        def negated(*args):
+            offsets, coeff, abar = jacobian(*args)
             return offsets, -coeff, abar
 
         monkeypatch.setattr(solver, "_jacobian", negated)
@@ -293,9 +309,79 @@ class TestNewton:
         assert rep.damping_events == [{"iteration": 1, "event": "singular"}]
 
 
+def damped_instance(n):
+    """An x-dependent problem whose solve from a zero interior halves a step
+    (2-D, with a drift), or a 3-D Pucci one."""
+    if n == 2:
+        op = dataclasses.replace(operators.perturbed_trace(1.0), x_dependence=coefficient)
+        drift = fields.sample_function(rotation_drift(), N=17, components=2)
+        return solver.mms_generate(op, solver.saddle_quartic_solution(6.0), N=17, drift=drift)
+    op = operators.pucci_plus_op(operators.EllipticityPair(1.0, 2.0), n=3)
+    u_star = solver.quadratic_solution(0.1, np.array([0.2, -0.1, 0.3]),
+                                       SymMatrix.diagonal([1.0, -0.5, 0.3]))
+    return solver.mms_generate(op, u_star, N=9)
+
+
+def zero_interior(inst):
+    g = inst.source
+    u0 = inst.boundary.copy()
+    u0[(slice(1, -1),) * g.n] = 0.0
+    return fields.GridField(g.n, g.N, g.L, u0)
+
+
+class TestJetReuse:
+    """A solve builds each Jacobian from the interior Hessians and F values
+    its iterate's residual evaluation computed, and the interior points once."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_jet_evaluation_per_residual(self, monkeypatch, n):
+        inst = damped_instance(n)
+        counts = {"jets": 0, "points": 0}
+        jets, points = solver.interior_jets, solver._interior_points
+
+        def counted_jets(*args):
+            counts["jets"] += 1
+            return jets(*args)
+
+        def counted_points(*args):
+            counts["points"] += 1
+            return points(*args)
+
+        monkeypatch.setattr(solver, "interior_jets", counted_jets)
+        monkeypatch.setattr(solver, "_interior_points", counted_points)
+        rep = solver.solve_newton(inst, zero_interior(inst))
+        assert rep.converged
+        halvings = sum(e.get("halvings", 0) for e in rep.damping_events)
+        assert halvings >= (1 if n == 2 else 0)
+        # the start, then each accepted trial and each halved one
+        assert counts == {"jets": 1 + rep.iterations + halvings, "points": 1}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_jacobian_is_a_fresh_linearization_at_its_iterate(self, monkeypatch, n):
+        inst = damped_instance(n)
+        iterates = linearized_iterates(monkeypatch)
+        built, recording = [], solver._jacobian
+
+        def keep(*args):
+            built.append(recording(*args))
+            return built[-1]
+
+        monkeypatch.setattr(solver, "_jacobian", keep)
+        rep = solver.solve_newton(inst, zero_interior(inst), max_iter=4)
+        monkeypatch.undo()
+        assert len(iterates) == len(built) == rep.iterations >= 3
+        pts = solver._interior_points(inst)
+        for vals, (offsets, coeff, abar) in zip(iterates, built):
+            H, _ = fields.interior_jets(vals, n, inst.source.h)
+            fresh = solver._jacobian(inst, H, inst.op.evaluate_batch(H, pts), pts)
+            assert fresh[0] is offsets
+            np.testing.assert_array_equal(fresh[1], coeff)
+            np.testing.assert_array_equal(fresh[2], abar)
+
+
 def jacobian_times(inst, u, v):
     """J v for v on the interior nodes, from the solver's stencil."""
-    offsets, coeff, _ = solver._jacobian(inst, u)
+    offsets, coeff, _ = jacobian_at(inst, u)
     return solver._apply_jacobian(offsets, coeff, v)
 
 
@@ -442,7 +528,7 @@ class TestJacobian:
             offsets[0] = (0, 0)
         zero = fields.GridField(2, 17, 1.0, np.zeros((17, 17)))
         for u in (zero, fields.GridField(2, 17, 1.0, inst.boundary)):
-            shared, coeff, _ = solver._jacobian(inst, u)
+            shared, coeff, _ = jacobian_at(inst, u)
             assert shared is offsets and coeff.shape[0] == len(offsets)
 
 
