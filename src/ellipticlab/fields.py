@@ -12,7 +12,9 @@ the whole body is held, and the analytic profiles and exact solutions
 (with their derivatives) behind manufactured-solution studies.  Sampling
 and ball masks, like the audit's fit moments and sup residuals, run over
 the grid in ``row_blocks`` of 2^16 nodes, whole rows along the first axis,
-so no float temporary the size of the grid is held.
+so no float temporary the size of the grid is held; the solver's residuals
+and Jacobians run over their interior Hessian stacks in blocks of 2^16
+values, so that a block's temporaries stay in cache.
 """
 
 from __future__ import annotations
@@ -100,9 +102,10 @@ _CHUNK_VALUES = 2**16
 
 def row_blocks(shape) -> list:
     """Slices of the first axis of an array of ``shape``: runs of whole rows
-    (slabs in 3-D) of about ``_CHUNK_VALUES`` nodes each, at least one row,
-    in order.  Full-grid passes run block by block over them, so that no
-    temporary the size of the grid is held."""
+    (slabs in 3-D) of about ``_CHUNK_VALUES`` values each (nodes, for a
+    grid's own shape; 16k nodes of an (N-2,)*2 + (2, 2) Hessian stack at
+    N=257), at least one row, in order.  Full-grid passes run block by
+    block over them, so that no temporary the size of the grid is held."""
     rows = max(1, _CHUNK_VALUES // max(1, math.prod(shape[1:])))
     return [slice(i, min(i + rows, shape[0])) for i in range(0, shape[0], rows)]
 
@@ -264,20 +267,31 @@ def central_stencil(n: int) -> list:
 
 
 def shifted_interior(vals: np.ndarray, offset) -> np.ndarray:
-    """vals at the interior nodes moved by ``offset``, shape (N-2,)*n."""
-    N = vals.shape[0]
-    return vals[tuple(slice(1 + o, N - 1 + o) for o in offset)]
+    """vals at its interior nodes moved by ``offset``: a view shaped
+    (m_k - 2) along each axis k of length m_k, so a slab of whole rows
+    with one halo row each side gives the jets of its inner rows."""
+    return vals[tuple(slice(1 + o, m - 1 + o) for m, o in zip(vals.shape, offset))]
 
 
 def interior_jets(vals: np.ndarray, n: int, h: float):
-    """Hessians (..., n, n) and gradients (..., n) at all interior nodes
-    of a grid-shaped array (N,)*n, from ``central_stencil(n)``."""
-    shape = (vals.shape[0] - 2,) * n
-    H = np.zeros(shape + (n, n))
-    G = np.zeros(shape + (n,))
+    """Hessians (..., n, n) and gradients (..., n) at the interior nodes of
+    an array whose first n axes are grid axes, from ``central_stencil(n)``:
+    all of a grid-shaped (N,)*n array, or the inner rows of a slab of rows.
+
+    Each entry sums its terms in stencil order, adding a term of weight 1
+    and subtracting one of weight -1 instead of multiplying by the weight;
+    since x + (-y) is x - y in IEEE arithmetic, the jets are bit for bit
+    those of sum_k weights[k] * u(x + h offsets[k]) / (c h^p)."""
+    shape = tuple(m - 2 for m in vals.shape[:n])
+    H = np.empty(shape + (n, n))
+    G = np.empty(shape + (n,))
     for entry in central_stencil(n):
-        terms = [w * shifted_interior(vals, off) for off, w in zip(entry.offsets, entry.weights)]
-        d = sum(terms[1:], terms[0]) / (entry.c * h**entry.p)
+        d = None
+        for off, w in zip(entry.offsets, entry.weights):
+            t = shifted_interior(vals, off)
+            t = t if abs(w) == 1.0 else abs(w) * t
+            d = (t if w > 0 else -t) if d is None else (d + t if w > 0 else d - t)
+        d = d / (entry.c * h**entry.p)
         if entry.p == 1:
             G[..., entry.index[0]] = d
         else:

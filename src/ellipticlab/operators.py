@@ -332,7 +332,9 @@ def perturbed_trace(eps: float, n: int = 2, pair: Optional[EllipticityPair] = No
     eps = float(eps)
 
     def core(H):   # the grouping of the perturbation is part of the reported values
-        return np.trace(H, axis1=-2, axis2=-1) + eps * (
+        # the trace as np.trace sums it, 0 + H_11 + H_22 (+ ...) left to
+        # right, bit for bit, without its strided diagonal reduction
+        return sum(H[..., a, a] for a in range(H.shape[-1])) + eps * (
             np.sin(H[..., 0, 0]) * (1.0 - np.cos(H[..., 1, 1])))
 
     return OperatorSpec(n, pair, core, {"kind": "perturbed_trace", "eps": eps})
@@ -478,18 +480,28 @@ def _slopes(op: OperatorSpec, H: np.ndarray, D: np.ndarray, s, x=None,
     return (op.evaluate_batch(S, x) - base) / s
 
 
-def linearize(op: OperatorSpec, H, x=None, base=None) -> np.ndarray:
-    """DF(H, x): matrices A (..., n, n) with F(H + X, x) - F(H, x) ~ tr(A X)
-    at stacked H (..., n, n) and points x (..., n), or x = 0, by one-sided
-    differences along the entry directions with step 1e-6 (1 + ||H||_F) per
-    matrix.  ``base``, when given, is taken as F(H, x) (a caller that has
-    just evaluated F at H passes it) and spares that evaluation.  An H not
-    shaped (..., n, n) for the operator raises ConfigError."""
+def entry_slopes(op: OperatorSpec, H, x=None, base=None) -> np.ndarray:
+    """The one-sided slopes of F at stacked H (..., n, n) and points x
+    (..., n), or x = 0, along the entry directions E_ab + E_ba (E_aa if
+    a = b), a <= b in triu order: shaped (n(n+1)/2, ...), with step
+    1e-6 (1 + ||H||_F) per matrix.  ``base``, when given, is taken as
+    F(H, x) (a caller that has just evaluated F at H passes it) and spares
+    that evaluation.  An H not shaped (..., n, n) for the operator raises
+    ConfigError."""
     H = np.asarray(H, dtype=float)
     if H.shape[-2:] != (op.n, op.n):
         raise ConfigError(f"linearize needs (..., {op.n}, {op.n}) matrices, got {H.shape}")
-    step = 1e-6 * (1.0 + np.linalg.norm(H, axis=(-2, -1)))
-    return _from_entry_slopes(_slopes(op, H, _entry_directions(op.n), step, x, base), op.n)
+    # ||H||_F as np.linalg.norm sums it, without its conjugate copy of H
+    step = 1e-6 * (1.0 + np.sqrt(np.add.reduce(H * H, axis=(-2, -1))))
+    return _slopes(op, H, _entry_directions(op.n), step, x, base)
+
+
+def linearize(op: OperatorSpec, H, x=None, base=None) -> np.ndarray:
+    """DF(H, x): matrices A (..., n, n) with F(H + X, x) - F(H, x) ~ tr(A X)
+    at stacked H (..., n, n) and points x (..., n), or x = 0, from
+    ``entry_slopes`` (same arguments): A_aa is the slope along E_aa, and
+    A_ab = A_ba half the slope along E_ab + E_ba."""
+    return _from_entry_slopes(entry_slopes(op, H, x, base), op.n)
 
 
 def scaling_family(op: OperatorSpec, sigma: float, X: SymMatrix) -> float:

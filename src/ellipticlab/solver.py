@@ -21,9 +21,9 @@ from .errors import ConfigError, NumericsError
 # the exact solutions are imported by name so solver.quadratic_solution and
 # solver.saddle_quartic_solution still build u* for callers of this module
 from .fields import (AnalyticSolution, GridField, central_stencil, interior_jets,
-                     quadratic_solution, saddle_quartic_solution, sample_function,
-                     shifted_interior)
-from .operators import OperatorSpec, SymMatrix, linear_trace, linearize
+                     quadratic_solution, row_blocks, saddle_quartic_solution,
+                     sample_function)
+from .operators import OperatorSpec, SymMatrix, entry_slopes, linear_trace
 
 
 @dataclass(frozen=True)
@@ -102,15 +102,25 @@ def _check_on_grid(inst: ProblemInstance, u: GridField) -> None:
 def _residual_jets(inst: ProblemInstance, vals: np.ndarray, pts: Optional[np.ndarray]):
     """The nodewise residual of grid values ``vals`` (see ``discrete_residual``),
     with the interior Hessians H and F(H, x) it was computed from: ``pts``
-    is ``_interior_points(inst)``."""
+    is ``_interior_points(inst)``.
+
+    The interior runs in ``row_blocks`` of H's shape (64 rows at N=257),
+    each block's jets read from its rows and one halo row each side, so
+    that a block's temporaries stay in cache; every value is elementwise,
+    so the result is bit for bit the unblocked one."""
     f = inst.source
     core = _interior(f.n, f.N)
     res = vals - inst.boundary
-    H, G = interior_jets(vals, f.n, f.h)
-    FH = inst.op.evaluate_batch(H, pts)
-    defect = FH if inst.drift is None else (
-        FH + np.einsum("...i,...i->...", inst.drift.values[core], G))
-    res[core] = defect - f.values[core]
+    inner, src = res[core], f.values[core]
+    drift = None if inst.drift is None else inst.drift.values[core]
+    H = np.empty((f.N - 2,) * f.n + (f.n, f.n))
+    FH = np.empty(H.shape[:-2])
+    for blk in row_blocks(H.shape):
+        H[blk], G = interior_jets(vals[blk.start : blk.stop + 2], f.n, f.h)
+        FH[blk] = inst.op.evaluate_batch(H[blk], None if pts is None else pts[blk])
+        defect = FH[blk] if drift is None else (
+            FH[blk] + np.einsum("...i,...i->...", drift[blk], G))
+        inner[blk] = defect - src[blk]
     return res, H, FH
 
 
@@ -145,39 +155,79 @@ def _jacobian(inst: ProblemInstance, H: np.ndarray, FH: np.ndarray, pts: Optiona
     ``central_stencil(n)``, one coefficient per offset and interior node
     (shape (len(offsets),) + (N-2,)*n), and abar[a], the mean of DF[..., a, a]
     over the interior nodes.  Each stencil entry contributes its weights
-    times the derivative of the residual in that jet entry: ``linearize``'s
-    DF[a, a], or 2 DF[a, b] off the diagonal, per Hessian entry, the drift
-    component B_a (exact) per gradient entry, summed in stencil order.
-    Neighbours on the boundary ring hold fixed Dirichlet data, so
-    ``_apply_jacobian`` reads them as zero.
+    times the derivative of the residual in that jet entry: ``entry_slopes``'
+    slope along E_aa, or along E_ab + E_ba off the diagonal (2 DF[a, b]),
+    per Hessian entry, the drift component B_a (exact) per gradient entry,
+    summed in stencil order.  Neighbours on the boundary ring hold fixed
+    Dirichlet data, not unknowns, so their coefficients are +0.
+
+    The slopes are taken per ``row_blocks`` block of H, as in
+    ``_residual_jets``, and each entry's derivative is divided once by
+    c h^p and added, subtracted or doubled into each offset's coefficient:
+    every stencil weight is +-1 or +-2, and a power of two commutes with a
+    rounded quotient (barring underflow), so the coefficients are bit for
+    bit those of adding (w dF) / (c h^p) per weight.  abar is the mean of
+    the whole arrays of diagonal slopes, not of per-block means.
     """
     f = inst.source
-    n, N, h = f.n, f.N, f.h
+    n, h = f.n, f.h
     offsets, slots = _offset_slots(n)
-    DF = linearize(inst.op, H, pts, FH)
     coeff = np.zeros((len(offsets),) + H.shape[:-2])
-    for entry, entry_slots in zip(central_stencil(n), slots):
-        if entry.p == 2:
-            a, b = entry.index
-            dF = DF[..., a, a] if a == b else 2.0 * DF[..., a, b]
-        elif inst.drift is not None:
-            dF = inst.drift.values[_interior(n, N)][..., entry.index[0]]
-        else:
-            continue
-        for w, k in zip(entry.weights, entry_slots):
-            coeff[k] += (w * dF) / (entry.c * h**entry.p)
-    abar = np.array([np.mean(DF[..., a, a]) for a in range(n)])
+    diag = np.empty((n,) + H.shape[:-2])   # DF[..., a, a], the slopes along E_aa
+    drift = None if inst.drift is None else inst.drift.values[_interior(n, f.N)]
+    triu = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(*np.triu_indices(n)))}
+    for blk in row_blocks(H.shape):
+        slopes = entry_slopes(inst.op, H[blk], None if pts is None else pts[blk], FH[blk])
+        for entry, entry_slots in zip(central_stencil(n), slots):
+            if entry.p == 2:
+                dF = slopes[triu[entry.index]]
+                if entry.index[0] == entry.index[1]:
+                    diag[entry.index[0], blk] = dF
+            elif drift is not None:
+                dF = drift[blk][..., entry.index[0]]
+            else:
+                continue
+            t = dF / (entry.c * h**entry.p)
+            for w, k in zip(entry.weights, entry_slots):
+                tw = t if abs(w) == 1.0 else abs(w) * t
+                if w > 0:
+                    coeff[k, blk] += tw
+                else:
+                    coeff[k, blk] -= tw
+    # a neighbour on the boundary ring holds Dirichlet data, not an unknown
+    m = H.shape[0]
+    for off, c in zip(offsets, coeff):
+        for a, o in enumerate(off):
+            if o:
+                c[(slice(None),) * a + (m - 1 if o > 0 else 0,)] = 0.0
+    abar = np.array([np.mean(d) for d in diag])
     return offsets, coeff, abar
 
 
 def _apply_jacobian(offsets, coeff, v: np.ndarray) -> np.ndarray:
-    """J v for v on the interior nodes: the sum over offsets of each
-    offset's coefficients times v moved by it, zero beyond the interior."""
-    padded = np.pad(v, 1)
-    out = np.zeros_like(v)
-    for off, c in zip(offsets, coeff):
-        out += c * shifted_interior(padded, off)
-    return out
+    """J v for v on the interior nodes: the sum over offsets, in order, of
+    each offset's coefficients times v moved by it.
+
+    The sum runs over the flattened interior, each offset a shift by its
+    flat stride, so every product is one contiguous pass and v is not
+    padded; it runs block by block over the interior rows, in the
+    ``row_blocks`` of the Hessian stack that the residual and the Jacobian
+    use, so that a block of the sum stays in cache while the offsets'
+    products are added to it.  A shift that wraps from one row (or
+    slab) into the next meets only nodes whose neighbour is on the boundary
+    ring, where the coefficient is zero (see ``_jacobian``); adding that
+    +-0 product to a sum that started from +0 changes no bit, so for finite
+    v, J v is bit for bit the sum over v padded with zeros."""
+    shape, m = v.shape, v.shape[0]
+    out, v = np.zeros(v.size), v.ravel()
+    row = v.size // m   # nodes per row (slab in 3-D)
+    shifts = [sum(o * m**a for a, o in enumerate(reversed(off))) for off in offsets]
+    for blk in row_blocks(shape + (len(shape),) * 2):
+        for s, c in zip(shifts, coeff.reshape(len(offsets), -1)):
+            lo, hi = max(blk.start * row, -s), min(blk.stop * row, v.size - s)
+            if lo < hi:
+                out[lo:hi] += c[lo:hi] * v[lo + s : hi + s]
+    return out.reshape(shape)
 
 
 def _sine_inverse(abar: np.ndarray, h: float, m: int) -> Callable:
@@ -191,7 +241,31 @@ def _sine_inverse(abar: np.ndarray, h: float, m: int) -> Callable:
     n = abar.size
     lam = -4.0 / h**2 * np.sin(np.pi * np.arange(1, m + 1) / (2 * (m + 1)))**2
     eig = sum(a * lam.reshape((m,) + (1,) * (n - 1 - k)) for k, a in enumerate(abar))
-    return lambda v: idstn(dstn(v, type=1) / eig, type=1)
+
+    def solve(v):
+        w = dstn(v, type=1)
+        w /= eig   # in place, and idstn may reuse w: the values are those of copies
+        return idstn(w, type=1, overwrite_x=True)
+
+    return solve
+
+
+def _recalling(M: Callable):
+    """``(apply, recall)`` for a linear map M: ``apply(y)`` is M y, keeping
+    a copy of y and the product; ``recall(y)`` is M y as well, returning the
+    kept product when y equals the kept input by value and applying M
+    otherwise.  scipy's GMRES ends each cycle with a matvec at its iterate,
+    so ``recall`` of the vector it returns costs no further M."""
+    kept = []
+
+    def apply(y):
+        kept[:] = [y.copy(), M(y)]
+        return kept[1]
+
+    def recall(y):
+        return kept[1] if kept and np.array_equal(kept[0], y) else M(y)
+
+    return apply, recall
 
 
 # GMRES restarts after this many iterations and runs at most this many
@@ -215,12 +289,19 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
     interior Hessians H and values F(H, x) that the iterate's residual
     evaluation computed (the start's, or the accepted trial's), then drops
     them, so no Jacobian evaluates F at H again; the interior points are
-    built once per solve.  It solves J s = -r by GMRES(``_RESTART``), at
-    most ``_CYCLES`` cycles, right preconditioned by M, the exact
+    built once per solve, and residuals and Jacobians run in row blocks of
+    the interior.  It solves J s = -r by GMRES(``_RESTART``), at most
+    ``_CYCLES`` cycles, right preconditioned by M, the exact
     ``_sine_inverse`` of sum_a abar_a D_aa (Knoll-Keyes, JCP 2004): GMRES
-    runs on J M, so its tolerance bounds the true residual of the step.  That tolerance, relative to ||r||_2, is the
-    Eisenstat-Walker forcing term min(0.1, 0.9 (||r_k||_2 / ||r_{k-1}||_2)^2)
-    (SISC 1996), 0.1 at the first step, and at least 0.25 tol / ||r_k||_inf.
+    runs on J M, so its tolerance bounds the true residual of the step.
+    That tolerance, relative to ||r||_2, is the Eisenstat-Walker forcing
+    term min(0.1, 0.9 (||r_k||_2 / ||r_{k-1}||_2)^2) (SISC 1996), 0.1 at
+    the first step, and at least 0.25 tol / ||r_k||_inf.  The step is
+    s = M y for GMRES's solution y.  scipy's GMRES ends each cycle with a
+    matvec at its iterate, so y is the input of its last matvec, and
+    ``_recalling`` returns the M y that matvec kept once a stored copy of
+    its input equals y by value: a step costs one sine-transform pair per
+    GMRES iteration and per cycle, none more.
     M, a sine-transform factorization, is rebuilt only when some abar_a
     moves by more than 1e-6 relative, so the steps of a linear problem
     share one.
@@ -288,14 +369,15 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
         rhs = -r[core]
         norm2 = float(np.linalg.norm(rhs))
         eta = 0.1 if last_norm2 is None else min(0.1, 0.9 * (norm2 / last_norm2)**2)
+        apply, recall = _recalling(lambda y: M(y.reshape(rhs.shape)))
         JM = spla.LinearOperator((rhs.size,) * 2, dtype=float, matvec=lambda y: (
-            _apply_jacobian(offsets, coeff, M(y.reshape(rhs.shape))).ravel()))
+            _apply_jacobian(offsets, coeff, apply(y)).ravel()))
         counted = []   # one entry per GMRES iteration
         y, _ = spla.gmres(JM, rhs.ravel(), rtol=max(eta, 0.25 * tol / rnorm), restart=_RESTART,
                           maxiter=_CYCLES, callback=counted.append, callback_type="pr_norm")
         krylov += len(counted)
         step = np.zeros_like(u)
-        step[core] = M(y.reshape(rhs.shape))
+        step[core] = recall(y)
         accepted = first_decrease(step)
         if accepted is None:
             event = "stalled" if np.all(np.isfinite(step)) else "singular"

@@ -314,6 +314,39 @@ class TestJets:
             errs.append(abs(node_jets(u, u.origin_index())[0][0, 0]))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stencil_weights_are_one_or_two_in_size(self, n):
+        # interior_jets adds or subtracts each term, and the solver's
+        # Jacobian doubles a quotient instead of dividing a doubled slope:
+        # both are exact only for weights +-1 and +-2
+        for entry in fields.central_stencil(n):
+            assert set(entry.weights) <= {1.0, -1.0, 2.0, -2.0}
+            assert len(entry.weights) == len(entry.offsets) >= 2
+
+    @pytest.mark.parametrize("n, N", [(2, 17), (3, 9)])
+    def test_jets_are_the_weighted_sums_and_slabs_give_their_rows(self, n, N):
+        # bit for bit sum_k w_k u(x + h off_k) / (c h^p) in stencil order,
+        # signed zeros included; a slab of rows with one halo row each side
+        # gives the jets of its inner rows
+        rng = np.random.default_rng(n)
+        vals = rng.standard_normal((N,) * n) * 10.0 ** rng.integers(-3, 4, (N,) * n)
+        vals[rng.random(vals.shape) < 0.3] = -0.0
+        h = 2.0 / (N - 1)
+        H, G = fields.interior_jets(vals, n, h)
+        for entry in fields.central_stencil(n):
+            terms = [w * fields.shifted_interior(vals, off)
+                     for off, w in zip(entry.offsets, entry.weights)]
+            want = sum(terms[1:], terms[0]) / (entry.c * h**entry.p)
+            got = G[..., entry.index[0]] if entry.p == 1 else H[(...,) + entry.index]
+            assert got.tobytes() == want.tobytes()
+            if entry.p == 2:
+                assert H[(...,) + entry.index[::-1]].tobytes() == want.tobytes()
+        for start, stop in [(0, 1), (2, 5), (N - 4, N - 2)]:
+            Hs, Gs = fields.interior_jets(vals[start : stop + 2], n, h)
+            assert Hs.shape == (stop - start,) + H.shape[1:]
+            assert Hs.tobytes() == H[start:stop].tobytes()
+            assert Gs.tobytes() == G[start:stop].tobytes()
+
 
 
 class TestFileIO:

@@ -245,6 +245,26 @@ def test_pucci_sampled_sup_below_2x2_closed_form(M, seed):
         ops.pucci_plus(M, PAIR) + 1e-12)
 
 
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False,
+                                                             min_value=-1e300, max_value=1e300))
+
+
+@given(st.sampled_from([2, 3]), st.sampled_from([(), (1,), (4,), (3, 5)]), st.data(),
+       st.floats(min_value=0.0, max_value=2.0))
+@settings(max_examples=200, deadline=None)
+def test_perturbed_trace_core_is_the_np_trace_formula(n, shape, data, eps):
+    """The core sums the diagonal itself, bit for bit as np.trace does,
+    signed zeros included."""
+    H = np.array(data.draw(st.lists(_ENTRY, min_size=n * n * int(np.prod(shape)),
+                                    max_size=n * n * int(np.prod(shape)))), dtype=float)
+    H = H.reshape(shape + (n, n))
+    want = np.trace(H, axis1=-2, axis2=-1) + eps * (
+        np.sin(H[..., 0, 0]) * (1.0 - np.cos(H[..., 1, 1])))
+    got = ops.perturbed_trace(eps, n).core(H)
+    assert np.shape(got) == shape
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestOperatorSpec:
     def test_linear_trace(self):
         op = ops.linear_trace(np.diag([1.0, 2.0]))
@@ -428,6 +448,24 @@ class TestDerivatives:
     def test_linearize_rejects_wrong_shape(self, shape):
         with pytest.raises(ConfigError):
             ops.linearize(ops.pucci_minus_op(PAIR), np.zeros(shape))
+        with pytest.raises(ConfigError):
+            ops.entry_slopes(ops.pucci_minus_op(PAIR), np.zeros(shape))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_entry_slopes_step_is_the_frobenius_norm(self, n):
+        # the step is 1e-6 (1 + np.linalg.norm(H, axis=(-2, -1))) bit for bit,
+        # and linearize is built from the same slopes
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((6, 5, n, n)) * 10.0 ** rng.integers(-4, 5, (6, 5, 1, 1))
+        H = g + np.swapaxes(g, -1, -2)
+        xs = rng.uniform(-1.0, 1.0, H.shape[:-1])
+        op = dataclasses.replace(ops.pucci_minus_op(PAIR, n),
+                                 x_dependence=lambda x: 1.0 + x[..., 0]**2)
+        step = 1e-6 * (1.0 + np.linalg.norm(H, axis=(-2, -1)))
+        want = ops._slopes(op, H, ops._entry_directions(n), step, xs)
+        got = ops.entry_slopes(op, H, xs)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(ops.linearize(op, H, xs), ops._from_entry_slopes(want, n))
 
     def test_scaling_family_homogeneous(self):
         op = ops.pucci_plus_op(PAIR)

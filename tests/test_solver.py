@@ -379,6 +379,214 @@ class TestJetReuse:
             np.testing.assert_array_equal(fresh[2], abar)
 
 
+# block sizes for the residual and Jacobian passes, which run in
+# fields.row_blocks of the interior Hessian stack: one row (or slab) per
+# block, several rows with a shorter last block, and the default; UNBLOCKED
+# puts the whole interior in one block
+CHUNK_SIZES = (8, 24, 1000, 5000, fields._CHUNK_VALUES)
+UNBLOCKED = 2**62
+
+
+def blocked_instance(case):
+    """2-D perturbed_trace with a rotation drift and an x_dependence, 2-D
+    pucci_minus, or 3-D pucci_plus at N=17, from MMS data."""
+    pair = operators.EllipticityPair(1.0, 2.0)
+    if case == "perturbed_trace_2d_drift_x":
+        op = dataclasses.replace(operators.perturbed_trace(0.5), x_dependence=coefficient)
+        drift = fields.sample_function(rotation_drift(), N=33, components=2)
+        return solver.mms_generate(op, solver.saddle_quartic_solution(2.0), N=33, drift=drift)
+    if case == "pucci_minus_2d":
+        return solver.mms_generate(operators.pucci_minus_op(pair),
+                                   solver.saddle_quartic_solution(1e-2), N=33)
+    u_star = solver.quadratic_solution(0.1, np.array([0.2, -0.1, 0.3]),
+                                       SymMatrix.diagonal([1.0, -0.5, 0.3]))
+    return solver.mms_generate(operators.pucci_plus_op(pair, n=3), u_star, N=17)
+
+
+def unblocked_residual(inst, vals, pts):
+    """``_residual_jets`` over the whole interior at once."""
+    f = inst.source
+    core = (slice(1, -1),) * f.n
+    H, G = fields.interior_jets(vals, f.n, f.h)
+    FH = inst.op.evaluate_batch(H, pts)
+    res = vals - inst.boundary
+    defect = FH if inst.drift is None else (
+        FH + np.einsum("...i,...i->...", inst.drift.values[core], G))
+    res[core] = defect - f.values[core]
+    return res, H, FH
+
+
+def unblocked_jacobian(inst, H, FH, pts):
+    """``_jacobian`` the direct way: DF from ``linearize`` over the whole
+    interior, each weight's (w dF) / (c h^p) added in stencil order, the
+    coefficients of neighbours on the boundary ring set to zero, and abar
+    the means of DF's diagonal."""
+    f = inst.source
+    n, h = f.n, f.h
+    offsets, slots = solver._offset_slots(n)
+    DF = operators.linearize(inst.op, H, pts, FH)
+    coeff = np.zeros((len(offsets),) + H.shape[:-2])
+    for entry, entry_slots in zip(fields.central_stencil(n), slots):
+        if entry.p == 2:
+            a, b = entry.index
+            dF = DF[..., a, a] if a == b else 2.0 * DF[..., a, b]
+        elif inst.drift is not None:
+            dF = inst.drift.values[(slice(1, -1),) * n][..., entry.index[0]]
+        else:
+            continue
+        for w, k in zip(entry.weights, entry_slots):
+            coeff[k] += (w * dF) / (entry.c * h**entry.p)
+    for off, c in zip(offsets, coeff):
+        for a, o in enumerate(off):
+            if o:
+                c[(slice(None),) * a + (-1 if o > 0 else 0,)] = 0.0
+    return offsets, coeff, np.array([np.mean(DF[..., a, a]) for a in range(n)])
+
+
+def same_bits(got, want):
+    return all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(got, want))
+
+
+class TestBlocks:
+    """The residual and the Jacobian run block by block over the interior
+    rows; every block size gives the unblocked values bit for bit."""
+
+    CASES = ["perturbed_trace_2d_drift_x", "pucci_minus_2d", "pucci_plus_3d"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_residual_and_jacobian_are_the_unblocked_ones(self, monkeypatch, case):
+        inst = blocked_instance(case)
+        rng = np.random.default_rng(5)
+        vals = inst.boundary + 0.1 * rng.standard_normal(inst.boundary.shape)
+        pts = solver._interior_points(inst)
+        res, H, FH = unblocked_residual(inst, vals, pts)
+        want = unblocked_jacobian(inst, H, FH, pts)
+        blocks = []
+        for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(fields, "_CHUNK_VALUES", chunk)
+            blocks.append(len(fields.row_blocks(H.shape)))
+            got = solver._residual_jets(inst, vals, pts)
+            assert same_bits(got, (res, H, FH)), chunk
+            offsets, coeff, abar = solver._jacobian(inst, H, FH, pts)
+            assert offsets is want[0]
+            assert same_bits((coeff, abar), want[1:]), chunk
+        # one row (or slab) per block, and blocks of several
+        assert blocks[0] == H.shape[0] and any(1 < b < H.shape[0] for b in blocks)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_solve_is_the_unblocked_one(self, monkeypatch, case):
+        inst = blocked_instance(case)
+        monkeypatch.setattr(fields, "_CHUNK_VALUES", UNBLOCKED)
+        want = solver.solve_newton(inst, zero_interior(inst))
+        assert want.converged and want.iterations >= 3
+        for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(fields, "_CHUNK_VALUES", chunk)
+            got = solver.solve_newton(inst, zero_interior(inst))
+            assert got.residual_norm_history == want.residual_norm_history
+            assert got.solution.values.tobytes() == want.solution.values.tobytes()
+            assert (got.krylov_iterations, got.damping_events) == (
+                want.krylov_iterations, want.damping_events)
+
+
+def counted_preconditioner(monkeypatch) -> list:
+    """A list that gains the input of every application of any M that
+    ``_sine_inverse`` builds."""
+    applied = []
+    sine_inverse = solver._sine_inverse
+
+    def counted(*args):
+        M = sine_inverse(*args)
+
+        def apply(v):
+            applied.append(v.copy())
+            return M(v)
+
+        return apply
+
+    monkeypatch.setattr(solver, "_sine_inverse", counted)
+    return applied
+
+
+def gmres_cycles(monkeypatch, returned=lambda y: y) -> list:
+    """A list that gains, for each GMRES call, its number of restart cycles:
+    its matvecs (x0 = 0, so one per iteration and one per cycle's end)
+    less its iterations.  GMRES's solution is passed through ``returned``."""
+    cycles = []
+    gmres = solver.spla.gmres
+
+    def recording(A, b, **kwargs):
+        calls, iterations = [0], []
+        callback = kwargs["callback"]
+
+        def matvec(y):
+            calls[0] += 1
+            return A.matvec(y)
+
+        def counted(arg):
+            iterations.append(arg)
+            callback(arg)
+
+        op = solver.spla.LinearOperator(A.shape, dtype=A.dtype, matvec=matvec)
+        y, info = gmres(op, b, **dict(kwargs, callback=counted))
+        cycles.append(calls[0] - len(iterations))
+        return returned(y), info
+
+    monkeypatch.setattr(solver.spla, "gmres", recording)
+    return cycles
+
+
+class TestPreconditionerReuse:
+    """The step is M y for GMRES's solution y, which scipy's GMRES has just
+    passed to its matvec: the product kept from that matvec is reused."""
+
+    def test_recall_reuses_only_an_equal_input(self):
+        applied = []
+
+        def M(y):
+            applied.append(y.copy())
+            return 2.0 * y
+
+        apply, recall = solver._recalling(M)
+        y = np.arange(5.0)
+        assert recall(y).tolist() == (2.0 * y).tolist() and len(applied) == 1
+        kept = apply(y)
+        assert recall(y.copy()) is kept and len(applied) == 2
+        other = y + 1.0
+        assert recall(other).tolist() == (2.0 * other).tolist() and len(applied) == 3
+        # the input is kept by value: changing the caller's array in place
+        # after the product does not make the kept product its M y
+        y[0] = 7.0
+        assert recall(y).tolist() == (2.0 * y).tolist() and len(applied) == 4
+
+    @pytest.mark.parametrize("case", ["perturbed_trace_2d_drift_x", "pucci_plus_3d"])
+    def test_a_solve_applies_M_once_per_gmres_matvec(self, monkeypatch, case):
+        inst = blocked_instance(case)
+        applied = counted_preconditioner(monkeypatch)
+        cycles = gmres_cycles(monkeypatch)
+        rep = solver.solve_newton(inst, zero_interior(inst))
+        assert rep.converged and len(cycles) == rep.iterations >= 3
+        assert all(c >= 1 for c in cycles)
+        assert len(applied) == rep.krylov_iterations + sum(cycles)
+
+    def test_another_returned_vector_is_preconditioned_afresh(self, monkeypatch):
+        # a GMRES whose solution is not its last matvec's input: the step is
+        # M of that solution, applied once more
+        inst = blocked_instance("pucci_minus_2d")
+        u0 = zero_interior(inst)
+        _, _, abar = jacobian_at(inst, u0)
+        M = solver._sine_inverse(abar, inst.source.h, 31)
+        applied = counted_preconditioner(monkeypatch)
+        returned = []
+        cycles = gmres_cycles(monkeypatch, lambda y: returned.append(0.5 * y) or returned[-1])
+        rep = solver.solve_newton(inst, u0, max_iter=1)
+        assert rep.iterations == 1 and rep.damping_events == []
+        assert len(applied) == rep.krylov_iterations + sum(cycles) + 1
+        np.testing.assert_array_equal(applied[-1].ravel(), returned[0])
+        # the interior of u0 is zero, so the full step is the new interior
+        step = rep.solution.values[1:-1, 1:-1]
+        np.testing.assert_array_equal(step, M(returned[0].reshape(31, 31)))
+
+
 def jacobian_times(inst, u, v):
     """J v for v on the interior nodes, from the solver's stencil."""
     offsets, coeff, _ = jacobian_at(inst, u)
@@ -486,6 +694,28 @@ class TestJacobian:
         Jv = jacobian_times(inst, u, v).ravel()
         bound = 4 * np.finfo(float).eps * np.max(abs(ref) @ np.abs(v.ravel()))
         assert np.max(np.abs(Jv - ref @ v.ravel())) <= bound
+
+    @pytest.mark.parametrize("n, N", [(2, 17), (3, 9)])
+    def test_flat_shifts_are_the_zero_padded_sum(self, monkeypatch, n, N):
+        # J v sums the offsets' products over the flattened interior, in row
+        # blocks; with the coefficients of ring neighbours zero, as _jacobian
+        # makes them, it is bit for bit the sum over v padded with zeros,
+        # signed zeros included, at every block size
+        rng = np.random.default_rng(n)
+        inst = solver.mms_generate(operators.perturbed_trace(0.05, n=n), solver.quadratic_solution(
+            0.1, np.zeros(n), SymMatrix.diagonal([1.0, -0.5, 0.3][:n])), N=N,
+            drift=fields.sample_function(cyclic_drift, n=n, N=N, components=n))
+        offsets, coeff, _ = jacobian_at(inst, fields.GridField(n, N, 1.0, inst.boundary))
+        coeff = coeff * rng.choice([-1.0, 1.0, 0.0], coeff.shape)
+        v = rng.standard_normal((N - 2,) * n)
+        v[rng.random(v.shape) < 0.3] = -0.0
+        padded = np.pad(v, 1)
+        want = np.zeros_like(v)
+        for off, c in zip(offsets, coeff):
+            want += c * fields.shifted_interior(padded, off)
+        for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(fields, "_CHUNK_VALUES", chunk)
+            assert solver._apply_jacobian(offsets, coeff, v).tobytes() == want.tobytes()
 
     def test_step_meets_its_forcing_term(self):
         # the first step from a zero interior solves J s = -r to GMRES's
