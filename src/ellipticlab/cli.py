@@ -198,7 +198,7 @@ def _modulus(cfg: dict) -> moduli.Modulus:
 
 
 def _parse_operator(cfg: dict) -> operators.OperatorSpec:
-    kind = _read(cfg, "operator.kind")
+    kind = _read(cfg, "operator.kind", str)
     n = _read(cfg, "operator.n", _int, None)
     pair = None
     if _read(cfg, "operator.pair", default=None) is not None:
@@ -214,7 +214,7 @@ def _parse_operator(cfg: dict) -> operators.OperatorSpec:
         return operators.perturbed_trace(_read(cfg, "operator.eps", _real), n=n, pair=pair)
     pucci = {"pucci_plus": operators.pucci_plus_op, "pucci_minus": operators.pucci_minus_op}
     if kind not in pucci:
-        raise ConfigError(f"unsupported operator kind {kind!r} in configs")
+        raise ConfigError(f"config key 'operator.kind': unsupported operator kind {kind!r}")
     if pair is None:
         raise ConfigError("config key 'operator.pair' is required")
     return pucci[kind](pair, n)

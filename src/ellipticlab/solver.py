@@ -2,10 +2,10 @@
 
 Dirichlet problems on the square are discretized with central differences
 (second order, exact on quadratics) and solved by a damped inexact Newton
-iteration on the nodewise residual, each step by GMRES preconditioned with
-a fast sine transform.  A constant-coefficient tangential solver and a
-manufactured-solutions harness give independent ground truth for accuracy
-studies.
+iteration on the nodewise residual, each step by GMRES on the Jacobian as
+a scipy DIA matrix, preconditioned with a fast sine transform.  A
+constant-coefficient tangential solver and a manufactured-solutions
+harness give independent ground truth for accuracy studies.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, NumericsError
@@ -146,20 +147,24 @@ def _offset_slots(n: int):
 
 
 def _jacobian(inst: ProblemInstance, H: np.ndarray, FH: np.ndarray, pts: Optional[np.ndarray]):
-    """The Jacobian of the interior residual in the interior unknowns as a
-    stencil, and the interior means of DF's diagonal, at the iterate whose
-    interior Hessians are H and F(H, x) is FH (``_residual_jets`` gives
-    both, and ``pts`` is ``_interior_points(inst)``).
+    """The Jacobian J of the interior residual in the interior unknowns, in
+    natural C order, and the interior means of DF's diagonal, at the iterate
+    whose interior Hessians are H and F(H, x) is FH (``_residual_jets``
+    gives both, and ``pts`` is ``_interior_points(inst)``).
 
-    Returns ``(offsets, coeff, abar)``: the distinct neighbour offsets of
-    ``central_stencil(n)``, one coefficient per offset and interior node
-    (shape (len(offsets),) + (N-2,)*n), and abar[a], the mean of DF[..., a, a]
-    over the interior nodes.  Each stencil entry contributes its weights
-    times the derivative of the residual in that jet entry: ``entry_slopes``'
-    slope along E_aa, or along E_ab + E_ba off the diagonal (2 DF[a, b]),
-    per Hessian entry, the drift component B_a (exact) per gradient entry,
-    summed in stencil order.  Neighbours on the boundary ring hold fixed
-    Dirichlet data, not unknowns, so their coefficients are +0.
+    Returns ``(J, abar)``: J a ``scipy.sparse.dia_array`` with one diagonal
+    per distinct neighbour offset of ``central_stencil(n)``, in order of
+    first use, at the offset's flat stride, and abar[a], the mean of
+    DF[..., a, a] over the interior nodes.  Each stencil entry contributes
+    its weights times the derivative of the residual in that jet entry:
+    ``entry_slopes``' slope along E_aa, or along E_ab + E_ba off the
+    diagonal (2 DF[a, b]), per Hessian entry, the drift component B_a
+    (exact) per gradient entry, summed in stencil order.  Neighbours on the
+    boundary ring hold fixed Dirichlet data, not unknowns, so their
+    coefficients are +0; a stride that wraps from one row (or slab) into the
+    next meets only such neighbours, so adding its +-0 products to a sum
+    that started from +0 changes no bit, and for finite v, J @ v is bit for
+    bit the sum of the offsets' products, in order, over v padded with zeros.
 
     The slopes are taken per ``row_blocks`` block of H, as in
     ``_residual_jets``, and each entry's derivative is divided once by
@@ -167,7 +172,9 @@ def _jacobian(inst: ProblemInstance, H: np.ndarray, FH: np.ndarray, pts: Optiona
     every stencil weight is +-1 or +-2, and a power of two commutes with a
     rounded quotient (barring underflow), so the coefficients are bit for
     bit those of adding (w dF) / (c h^p) per weight.  abar is the mean of
-    the whole arrays of diagonal slopes, not of per-block means.
+    the whole arrays of diagonal slopes, not of per-block means.  Each
+    offset's coefficients are then moved, in place, by its stride into the
+    DIA layout, where the coefficient of v[j] sits at column j.
     """
     f = inst.source
     n, h = f.n, f.h
@@ -201,33 +208,17 @@ def _jacobian(inst: ProblemInstance, H: np.ndarray, FH: np.ndarray, pts: Optiona
             if o:
                 c[(slice(None),) * a + (m - 1 if o > 0 else 0,)] = 0.0
     abar = np.array([np.mean(d) for d in diag])
-    return offsets, coeff, abar
-
-
-def _apply_jacobian(offsets, coeff, v: np.ndarray) -> np.ndarray:
-    """J v for v on the interior nodes: the sum over offsets, in order, of
-    each offset's coefficients times v moved by it.
-
-    The sum runs over the flattened interior, each offset a shift by its
-    flat stride, so every product is one contiguous pass and v is not
-    padded; it runs block by block over the interior rows, in the
-    ``row_blocks`` of the Hessian stack that the residual and the Jacobian
-    use, so that a block of the sum stays in cache while the offsets'
-    products are added to it.  A shift that wraps from one row (or
-    slab) into the next meets only nodes whose neighbour is on the boundary
-    ring, where the coefficient is zero (see ``_jacobian``); adding that
-    +-0 product to a sum that started from +0 changes no bit, so for finite
-    v, J v is bit for bit the sum over v padded with zeros."""
-    shape, m = v.shape, v.shape[0]
-    out, v = np.zeros(v.size), v.ravel()
-    row = v.size // m   # nodes per row (slab in 3-D)
-    shifts = [sum(o * m**a for a, o in enumerate(reversed(off))) for off in offsets]
-    for blk in row_blocks(shape + (len(shape),) * 2):
-        for s, c in zip(shifts, coeff.reshape(len(offsets), -1)):
-            lo, hi = max(blk.start * row, -s), min(blk.stop * row, v.size - s)
-            if lo < hi:
-                out[lo:hi] += c[lo:hi] * v[lo + s : hi + s]
-    return out.reshape(shape)
+    # at N=3 every neighbour of the one interior node is on the ring, and
+    # strides in base 3 keep its empty diagonals distinct
+    base = max(m, 3)
+    strides = [sum(o * base**a for a, o in enumerate(reversed(off))) for off in offsets]
+    data = coeff.reshape(len(offsets), -1)
+    for s, c in zip(strides, data):
+        if s > 0:
+            c[s:] = c[:-s]
+        elif s < 0:
+            c[:s] = c[-s:]
+    return sp.dia_array((data, strides), shape=(data.shape[1],) * 2), abar
 
 
 def _sine_inverse(abar: np.ndarray, h: float, m: int) -> Callable:
@@ -285,12 +276,12 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
     after the boundary is imposed, and every later residual is zero on
     the ring.
 
-    Each iteration linearizes at the iterate (``_jacobian``) from the
-    interior Hessians H and values F(H, x) that the iterate's residual
-    evaluation computed (the start's, or the accepted trial's), then drops
-    them, so no Jacobian evaluates F at H again; the interior points are
-    built once per solve, and residuals and Jacobians run in row blocks of
-    the interior.  It solves J s = -r by GMRES(``_RESTART``), at most
+    Each iteration linearizes at the iterate (``_jacobian``, a DIA matrix
+    J) from the interior Hessians H and values F(H, x) that the iterate's
+    residual evaluation computed (the start's, or the accepted trial's),
+    then drops them, so no Jacobian evaluates F at H again; the interior
+    points are built once per solve, and residuals and Jacobians run in row
+    blocks of the interior.  It solves J s = -r by GMRES(``_RESTART``), at most
     ``_CYCLES`` cycles, right preconditioned by M, the exact
     ``_sine_inverse`` of sum_a abar_a D_aa (Knoll-Keyes, JCP 2004): GMRES
     runs on J M, so its tolerance bounds the true residual of the step.
@@ -356,7 +347,7 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
     history = [rnorm]
     while rnorm > tol and it < max_iter:
         it += 1
-        offsets, coeff, abar = _jacobian(inst, *jets, pts)
+        J, abar = _jacobian(inst, *jets, pts)
         jets = accepted = None   # H and F(H, x) are not held through GMRES and the line search
         if not np.all(np.isfinite(abar) & (abar > 0)):
             damping_events.append({"iteration": it, "event": "singular"})
@@ -370,8 +361,7 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
         norm2 = float(np.linalg.norm(rhs))
         eta = 0.1 if last_norm2 is None else min(0.1, 0.9 * (norm2 / last_norm2)**2)
         apply, recall = _recalling(lambda y: M(y.reshape(rhs.shape)))
-        JM = spla.LinearOperator((rhs.size,) * 2, dtype=float, matvec=lambda y: (
-            _apply_jacobian(offsets, coeff, apply(y)).ravel()))
+        JM = spla.LinearOperator(J.shape, dtype=float, matvec=lambda y: J @ apply(y).ravel())
         counted = []   # one entry per GMRES iteration
         y, _ = spla.gmres(JM, rhs.ravel(), rtol=max(eta, 0.25 * tol / rnorm), restart=_RESTART,
                           maxiter=_CYCLES, callback=counted.append, callback_type="pr_norm")

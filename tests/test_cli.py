@@ -400,6 +400,13 @@ def assert_config_error(tmp_path, capsys, command, cfg, names=""):
     # a negative K: no scale was resolvable, exit 1
     ("audit", {"K": -1}, "K must be nonnegative"),
     ("flatness", {"K": -1}, "K must be nonnegative"),
+    # an operator kind that is a list or a mapping: kind not in a dict of
+    # the Pucci kinds raised TypeError (unhashable type), a traceback and exit 1
+    ("operator-verify", {"operator": {"kind": [1]}}, "operator.kind"),
+    ("solve", {"operator": {"kind": {"a": 1}}}, "operator.kind"),
+    ("mms", {"operator": {"kind": [1]}}, "operator.kind"),
+    ("flatness", {"operator": {"kind": {"a": 1}}}, "operator.kind"),
+    ("audit", {"operator": {"kind": [1]}}, "operator.kind"),
 ])
 def test_malformed_value_exits_2_without_traceback(tmp_path, capsys, command, change, names):
     assert_config_error(tmp_path, capsys, command, dict(BASE[command], **change), names)

@@ -29,6 +29,8 @@ why, in CHANGES.md)::
 import csv
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +43,14 @@ CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
 RTOL = 1e-12
 
 
-def run_cases(root) -> None:
-    """Run every golden case in the directory ``root``, in sorted order."""
+def run_cases(root, cases=CASES) -> None:
+    """Run the golden ``cases`` (every one by default) in the directory
+    ``root``, in order."""
     Path(root).mkdir(parents=True, exist_ok=True)
     here = os.getcwd()
     os.chdir(root)
     try:
-        for case in CASES:
+        for case in cases:
             src = GOLDEN / case
             code = main([(src / "command").read_text().strip(), "--config",
                          str(src / "config.yaml"), "--out", case])
@@ -161,3 +164,20 @@ def test_golden_cases(tmp_path):
     failures = [f"{case}: {m}" for case in CASES
                 for m in _compare(GOLDEN / case / "expected", tmp_path / case)]
     assert not failures, "\n".join(failures)
+
+
+def test_runs_without_a_solve_load_no_scipy(tmp_path):
+    # only solver imports scipy, so an audit, a flatness search, an operator
+    # check or a modulus check, run through cli.main in a fresh interpreter,
+    # leaves no scipy module loaded
+    cases = ["audit", "audit-513", "flatness", "flatness-pucci", "moduli-power",
+             "operator-verify"]
+    code = ("import sys; from tests.test_golden import run_cases; "
+            f"run_cases(sys.argv[1], {cases!r}); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    root = GOLDEN.parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=root, check=True,
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert run.stdout.strip() == "[]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(cases)

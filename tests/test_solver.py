@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -40,6 +41,20 @@ def jacobian_at(inst, u):
     pts = solver._interior_points(inst)
     _, H, FH = solver._residual_jets(inst, u.values, pts)
     return solver._jacobian(inst, H, FH, pts)
+
+
+def stencil(J, shape):
+    """The coefficients of the DIA matrix J per diagonal and interior node
+    (nodes of the given shape): row i's coefficient on the diagonal at
+    stride s sits at column i + s, and a row whose column lies beyond the
+    interior, where only a ring neighbour can be, reads +0."""
+    coeff = np.zeros(J.data.shape)
+    for c, d, s in zip(coeff, J.data, J.offsets):
+        if s >= 0:
+            c[:c.size - s] = d[s:]
+        else:
+            c[-s:] = d[:s]
+    return coeff.reshape((-1,) + shape)
 
 
 def linearized_iterates(monkeypatch) -> list:
@@ -268,8 +283,8 @@ class TestNewton:
         jacobian = solver._jacobian
 
         def negated(*args):
-            offsets, coeff, abar = jacobian(*args)
-            return offsets, -coeff, abar
+            J, abar = jacobian(*args)
+            return -J, abar
 
         monkeypatch.setattr(solver, "_jacobian", negated)
         inst = solver.mms_generate(operators.perturbed_trace(0.05),
@@ -371,12 +386,12 @@ class TestJetReuse:
         monkeypatch.undo()
         assert len(iterates) == len(built) == rep.iterations >= 3
         pts = solver._interior_points(inst)
-        for vals, (offsets, coeff, abar) in zip(iterates, built):
+        for vals, (J, abar) in zip(iterates, built):
             H, _ = fields.interior_jets(vals, n, inst.source.h)
-            fresh = solver._jacobian(inst, H, inst.op.evaluate_batch(H, pts), pts)
-            assert fresh[0] is offsets
-            np.testing.assert_array_equal(fresh[1], coeff)
-            np.testing.assert_array_equal(fresh[2], abar)
+            fresh, fresh_abar = solver._jacobian(inst, H, inst.op.evaluate_batch(H, pts), pts)
+            np.testing.assert_array_equal(fresh.offsets, J.offsets)
+            np.testing.assert_array_equal(fresh.data, J.data)
+            np.testing.assert_array_equal(fresh_abar, abar)
 
 
 # block sizes for the residual and Jacobian passes, which run in
@@ -467,9 +482,8 @@ class TestBlocks:
             blocks.append(len(fields.row_blocks(H.shape)))
             got = solver._residual_jets(inst, vals, pts)
             assert same_bits(got, (res, H, FH)), chunk
-            offsets, coeff, abar = solver._jacobian(inst, H, FH, pts)
-            assert offsets is want[0]
-            assert same_bits((coeff, abar), want[1:]), chunk
+            J, abar = solver._jacobian(inst, H, FH, pts)
+            assert same_bits((stencil(J, H.shape[:-2]), abar), want[1:]), chunk
         # one row (or slab) per block, and blocks of several
         assert blocks[0] == H.shape[0] and any(1 < b < H.shape[0] for b in blocks)
 
@@ -486,6 +500,51 @@ class TestBlocks:
             assert got.solution.values.tobytes() == want.solution.values.tobytes()
             assert (got.krylov_iterations, got.damping_events) == (
                 want.krylov_iterations, want.damping_events)
+
+
+def quartic_3d():
+    """u*(x) = sum_a c_a x_a^4 / 12 + x.M x / 2 in 3-D, with no two axes alike."""
+    c = np.array([1.0, 0.5, -0.25])
+    M = np.array([[1.0, 0.2, 0.0], [0.2, -0.5, 0.1], [0.0, 0.1, 0.3]])
+    return fields.AnalyticSolution(
+        lambda p: np.sum(c * p**4, axis=-1) / 12.0 + 0.5 * np.einsum("...i,ij,...j->...", p, M, p),
+        lambda p: c * p**3 / 3.0 + p @ M,
+        lambda p: M + (c * p**2)[..., None] * np.eye(3))
+
+
+class TestSymmetry:
+    """A problem carried by a symmetry of the grid solves to its solution
+    carried by the same symmetry, in as many Newton and Krylov iterations:
+    Pucci's F sees only the Hessian's eigenvalues, and the stencil maps
+    onto itself.  The maps act on the grid arrays, so the data are moved
+    exactly and only the solves' round-off differs."""
+
+    SQUARE = [lambda a, k=k, t=t: np.rot90(a.T if t else a, k) for t in (0, 1) for k in range(4)]
+    CUBE = [lambda a, p=p: np.transpose(a, p) for p in itertools.permutations(range(3))]
+
+    @pytest.mark.parametrize("case", ["pucci_minus_2d_square", "pucci_plus_3d_cube"])
+    def test_solves_commute_with_the_grid_symmetries(self, case):
+        pair = operators.EllipticityPair(1.0, 2.0)
+        if case == "pucci_minus_2d_square":
+            inst = solver.mms_generate(operators.pucci_minus_op(pair),
+                                       solver.saddle_quartic_solution(1.0), N=65)
+            maps = self.SQUARE
+        else:
+            inst = solver.mms_generate(operators.pucci_plus_op(pair, n=3), quartic_3d(), N=17)
+            maps = self.CUBE
+        want = solver.solve_newton(inst, zero_interior(inst))
+        assert want.converged and want.iterations >= 3
+        scale = np.max(np.abs(want.solution.values))
+        f = inst.source
+        for g in maps:
+            moved = solver.ProblemInstance(
+                inst.op, fields.GridField(f.n, f.N, f.L, np.ascontiguousarray(g(f.values))),
+                np.ascontiguousarray(g(inst.boundary)))
+            got = solver.solve_newton(moved, zero_interior(moved))
+            assert got.converged
+            assert (got.iterations, got.krylov_iterations) == (
+                want.iterations, want.krylov_iterations)
+            assert np.max(np.abs(got.solution.values - g(want.solution.values))) <= 1e-12 * scale
 
 
 def counted_preconditioner(monkeypatch) -> list:
@@ -573,7 +632,7 @@ class TestPreconditionerReuse:
         # M of that solution, applied once more
         inst = blocked_instance("pucci_minus_2d")
         u0 = zero_interior(inst)
-        _, _, abar = jacobian_at(inst, u0)
+        _, abar = jacobian_at(inst, u0)
         M = solver._sine_inverse(abar, inst.source.h, 31)
         applied = counted_preconditioner(monkeypatch)
         returned = []
@@ -588,9 +647,9 @@ class TestPreconditionerReuse:
 
 
 def jacobian_times(inst, u, v):
-    """J v for v on the interior nodes, from the solver's stencil."""
-    offsets, coeff, _ = jacobian_at(inst, u)
-    return solver._apply_jacobian(offsets, coeff, v)
+    """J v for v on the interior nodes, by the solver's DIA matrix."""
+    J, _ = jacobian_at(inst, u)
+    return (J @ v.ravel()).reshape(v.shape)
 
 
 class TestJacobian:
@@ -695,27 +754,32 @@ class TestJacobian:
         bound = 4 * np.finfo(float).eps * np.max(abs(ref) @ np.abs(v.ravel()))
         assert np.max(np.abs(Jv - ref @ v.ravel())) <= bound
 
-    @pytest.mark.parametrize("n, N", [(2, 17), (3, 9)])
+    @pytest.mark.parametrize("n, N", [(2, 3), (2, 5), (2, 17), (3, 3), (3, 5), (3, 9)])
     def test_flat_shifts_are_the_zero_padded_sum(self, monkeypatch, n, N):
-        # J v sums the offsets' products over the flattened interior, in row
-        # blocks; with the coefficients of ring neighbours zero, as _jacobian
-        # makes them, it is bit for bit the sum over v padded with zeros,
-        # signed zeros included, at every block size
+        # J holds each offset's coefficients on the diagonal at its flat
+        # stride, so J @ v sums the offsets' products, in order, over the
+        # flattened interior; with the coefficients of ring neighbours zero,
+        # as _jacobian makes them, it is bit for bit the sum over v padded
+        # with zeros, signed zeros included, at every block size.  At N=3
+        # every neighbour is on the ring and most strides reach past the
+        # one interior node
         rng = np.random.default_rng(n)
         inst = solver.mms_generate(operators.perturbed_trace(0.05, n=n), solver.quadratic_solution(
             0.1, np.zeros(n), SymMatrix.diagonal([1.0, -0.5, 0.3][:n])), N=N,
             drift=fields.sample_function(cyclic_drift, n=n, N=N, components=n))
-        offsets, coeff, _ = jacobian_at(inst, fields.GridField(n, N, 1.0, inst.boundary))
-        coeff = coeff * rng.choice([-1.0, 1.0, 0.0], coeff.shape)
+        offsets, _ = solver._offset_slots(n)
+        signs = rng.choice([-1.0, 1.0, 0.0], (len(offsets), (N - 2) ** n))
         v = rng.standard_normal((N - 2,) * n)
         v[rng.random(v.shape) < 0.3] = -0.0
         padded = np.pad(v, 1)
-        want = np.zeros_like(v)
-        for off, c in zip(offsets, coeff):
-            want += c * fields.shifted_interior(padded, off)
         for chunk in CHUNK_SIZES:
             monkeypatch.setattr(fields, "_CHUNK_VALUES", chunk)
-            assert solver._apply_jacobian(offsets, coeff, v).tobytes() == want.tobytes()
+            J, _ = jacobian_at(inst, fields.GridField(n, N, 1.0, inst.boundary))
+            J.data *= signs
+            want = np.zeros_like(v)
+            for off, c in zip(offsets, stencil(J, v.shape)):
+                want += c * fields.shifted_interior(padded, off)
+            assert (J @ v.ravel()).tobytes() == want.tobytes(), chunk
 
     def test_step_meets_its_forcing_term(self):
         # the first step from a zero interior solves J s = -r to GMRES's
@@ -758,8 +822,8 @@ class TestJacobian:
             offsets[0] = (0, 0)
         zero = fields.GridField(2, 17, 1.0, np.zeros((17, 17)))
         for u in (zero, fields.GridField(2, 17, 1.0, inst.boundary)):
-            shared, coeff, _ = jacobian_at(inst, u)
-            assert shared is offsets and coeff.shape[0] == len(offsets)
+            J, _ = jacobian_at(inst, u)
+            assert J.data.shape == (len(offsets), 15**2)
 
 
 def constant_operator(abar, h, w):
