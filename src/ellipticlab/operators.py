@@ -123,29 +123,31 @@ def _pucci_from_eigenvalues(eigs, up: float, down: float):
         np.maximum(-eigs, 0.0), axis=-1)
 
 
-def _pucci3(mat: np.ndarray, up: float, down: float):
-    """``_pucci`` of stacked 3 x 3 matrices by O. K. Smith's trigonometric
-    formula (Comm. ACM 4, 1961), read from the lower triangle.
+def _smith3(mat: np.ndarray):
+    """Eigenvalues of stacked 3 x 3 matrices mat (m, 9) by O. K. Smith's
+    trigonometric formula (Comm. ACM 4, 1961), read from the lower triangle.
 
     Each matrix M is first scaled to B = 2^-k M with max|B| in [1/2, 1), so
-    no product overflows and none that matters underflows, and Pucci's
-    positive 1-homogeneity gives M's value as 2^k times B's, exactly.  With q = tr B / 3,
+    no product overflows and none that matters underflows.  With q = tr B / 3,
     p^2 = ||B - q I||_F^2 / 6 and r = det((B - q I) / p) / 2 clipped to [-1, 1],
     the eigenvalues are q + 2p cos(phi) and q + 2p cos(phi + 2 pi / 3),
     phi = acos(r) / 3, and the middle one is 3q minus those two; p = 0 gives q
-    exactly.  Where 1 - |r| < ``_NEAR_REPEATED`` (nearly repeated eigenvalues,
-    J. Kopp, Int. J. Mod. Phys. C 19, 2008) those matrices go to
-    ``np.linalg.eigvalsh`` as one sub-stack.  A matrix with a non-finite
-    entry gives NaN.
+    exactly.
+
+    Returns ``(eigs, k, near, lower)``: eigs (m, 3), B's eigenvalues in
+    ascending order (NaN where M has a non-finite entry); k (m,); near (m,),
+    true where 1 - |r| < ``_NEAR_REPEATED`` (nearly repeated eigenvalues,
+    J. Kopp, Int. J. Mod. Phys. C 19, 2008), where the caller is to take
+    LAPACK's instead; and lower (6, m), B's entries (0,0), (1,1), (2,2),
+    (1,0), (2,0), (2,1), zero where M is not finite.
     """
-    batch = mat.shape[:-2]
-    mat = mat.reshape(-1, 9)
     lower = mat.T[[0, 4, 8, 3, 6, 7]]   # rows a, b, c and d, e, f below them
     size = np.max(np.abs(lower), axis=0)
     finite = np.isfinite(size)
     lower[:, ~finite] = size[~finite] = 0.0
     _, k = np.frexp(size)
-    a, b, c, d, e, f = np.ldexp(lower, -k)
+    lower = np.ldexp(lower, -k)
+    a, b, c, d, e, f = lower
     q = (a + b + c) / 3.0
     a, b, c = a - q, b - q, c - q
     p = np.sqrt((a * a + b * b + c * c + 2.0 * (d * d + e * e + f * f)) / 6.0)
@@ -157,37 +159,119 @@ def _pucci3(mat: np.ndarray, up: float, down: float):
     hi = q + 2.0 * p * np.cos(phi)
     lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)   # both q where p = 0
     eigs = np.stack([lo, np.where(spread, 3.0 * q - hi - lo, q), hi], axis=-1)
-    near = spread & (1.0 - np.abs(r) < _NEAR_REPEATED)
+    eigs[~finite] = np.nan
+    return eigs, k, spread & (1.0 - np.abs(r) < _NEAR_REPEATED), lower
+
+
+def _pucci3(mat: np.ndarray, up: float, down: float):
+    """``_pucci`` of stacked 3 x 3 matrices by ``_smith3``'s eigenvalues of
+    B = 2^-k M: Pucci's positive 1-homogeneity gives M's value as 2^k times
+    B's, exactly.  The nearly repeated ones go to ``np.linalg.eigvalsh`` as
+    one sub-stack.  A matrix with a non-finite entry gives NaN.
+    """
+    batch = mat.shape[:-2]
+    mat = mat.reshape(-1, 9)
+    eigs, k, near, _ = _smith3(mat)
     if np.any(near):
         eigs[near] = np.linalg.eigvalsh(np.ldexp(mat[near].reshape(-1, 3, 3),
                                                  -k[near, None, None]))
-    val = np.ldexp(_pucci_from_eigenvalues(eigs, up, down), k)
-    val[~finite] = np.nan
-    return val.reshape(batch)[()]
+    return np.ldexp(_pucci_from_eigenvalues(eigs, up, down), k).reshape(batch)[()]
+
+
+def _hypot2(mat: np.ndarray):
+    """m, d = (a - c)/2, b and r = hypot(d, b) of stacked 2 x 2 matrices,
+    read from the lower triangle: the eigenvalues are m -+ r."""
+    a, b, c = mat[..., 0, 0], mat[..., 1, 0], mat[..., 1, 1]
+    d = 0.5 * (a - c)
+    return 0.5 * (a + c), d, b, np.hypot(d, b)
 
 
 def _pucci(M, up: float, down: float):
     """up * sum e_i^+ - down * sum e_i^- over the eigenvalues of M, batched
     over leading axes.
 
-    2 x 2 eigenvalues take the closed form m -+ hypot((a - c)/2, b) with
-    m = (a + c)/2, read from the lower triangle like ``np.linalg.eigvalsh``:
-    it skips LAPACK's per-matrix overhead and agrees with it to a few
-    eps * max|M|.  3 x 3 matrices take ``_pucci3``'s closed form, within
-    64 eps * max|M| of the value from LAPACK's eigenvalues (32 measured).
-    4 x 4 matrices go through LAPACK.
+    2 x 2 eigenvalues take ``_hypot2``'s closed form, read from the lower
+    triangle like ``np.linalg.eigvalsh``: it skips LAPACK's per-matrix
+    overhead and agrees with it to a few eps * max|M|.  3 x 3 matrices take
+    ``_pucci3``'s closed form, within 64 eps * max|M| of the value from
+    LAPACK's eigenvalues (32 measured).  4 x 4 matrices go through LAPACK.
     """
     mat = _as_matrix_batch(M)
     if mat.shape[-1] == 2:
-        a, b, c = mat[..., 0, 0], mat[..., 1, 0], mat[..., 1, 1]
-        m = 0.5 * (a + c)
-        r = np.hypot(0.5 * (a - c), b)
+        m, _, _, r = _hypot2(mat)
         lo, hi = m - r, m + r
         return up * (np.maximum(lo, 0.0) + np.maximum(hi, 0.0)) + down * (
             np.minimum(lo, 0.0) + np.minimum(hi, 0.0))
     if mat.shape[-1] == 3:
         return _pucci3(mat, up, down)
     return _pucci_from_eigenvalues(np.linalg.eigvalsh(mat), up, down)
+
+
+def _coefficient(mu, up: float, down: float):
+    """The coefficient ``_pucci`` puts on an eigenvalue mu: up for mu >= 0,
+    down otherwise."""
+    return np.where(mu >= 0.0, up, down)
+
+
+def _pucci_linearization(mat: np.ndarray, up: float, down: float) -> np.ndarray:
+    """DF = V diag(c) V^T of ``_pucci`` at stacked matrices (..., n, n), from
+    LAPACK's eigenvectors V, c the ``_coefficient`` of each eigenvalue."""
+    mu, V = np.linalg.eigh(mat)
+    return (V * _coefficient(mu, up, down)[..., None, :]) @ np.swapaxes(V, -1, -2)
+
+
+def _pucci_slopes(H: np.ndarray, up: float, down: float) -> np.ndarray:
+    """The entry slopes (see ``entry_slopes``) of ``_pucci`` at stacked
+    matrices H (..., n, n), in closed form: those of DF = sum_i c_i v_i v_i^T
+    over H's eigenpairs (mu_i, v_i), c_i = ``_coefficient(mu_i)``.
+
+    Away from the kinks this is F's derivative.  At a kink, an eigenvalue
+    mu_i = 0, F has none, and the rule takes the slope along +v_i v_i^T,
+    up: so DF's eigenvalues are always up or down, inside the declared
+    pair, and at H = 0 DF is up times the identity.
+
+    Where every c_i is the same, DF = c I.  Otherwise one eigenvalue mu is
+    alone in its sign class, and DF = c I + (c_mu - c) P, with c the other
+    eigenvalues' coefficient and P mu's spectral projector.  2 x 2: mu is
+    m -+ r of ``_hypot2`` and P = (I -+ [[d, b], [b, -d]] / r) / 2, with no
+    LAPACK.  3 x 3: ``_smith3``'s eigenvalues of B = 2^-k H (DF is
+    0-homogeneous) and P = (B - mu_a I)(B - mu_b I) / ((mu - mu_a)(mu - mu_b))
+    over the other two, except where they nearly repeat, so that a gap is
+    small: those matrices, like every 4 x 4 one, take
+    ``_pucci_linearization``.
+    """
+    n = H.shape[-1]
+    if n == 2:
+        m, d, b, r = _hypot2(H)
+        c = _coefficient(m - r, up, down)
+        half = 0.5 * (_coefficient(m + r, up, down) - c)   # nonzero only where r > 0
+        rr = np.where(r > 0.0, r, 1.0)
+        t = half * (d / rr)
+        return np.stack([c + half + t, 2.0 * half * (b / rr), c + half - t])
+    if n == 4:
+        return _to_entry_slopes(_pucci_linearization(H, up, down), n)
+    batch = H.shape[:-2]
+    mat = H.reshape(-1, 9)
+    eigs, k, near, (a, b, c, d, e, f) = _smith3(mat)
+    lo, mid, hi = eigs.T
+    mid_up = mid >= 0.0   # hi >= mid >= lo, so lo is alone if anything is, else hi
+    mu, o = np.where(mid_up, lo, hi), np.where(mid_up, hi, lo)
+    cm = _coefficient(mid, up, down)
+    w = _coefficient(mu, up, down) - cm
+    # the gaps are at least 0.07 p unless near, where LAPACK's DF replaces these
+    g = w / np.where((w == 0.0) | near, 1.0, (mu - mid) * (mu - o))
+    s = mid + o
+    out = np.stack([cm + g * ((a - mid) * (a - o) + d * d + e * e),
+                    2.0 * g * (d * (a + b - s) + e * f),
+                    2.0 * g * (e * (a + c - s) + d * f),
+                    cm + g * ((b - mid) * (b - o) + d * d + f * f),
+                    2.0 * g * (f * (b + c - s) + d * e),
+                    cm + g * ((c - mid) * (c - o) + e * e + f * f)])
+    out[:, np.isnan(lo)] = np.nan
+    if np.any(near):
+        out[:, near] = _to_entry_slopes(_pucci_linearization(
+            np.ldexp(mat[near].reshape(-1, 3, 3), -k[near, None, None]), up, down), 3)
+    return out.reshape((6,) + batch)
 
 
 def pucci_plus(M, pair: EllipticityPair):
@@ -256,6 +340,11 @@ class OperatorSpec:
     The factories below build both.  ``x_dependence`` is an optional scalar
     coefficient field a(x) (vectorized over points) applied
     multiplicatively, which preserves the normalization F(0, x) = 0.
+    ``slopes`` is core's entry slopes on stacked matrices in closed form,
+    shaped as ``entry_slopes`` returns them (so an operator whose core is
+    replaced needs its slopes replaced too); every factory but
+    ``extension``, whose callback has no derivative, sets it.  A ``pair``
+    that is not an ``EllipticityPair`` raises ConfigError.
     """
 
     n: int
@@ -263,22 +352,29 @@ class OperatorSpec:
     core: Callable = field(compare=False)
     params: dict
     x_dependence: Optional[Callable] = field(default=None, compare=False)
+    slopes: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 2 <= self.n <= 4:
             raise ConfigError("operator dimension must be 2..4")
+        if not isinstance(self.pair, EllipticityPair):
+            raise ConfigError(f"an operator's pair must be an EllipticityPair, got {self.pair!r}")
 
     # -- evaluation ------------------------------------------------------
+
+    def _times_coefficient(self, vals, xs, batch: tuple):
+        """vals (..., *batch) times a(x) at points xs (*batch, n), or at
+        x = 0 when xs is None, for an operator with ``x_dependence``."""
+        if self.x_dependence is None:
+            return vals
+        if xs is None:
+            xs = np.zeros(batch + (self.n,))
+        return vals * np.asarray(self.x_dependence(np.asarray(xs, dtype=float)))
 
     def evaluate_batch(self, mats: np.ndarray, xs: Optional[np.ndarray] = None):
         """Evaluate F over stacked matrices (..., n, n) at points (..., n)."""
         mats = np.asarray(mats, dtype=float)
-        vals = self.core(mats)
-        if self.x_dependence is not None:
-            if xs is None:
-                xs = np.zeros(mats.shape[:-2] + (self.n,))
-            vals = vals * np.asarray(self.x_dependence(np.asarray(xs, dtype=float)))
-        return vals
+        return self._times_coefficient(self.core(mats), xs, mats.shape[:-2])
 
     def evaluate(self, M, x=None) -> float:
         mat = _as_matrix_batch(M)
@@ -306,15 +402,18 @@ def linear_trace(A, pair: Optional[EllipticityPair] = None, x_dependence=None) -
             raise ConfigError("linear_trace coefficient matrix must be positive definite")
         pair = EllipticityPair(float(eigs[0]), float(eigs[-1]))
     return OperatorSpec(A.n, pair, lambda H: np.einsum("...ij,ij->...", H, A.matrix),
-                        {"kind": "linear_trace", "matrix": A.matrix.tolist()}, x_dependence)
+                        {"kind": "linear_trace", "matrix": A.matrix.tolist()}, x_dependence,
+                        lambda H: _to_entry_slopes(np.broadcast_to(A.matrix, H.shape), A.n))
 
 
 def pucci_plus_op(pair: EllipticityPair, n: int = 2) -> OperatorSpec:
-    return OperatorSpec(n, pair, lambda H: pucci_plus(H, pair), {"kind": "pucci_plus"})
+    return OperatorSpec(n, pair, lambda H: pucci_plus(H, pair), {"kind": "pucci_plus"},
+                        slopes=lambda H: _pucci_slopes(H, pair.Lam, pair.lam))
 
 
 def pucci_minus_op(pair: EllipticityPair, n: int = 2) -> OperatorSpec:
-    return OperatorSpec(n, pair, lambda H: pucci_minus(H, pair), {"kind": "pucci_minus"})
+    return OperatorSpec(n, pair, lambda H: pucci_minus(H, pair), {"kind": "pucci_minus"},
+                        slopes=lambda H: _pucci_slopes(H, pair.lam, pair.Lam))
 
 
 def perturbed_trace(eps: float, n: int = 2, pair: Optional[EllipticityPair] = None) -> OperatorSpec:
@@ -337,7 +436,16 @@ def perturbed_trace(eps: float, n: int = 2, pair: Optional[EllipticityPair] = No
         return sum(H[..., a, a] for a in range(H.shape[-1])) + eps * (
             np.sin(H[..., 0, 0]) * (1.0 - np.cos(H[..., 1, 1])))
 
-    return OperatorSpec(n, pair, core, {"kind": "perturbed_trace", "eps": eps})
+    def slopes(H):   # 1 on the diagonal, 0 off it, plus the perturbation's
+        out = np.zeros((n * (n + 1) // 2,) + H.shape[:-2])
+        rows, cols = np.triu_indices(n)
+        out[rows == cols] = 1.0
+        h11, h22 = H[..., 0, 0], H[..., 1, 1]
+        out[0] += eps * (np.cos(h11) * (1.0 - np.cos(h22)))
+        out[n] += eps * (np.sin(h11) * np.sin(h22))   # E_22 follows row 0's n entries
+        return out
+
+    return OperatorSpec(n, pair, core, {"kind": "perturbed_trace", "eps": eps}, slopes=slopes)
 
 
 def extension(callback: Callable, pair: EllipticityPair, n: int = 2,
@@ -451,6 +559,13 @@ def _entry_directions(n: int) -> np.ndarray:
     return np.maximum(E, np.swapaxes(E, 1, 2))
 
 
+def _to_entry_slopes(A: np.ndarray, n: int) -> np.ndarray:
+    """The slopes (n(n+1)/2, ...) of X -> tr(A X) along the entry directions,
+    for matrices A (..., n, n): A_aa, and 2 A_ab off the diagonal."""
+    rows, cols = np.triu_indices(n)
+    return np.moveaxis(A[..., rows, cols] * np.where(rows == cols, 1.0, 2.0), -1, 0)
+
+
 def _from_entry_slopes(slopes: np.ndarray, n: int) -> np.ndarray:
     """Matrices A (..., n, n) with tr(A D_k) = slopes[k] for the entry
     directions D_k; an off-diagonal D_k carries its entry twice."""
@@ -481,16 +596,20 @@ def _slopes(op: OperatorSpec, H: np.ndarray, D: np.ndarray, s, x=None,
 
 
 def entry_slopes(op: OperatorSpec, H, x=None, base=None) -> np.ndarray:
-    """The one-sided slopes of F at stacked H (..., n, n) and points x
-    (..., n), or x = 0, along the entry directions E_ab + E_ba (E_aa if
-    a = b), a <= b in triu order: shaped (n(n+1)/2, ...), with step
-    1e-6 (1 + ||H||_F) per matrix.  ``base``, when given, is taken as
+    """The slopes of F at stacked H (..., n, n) and points x (..., n), or
+    x = 0, along the entry directions E_ab + E_ba (E_aa if a = b), a <= b
+    in triu order: shaped (n(n+1)/2, ...).  An operator with ``slopes``
+    gives them in closed form, times its ``x_dependence`` at x.  For one
+    without (an ``extension``) they are one-sided differences with step
+    1e-6 (1 + ||H||_F) per matrix, and ``base``, when given, is taken as
     F(H, x) (a caller that has just evaluated F at H passes it) and spares
     that evaluation.  An H not shaped (..., n, n) for the operator raises
     ConfigError."""
     H = np.asarray(H, dtype=float)
     if H.shape[-2:] != (op.n, op.n):
         raise ConfigError(f"linearize needs (..., {op.n}, {op.n}) matrices, got {H.shape}")
+    if op.slopes is not None:
+        return op._times_coefficient(op.slopes(H), x, H.shape[:-2])
     # ||H||_F as np.linalg.norm sums it, without its conjugate copy of H
     step = 1e-6 * (1.0 + np.sqrt(np.add.reduce(H * H, axis=(-2, -1))))
     return _slopes(op, H, _entry_directions(op.n), step, x, base)

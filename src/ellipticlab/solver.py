@@ -354,8 +354,8 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
             break
         if M is None or not np.allclose(abar, built, rtol=1e-6, atol=0.0):
             # the step is M y, so M shapes only GMRES's iterations; an abar
-            # within 1e-6 of the one M was built from (the round-off of
-            # linearize on a linear F) changes nothing measurable
+            # within 1e-6 of the one M was built from changes nothing
+            # measurable (a linear F's abar is exact and never moves)
             M, built = _sine_inverse(abar, f.h, f.N - 2), abar
         rhs = -r[core]
         norm2 = float(np.linalg.norm(rhs))
@@ -395,10 +395,10 @@ def solve_linear_tangential(A0: SymMatrix, boundary, N: int,
     ``linear_trace`` rejects an A0 that is not positive definite.  The
     residual is relative to the largest of the source, the boundary data
     and 1.  The problem is linear, but each Newton step solves it only to
-    its forcing term, so a solve takes a few steps.  For a diagonal A0 the
-    preconditioner is the Jacobian's inverse up to the round-off of
-    ``linearize``, and each step takes one Krylov iteration; every step
-    reuses the first step's preconditioner.
+    its forcing term, so a solve may take a few steps, and every step
+    reuses the first step's preconditioner: ``linearize`` gives A0 itself,
+    so abar is exact.  For a diagonal A0 that preconditioner is the
+    Jacobian's exact inverse, and each step takes one Krylov iteration.
     """
     n, L = A0.n, 1.0
     if callable(boundary):

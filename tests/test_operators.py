@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellipticlab import operators as ops
@@ -325,6 +325,28 @@ class TestOperatorSpec:
         assert ops.pucci_plus_op(PAIR) == ops.pucci_plus_op(PAIR)
         assert ops.pucci_plus_op(PAIR) != ops.pucci_minus_op(PAIR)
 
+    @pytest.mark.parametrize("pair", [(1.0, 2.0), [1.0, 2.0], {"lambda": 1.0, "Lambda": 2.0},
+                                      1.0, None], ids=["tuple", "list", "dict", "float", "None"])
+    def test_pair_must_be_an_ellipticity_pair(self, pair):
+        trace = lambda H: np.trace(H, axis1=-2, axis2=-1)
+        builds = [lambda: ops.pucci_minus_op(pair), lambda: ops.pucci_plus_op(pair, 3),
+                  lambda: ops.extension(trace, pair),
+                  lambda: ops.pucci_minus_op(1, 2)]   # the pair's two numbers, not a pair
+        if pair is not None:   # None asks for the default pair
+            builds += [lambda: ops.linear_trace(np.eye(2), pair=pair),
+                       lambda: ops.perturbed_trace(0.1, pair=pair)]
+        for build in builds:
+            with pytest.raises(ConfigError, match="EllipticityPair"):
+                build()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_factory_but_extension_sets_slopes(self, n):
+        for op in (ops.linear_trace(np.eye(n)), ops.pucci_plus_op(PAIR, n),
+                   ops.pucci_minus_op(PAIR, n), ops.perturbed_trace(0.1, n)):
+            assert callable(op.slopes), op.params["kind"]
+        trace = lambda H: np.trace(H, axis1=-2, axis2=-1)
+        assert ops.extension(trace, PAIR, n).slopes is None
+
 
 class TestEllipticity:
     def test_linear_trace_passes(self):
@@ -387,32 +409,32 @@ class TestDerivatives:
         g = rng.standard_normal((4, 5, n, n))
         H = 2.0 * (g + np.swapaxes(g, -1, -2))
         DF = ops.linearize(ops.linear_trace(A), H)
-        np.testing.assert_allclose(DF, np.broadcast_to(A, H.shape), rtol=0, atol=1e-7)
+        np.testing.assert_array_equal(DF, np.broadcast_to(A, H.shape))   # exact, no differences
 
         def a(x):
             return 1.0 + 0.5 * np.sin(x[..., 0]) * np.cos(x[..., -1])
 
         xs = rng.uniform(-1.0, 1.0, (4, 5, n))
         DF = ops.linearize(ops.linear_trace(A, x_dependence=a), H, xs)
-        np.testing.assert_allclose(DF, a(xs)[..., None, None] * A, rtol=0, atol=1e-7)
+        np.testing.assert_array_equal(DF, a(xs)[..., None, None] * A)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_linearize_pucci_minus_eigenvalues_in_pair(self, n):
-        # DF = Q diag(lambda if e > 0 else Lambda) Q^T at H = Q diag(e) Q^T;
-        # |e| >= 0.5 keeps every difference step off the kinks at e = 0
+        # DF = Q diag(lambda if e > 0 else Lambda) Q^T at H = Q diag(e) Q^T,
+        # to round-off
         rng = np.random.default_rng(4)
         q = np.linalg.qr(rng.standard_normal((50, n, n)))[0]
         e = rng.choice([-1.0, 1.0], (50, n)) * rng.uniform(0.5, 2.0, (50, n))
         H = q @ (e[..., None] * np.swapaxes(q, 1, 2))
         DF = ops.linearize(ops.pucci_minus_op(PAIR, n), 0.5 * (H + np.swapaxes(H, 1, 2)))
         want = np.sort(np.where(e > 0, PAIR.lam, PAIR.Lam), axis=-1)
-        np.testing.assert_allclose(np.linalg.eigvalsh(DF), want, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(np.linalg.eigvalsh(DF), want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("directions", ["entry", "random"])
     @pytest.mark.parametrize("step", ["per_matrix", 1e-3, -1e-3])
     def test_slopes_stack_is_the_broadcast_formula(self, n, directions, step):
-        # linearize's entry directions with a step per matrix, and
+        # an extension's entry directions with a step per matrix, and
         # tangential_limit's random ones at the zero matrix with a signed step
         rng = np.random.default_rng(n)
         g = rng.standard_normal((4, n, n))
@@ -431,7 +453,8 @@ class TestDerivatives:
                 stacks.append(np.array(M))
                 return inner.core(M)
 
-            op = dataclasses.replace(inner, core=core, x_dependence=lambda x: 1.0 + x[..., 0]**2)
+            op = dataclasses.replace(ops.extension(core, PAIR, n),
+                                     x_dependence=lambda x: 1.0 + x[..., 0]**2)
             Dk = D.reshape(D.shape[:1] + (1,) * (H.ndim - 2) + D.shape[1:])
             want_stack = H + s[..., None, None] * Dk
             want = (op.evaluate_batch(want_stack, xs) - op.evaluate_batch(H, xs)) / s
@@ -444,6 +467,96 @@ class TestDerivatives:
             base = op.evaluate_batch(H, xs)
             np.testing.assert_array_equal(ops._slopes(op, H, D, s, xs, base), want)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("Lam", [2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("factory", [ops.pucci_minus_op, ops.pucci_plus_op],
+                             ids=["pucci_minus", "pucci_plus"])
+    def test_linearize_at_kinks_stays_in_pair(self, factory, Lam, n):
+        # F has no derivative at the zero matrix, at rank-one H or at H with a
+        # zero eigenvalue; DF there is still symmetric with eigenvalues in
+        # [lambda, Lambda], which a one-sided difference across a kink is not
+        pair = ops.EllipticityPair(1.0, Lam)
+        rng = np.random.default_rng(n)
+        q = np.linalg.qr(rng.standard_normal((20, n, n)))[0]
+        t = rng.choice([-1.0, 1.0], 20) * rng.uniform(0.5, 2.0, 20)
+        e = rng.choice([-1.0, 1.0], (20, n)) * rng.uniform(0.5, 2.0, (20, n))
+        e[:, 0] = 0.0
+        v = q[..., 0]
+        H = np.concatenate([
+            np.zeros((1, n, n)),
+            t[:, None, None] * v[:, :, None] * v[:, None, :],   # rank one
+            q @ (e[..., None] * np.swapaxes(q, 1, 2)),           # one zero eigenvalue
+            [np.diag(d) for d in ([1.0] + [0.0] * (n - 1), [-1.0] + [0.0] * (n - 1),
+                                  [-1.0, 0.0] + [2.0] * (n - 2))],
+        ])
+        DF = ops.linearize(factory(pair, n), 0.5 * (H + np.swapaxes(H, 1, 2)))
+        np.testing.assert_array_equal(DF, np.swapaxes(DF, 1, 2))
+        eigs = np.linalg.eigvalsh(DF)
+        assert np.min(eigs) >= pair.lam - 1e-12 * pair.Lam
+        assert np.max(eigs) <= pair.Lam + 1e-12 * pair.Lam
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_kink_rule_takes_the_up_coefficient_at_zero(self, n):
+        # a zero eigenvalue gets the coefficient of the nonnegative side:
+        # DF(0) = up I, and DF(diag(-1, 0, ..., 0)) = diag(down, up, ..., up)
+        H = np.zeros((2, n, n))
+        H[1, 0, 0] = -1.0
+        for op, up, down in ((ops.pucci_minus_op(PAIR, n), PAIR.lam, PAIR.Lam),
+                             (ops.pucci_plus_op(PAIR, n), PAIR.Lam, PAIR.lam)):
+            DF = ops.linearize(op, H)
+            np.testing.assert_array_equal(DF[0], up * np.eye(n))
+            np.testing.assert_allclose(DF[1], np.diag([down] + [up] * (n - 1)),
+                                       rtol=0, atol=1e-15)
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["linear_trace", "perturbed_trace", "pucci_plus",
+                                 "pucci_minus"]),
+           n=st.integers(2, 4), with_x=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_closed_form_slopes_match_central_differences(self, kind, n, with_x, seed, data):
+        # at H = Q diag(e) Q^T with every |e_i| >= 0.5 and gaps of at least
+        # 0.25 between them, away from Pucci's kinks and its repeated
+        # eigenvalues
+        mags = data.draw(st.lists(st.floats(0.5, 3.0), min_size=n, max_size=n))
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        e = np.array(mags) * np.array(signs)
+        assume(np.min(np.diff(np.sort(e))) >= 0.25)
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        H = q @ np.diag(e) @ q.T
+        H = 0.5 * (H + H.T)
+        g = rng.standard_normal((n, n))
+        wide = ops.EllipticityPair(1.0, 4.0)
+        op = {"linear_trace": lambda: ops.linear_trace(g @ g.T + n * np.eye(n)),
+              "perturbed_trace": lambda: ops.perturbed_trace(0.3, n),
+              "pucci_plus": lambda: ops.pucci_plus_op(wide, n),
+              "pucci_minus": lambda: ops.pucci_minus_op(wide, n)}[kind]()
+        x = None
+        if with_x:
+            op = dataclasses.replace(
+                op, x_dependence=lambda x: 1.0 + 0.5 * np.sin(x[..., 0]) * np.cos(x[..., -1]))
+            x = rng.uniform(-1.0, 1.0, n)
+        D = ops._entry_directions(n)
+        xs = None if x is None else np.broadcast_to(x, (len(D), n))
+        h = 1e-5
+        fd = (op.evaluate_batch(H + h * D, xs) - op.evaluate_batch(H - h * D, xs)) / (2.0 * h)
+        got = ops.entry_slopes(op, H, x)
+        assert got.shape == (len(D),)
+        np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+
+    @pytest.mark.parametrize("e", [[-1.0, 1.0, 1.0 + 1e-9], [-1.0 - 1e-9, -1.0, 2.0],
+                                   [-1.0, 1.0, 1.0]], ids=["pair_up", "pair_down", "repeated"])
+    def test_nearly_repeated_3d_slopes_match_central_differences(self, e):
+        # these go to LAPACK; F is smooth across equal eigenvalues of one sign
+        rng = np.random.default_rng(5)
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        H = q @ np.diag(e) @ q.T
+        H = 0.5 * (H + H.T)
+        op = ops.pucci_minus_op(ops.EllipticityPair(1.0, 4.0), 3)
+        D, h = ops._entry_directions(3), 1e-5
+        fd = (op.evaluate_batch(H + h * D) - op.evaluate_batch(H - h * D)) / (2.0 * h)
+        np.testing.assert_allclose(ops.entry_slopes(op, H), fd, rtol=1e-6, atol=1e-6 * 4.0)
+
     @pytest.mark.parametrize("shape", [(3, 3), (4, 2, 3), (2,)])
     def test_linearize_rejects_wrong_shape(self, shape):
         with pytest.raises(ConfigError):
@@ -453,13 +566,13 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_entry_slopes_step_is_the_frobenius_norm(self, n):
-        # the step is 1e-6 (1 + np.linalg.norm(H, axis=(-2, -1))) bit for bit,
-        # and linearize is built from the same slopes
+        # an extension's step is 1e-6 (1 + np.linalg.norm(H, axis=(-2, -1)))
+        # bit for bit, and linearize is built from the same slopes
         rng = np.random.default_rng(n)
         g = rng.standard_normal((6, 5, n, n)) * 10.0 ** rng.integers(-4, 5, (6, 5, 1, 1))
         H = g + np.swapaxes(g, -1, -2)
         xs = rng.uniform(-1.0, 1.0, H.shape[:-1])
-        op = dataclasses.replace(ops.pucci_minus_op(PAIR, n),
+        op = dataclasses.replace(ops.extension(ops.pucci_minus_op(PAIR, n).core, PAIR, n),
                                  x_dependence=lambda x: 1.0 + x[..., 0]**2)
         step = 1e-6 * (1.0 + np.linalg.norm(H, axis=(-2, -1)))
         want = ops._slopes(op, H, ops._entry_directions(n), step, xs)

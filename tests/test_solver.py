@@ -654,12 +654,14 @@ def jacobian_times(inst, u, v):
 
 class TestJacobian:
     """J v against the central directional difference of the interior
-    residual, for v zero on the boundary ring.
+    residual, for v zero on the boundary ring, and against a Jacobian
+    assembled from COO triplets.
 
-    u is a quadratic with Hessian eigenvalues away from 0 plus grid-scale
-    noise, so Pucci's eigenvalue kinks lie beyond every difference step
-    and the one-sided dF/dH steps in J stay small.  J acts on the interior
-    nodes in natural C order.
+    DF comes from ``entry_slopes`` in closed form, so J is the residual's
+    derivative, and the difference misses it by its own truncation and
+    round-off only.  u is a quadratic with Hessian eigenvalues away from 0
+    plus grid-scale noise, so Pucci's eigenvalue kinks lie beyond every
+    difference step.  J acts on the interior nodes in natural C order.
     """
 
     @pytest.mark.parametrize("op, n, N, drift_fn", [
@@ -691,8 +693,9 @@ class TestJacobian:
     @staticmethod
     def triplet_jacobian(inst, u):
         """The Jacobian assembled the direct way, in natural order: one COO
-        triplet per stencil term and interior neighbour, duplicates summed
-        by tocsc."""
+        triplet per stencil term and interior neighbour, from one
+        ``entry_slopes`` call over the whole interior, duplicates summed by
+        tocsc."""
         f = inst.source
         n, N, h = f.n, f.N, f.h
         core = (slice(1, -1),) * n
@@ -700,15 +703,12 @@ class TestJacobian:
         padded = np.full((N,) * n, -1)
         padded[core] = np.arange(size).reshape((N - 2,) * n)
         H, _ = fields.interior_jets(u.values, n, h)
-        pts = solver._interior_points(inst)
-        base = inst.op.evaluate_batch(H, pts)
-        step = 1e-6 * (1.0 + np.linalg.norm(H, axis=(-2, -1)))
+        slopes = operators.entry_slopes(inst.op, H, solver._interior_points(inst))
+        triu = list(zip(*np.triu_indices(n)))
         rows, cols, data = [], [], []
         for entry in fields.central_stencil(n):
             if entry.p == 2:
-                e = np.zeros((n, n))
-                e[entry.index] = e[entry.index[::-1]] = 1.0
-                dF = (inst.op.evaluate_batch(H + step[..., None, None] * e, pts) - base) / step
+                dF = slopes[triu.index(entry.index)]
             elif inst.drift is not None:
                 dF = inst.drift.values[core][..., entry.index[0]]
             else:
@@ -727,7 +727,7 @@ class TestJacobian:
     @pytest.mark.parametrize("op, n, N, drift_fn", [
         (operators.perturbed_trace(0.05), 2, 33, rotation_drift()),
         (operators.pucci_minus_op(operators.EllipticityPair(1.0, 2.0)), 2, 33, None),
-        # linearize meets the nodes' points stacked under its entry directions
+        # linearize scales the closed-form slopes by a(x) at the nodes' points
         (dataclasses.replace(operators.pucci_minus_op(operators.EllipticityPair(1.0, 2.0)),
                              x_dependence=coefficient), 2, 33, None),
         (operators.pucci_plus_op(operators.EllipticityPair(1.0, 2.0), n=3), 3, 17, None),
@@ -919,8 +919,10 @@ class TestTangentialSolve:
             np.testing.assert_array_equal(u.values[0], bnd(pts[0]))
 
     def test_refinement_reuses_one_factorization(self, monkeypatch):
-        # abar moves only by linearize's round-off from step to step, so the
-        # second step reuses the first step's sine-transform factorization
+        # DF of a linear F is its matrix exactly, so abar is the same at every
+        # step, and the later steps reuse the first step's sine-transform
+        # factorization.  The mixed term keeps M from being J's inverse, so
+        # each step stops at its forcing term and the solve takes several.
         reports = recorded_reports(monkeypatch)
         calls = []
         sine_inverse = solver._sine_inverse
@@ -931,7 +933,8 @@ class TestTangentialSolve:
 
         monkeypatch.setattr(solver, "_sine_inverse", counted)
         bnd = lambda pts: np.exp(pts[..., 0]) * np.cos(2.0 * pts[..., 1])
-        solver.solve_linear_tangential(SymMatrix.identity(2), bnd, N=129)
+        solver.solve_linear_tangential(SymMatrix.from_matrix([[1.0, 0.3], [0.3, 1.0]]), bnd,
+                                       N=129)
         assert reports[0].converged and reports[0].iterations >= 2
         assert len(calls) == 1
 
