@@ -50,7 +50,10 @@ def _clean(obj):
 def _write_report(outdir: Path, report: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "report.yaml", "w") as fh:
-        yaml.safe_dump(_clean(report), fh, sort_keys=True, default_flow_style=False)
+        # libyaml's emitter where PyYAML has it: the pure-Python SafeDumper's
+        # bytes, several times faster
+        yaml.dump(_clean(report), fh, sort_keys=True, default_flow_style=False,
+                  Dumper=yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper)
 
 
 def _write_csv(path: Path, rows: list) -> None:
@@ -66,7 +69,8 @@ def _write_csv(path: Path, rows: list) -> None:
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=yaml.CSafeLoader if yaml.__with_libyaml__
+                            else yaml.SafeLoader)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):

@@ -134,18 +134,15 @@ def _smith3(mat: np.ndarray):
     phi = acos(r) / 3, and the middle one is 3q minus those two; p = 0 gives q
     exactly.
 
-    Returns ``(eigs, k, near, lower)``: eigs (m, 3), B's eigenvalues in
-    ascending order (NaN where M has a non-finite entry); k (m,); near (m,),
+    Every entry of M must be finite.  Returns ``(eigs, k, near, lower)``:
+    eigs (m, 3), B's eigenvalues in ascending order; k (m,); near (m,),
     true where 1 - |r| < ``_NEAR_REPEATED`` (nearly repeated eigenvalues,
     J. Kopp, Int. J. Mod. Phys. C 19, 2008), where the caller is to take
     LAPACK's instead; and lower (6, m), B's entries (0,0), (1,1), (2,2),
-    (1,0), (2,0), (2,1), zero where M is not finite.
+    (1,0), (2,0), (2,1).
     """
     lower = mat.T[[0, 4, 8, 3, 6, 7]]   # rows a, b, c and d, e, f below them
-    size = np.max(np.abs(lower), axis=0)
-    finite = np.isfinite(size)
-    lower[:, ~finite] = size[~finite] = 0.0
-    _, k = np.frexp(size)
+    _, k = np.frexp(np.max(np.abs(lower), axis=0))
     lower = np.ldexp(lower, -k)
     a, b, c, d, e, f = lower
     q = (a + b + c) / 3.0
@@ -159,7 +156,6 @@ def _smith3(mat: np.ndarray):
     hi = q + 2.0 * p * np.cos(phi)
     lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)   # both q where p = 0
     eigs = np.stack([lo, np.where(spread, 3.0 * q - hi - lo, q), hi], axis=-1)
-    eigs[~finite] = np.nan
     return eigs, k, spread & (1.0 - np.abs(r) < _NEAR_REPEATED), lower
 
 
@@ -167,7 +163,7 @@ def _pucci3(mat: np.ndarray, up: float, down: float):
     """``_pucci`` of stacked 3 x 3 matrices by ``_smith3``'s eigenvalues of
     B = 2^-k M: Pucci's positive 1-homogeneity gives M's value as 2^k times
     B's, exactly.  The nearly repeated ones go to ``np.linalg.eigvalsh`` as
-    one sub-stack.  A matrix with a non-finite entry gives NaN.
+    one sub-stack.
     """
     batch = mat.shape[:-2]
     mat = mat.reshape(-1, 9)
@@ -176,6 +172,14 @@ def _pucci3(mat: np.ndarray, up: float, down: float):
         eigs[near] = np.linalg.eigvalsh(np.ldexp(mat[near].reshape(-1, 3, 3),
                                                  -k[near, None, None]))
     return np.ldexp(_pucci_from_eigenvalues(eigs, up, down), k).reshape(batch)[()]
+
+
+def _finite_matrices(mat: np.ndarray):
+    """None when every entry of the stacked matrices mat (..., n, n) is
+    finite, else the mask (...) of the matrices whose entries all are."""
+    if np.isfinite(mat).all():
+        return None
+    return np.isfinite(mat).all(axis=(-2, -1))
 
 
 def _hypot2(mat: np.ndarray):
@@ -195,8 +199,15 @@ def _pucci(M, up: float, down: float):
     overhead and agrees with it to a few eps * max|M|.  3 x 3 matrices take
     ``_pucci3``'s closed form, within 64 eps * max|M| of the value from
     LAPACK's eigenvalues (32 measured).  4 x 4 matrices go through LAPACK.
+    A matrix with a non-finite entry gives NaN, in every dimension: none
+    reaches the closed forms or LAPACK.
     """
     mat = _as_matrix_batch(M)
+    finite = _finite_matrices(mat)
+    if finite is not None:
+        out = np.full(finite.shape, np.nan)
+        out[finite] = _pucci(mat[finite], up, down)
+        return out[()]
     if mat.shape[-1] == 2:
         m, _, _, r = _hypot2(mat)
         lo, hi = m - r, m + r
@@ -238,9 +249,15 @@ def _pucci_slopes(H: np.ndarray, up: float, down: float) -> np.ndarray:
     0-homogeneous) and P = (B - mu_a I)(B - mu_b I) / ((mu - mu_a)(mu - mu_b))
     over the other two, except where they nearly repeat, so that a gap is
     small: those matrices, like every 4 x 4 one, take
-    ``_pucci_linearization``.
+    ``_pucci_linearization``.  A matrix with a non-finite entry gets NaN
+    slopes, as ``_pucci`` gives it a NaN value.
     """
     n = H.shape[-1]
+    finite = _finite_matrices(H)
+    if finite is not None:
+        out = np.full((n * (n + 1) // 2,) + finite.shape, np.nan)
+        out[:, finite] = _pucci_slopes(H[finite], up, down)
+        return out
     if n == 2:
         m, d, b, r = _hypot2(H)
         c = _coefficient(m - r, up, down)
@@ -267,7 +284,6 @@ def _pucci_slopes(H: np.ndarray, up: float, down: float) -> np.ndarray:
                     cm + g * ((b - mid) * (b - o) + d * d + f * f),
                     2.0 * g * (f * (b + c - s) + d * e),
                     cm + g * ((c - mid) * (c - o) + e * e + f * f)])
-    out[:, np.isnan(lo)] = np.nan
     if np.any(near):
         out[:, near] = _to_entry_slopes(_pucci_linearization(
             np.ldexp(mat[near].reshape(-1, 3, 3), -k[near, None, None]), up, down), 3)

@@ -10,13 +10,15 @@ harness give independent ground truth for accuracy studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# called nowhere here: the benchmark's tracer (perfbench/tracing.py) wraps solver.spla.spsolve
+import scipy.sparse.linalg as spla  # noqa: F401
 
 from .errors import ConfigError, NumericsError
 # the exact solutions are imported by name so solver.quadratic_solution and
@@ -241,28 +243,76 @@ def _sine_inverse(abar: np.ndarray, h: float, m: int) -> Callable:
     return solve
 
 
-def _recalling(M: Callable):
-    """``(apply, recall)`` for a linear map M: ``apply(y)`` is M y, keeping
-    a copy of y and the product; ``recall(y)`` is M y as well, returning the
-    kept product when y equals the kept input by value and applying M
-    otherwise.  scipy's GMRES ends each cycle with a matvec at its iterate,
-    so ``recall`` of the vector it returns costs no further M."""
-    kept = []
-
-    def apply(y):
-        kept[:] = [y.copy(), M(y)]
-        return kept[1]
-
-    def recall(y):
-        return kept[1] if kept and np.array_equal(kept[0], y) else M(y)
-
-    return apply, recall
-
-
 # GMRES restarts after this many iterations and runs at most this many
 # cycles per Newton step.
 _RESTART = 30
 _CYCLES = 4
+
+
+def _gmres(J, M: Callable, rhs: np.ndarray, rtol: float, basis: np.ndarray):
+    """GMRES(``_RESTART``) for J s = rhs, right preconditioned by M (a map of
+    arrays shaped like rhs), at most ``_CYCLES`` cycles from s = 0 (Saad-
+    Schultz, SISC 1986): the step s, shaped like rhs, and its number of
+    iterations.
+
+    It stops once ||rhs - J s||_2 <= rtol ||rhs||_2, read from the
+    least-squares residual within a cycle, from the true residual between
+    cycles, or at a breakdown.  ``basis``, 2 ``_RESTART`` + 1 rows of
+    rhs.size, holds the orthonormal Krylov basis V of J M in its first
+    ``_RESTART`` + 1 rows and Z_k = M v_k after them, so each iteration
+    applies M once, and a cycle ends with s += Z y, applying none.  J z is
+    orthogonalized against V by classical Gram-Schmidt run twice (Giraud-
+    Langou-Rozloznik 2005), and Givens rotations keep the least-squares
+    problem triangular.  As in scipy's ``gmres``, a breakdown is a w that
+    orthogonalization shrinks to at most eps ||J z||, and a zero pivot gets
+    a zero coefficient, so a singular J M raises and warns of nothing.
+    """
+    shape, b = rhs.shape, rhs.ravel()
+    V, Z = basis[:_RESTART + 1], basis[_RESTART + 1:]
+    restart, eps = min(_RESTART, b.size), np.finfo(float).eps
+    target = rtol * float(np.linalg.norm(b))
+    s, r, iterations = np.zeros_like(b), b, 0
+    for cycle in range(_CYCLES):
+        beta = float(np.linalg.norm(r))
+        if beta <= target:
+            break
+        np.multiply(r, 1.0 / beta, out=V[0])
+        g, R, rotations = [beta], [], []   # rotated rhs, columns of R, (c, s) pairs
+        for k in range(restart):
+            Z[k].reshape(shape)[...] = M(V[k].reshape(shape))
+            w = J @ Z[k]
+            before = float(np.linalg.norm(w))
+            h = V[:k + 1] @ w
+            w -= h @ V[:k + 1]
+            again = V[:k + 1] @ w
+            w -= again @ V[:k + 1]
+            col, after = (h + again).tolist(), float(np.linalg.norm(w))
+            iterations += 1
+            breakdown = after <= eps * before
+            if not breakdown:
+                np.multiply(w, 1.0 / after, out=V[k + 1])
+            for i, (c, sn) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + sn * col[i + 1], c * col[i + 1] - sn * col[i]
+            sub = 0.0 if breakdown else after
+            mag = math.hypot(col[k], sub)
+            c, sn = (col[k] / mag, sub / mag) if mag else (1.0, 0.0)
+            rotations.append((c, sn))
+            col[k] = mag
+            R.append(col)
+            g.append(-sn * g[k])
+            g[k] *= c
+            if abs(g[k + 1]) <= target or breakdown:
+                break
+        y = g[:k + 1]   # back-substitution on R's columns
+        for i in range(k, -1, -1):
+            y[i] = y[i] / R[i][i] if R[i][i] else 0.0
+            for j in range(i):
+                y[j] -= y[i] * R[i][j]
+        s += np.asarray(y) @ Z[:k + 1]
+        if abs(g[k + 1]) <= target or breakdown or cycle == _CYCLES - 1:
+            break
+        r = b - J @ s   # the true residual, formed only to start the next cycle
+    return s.reshape(shape), iterations
 
 
 def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
@@ -287,12 +337,10 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
     runs on J M, so its tolerance bounds the true residual of the step.
     That tolerance, relative to ||r||_2, is the Eisenstat-Walker forcing
     term min(0.1, 0.9 (||r_k||_2 / ||r_{k-1}||_2)^2) (SISC 1996), 0.1 at
-    the first step, and at least 0.25 tol / ||r_k||_inf.  The step is
-    s = M y for GMRES's solution y.  scipy's GMRES ends each cycle with a
-    matvec at its iterate, so y is the input of its last matvec, and
-    ``_recalling`` returns the M y that matvec kept once a stored copy of
-    its input equals y by value: a step costs one sine-transform pair per
-    GMRES iteration and per cycle, none more.
+    the first step, and at least 0.25 tol / ||r_k||_inf.  ``_gmres`` keeps
+    the preconditioned basis Z = M V, so a step costs one sine-transform
+    pair per GMRES iteration, none more, and its basis, allocated once per
+    solve, serves every step.
     M, a sine-transform factorization, is rebuilt only when some abar_a
     moves by more than 1e-6 relative, so the steps of a linear problem
     share one.
@@ -302,9 +350,9 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
     event, as does a step that is not finite; a step that no halving makes
     decrease records ``stalled``.  ``iterations`` counts accepted steps and
     ``krylov_iterations`` the GMRES iterations of every step.
-    Deterministic for a fixed instance and starting guess.  Raises
-    ``ConfigError`` unless ``tol`` is finite and positive and
-    ``max_iter >= 1``.
+    Deterministic for a fixed instance, starting guess and BLAS thread
+    count.  Raises ``ConfigError`` unless ``tol`` is finite and positive
+    and ``max_iter >= 1``.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ConfigError(f"tolerance must be finite and positive, got {tol!r}")
@@ -319,6 +367,7 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
     krylov, it, last_norm2 = 0, 0, None
     M = built = None   # the sine factorization and the abar it was built from
     pts = _interior_points(inst)
+    basis = np.empty((2 * _RESTART + 1, (f.N - 2)**f.n))   # GMRES's V and Z = M V
 
     def resid(vals):
         """The residual of grid values, its sup-norm, and the jets (H, F(H, x))
@@ -360,14 +409,9 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
         rhs = -r[core]
         norm2 = float(np.linalg.norm(rhs))
         eta = 0.1 if last_norm2 is None else min(0.1, 0.9 * (norm2 / last_norm2)**2)
-        apply, recall = _recalling(lambda y: M(y.reshape(rhs.shape)))
-        JM = spla.LinearOperator(J.shape, dtype=float, matvec=lambda y: J @ apply(y).ravel())
-        counted = []   # one entry per GMRES iteration
-        y, _ = spla.gmres(JM, rhs.ravel(), rtol=max(eta, 0.25 * tol / rnorm), restart=_RESTART,
-                          maxiter=_CYCLES, callback=counted.append, callback_type="pr_norm")
-        krylov += len(counted)
         step = np.zeros_like(u)
-        step[core] = recall(y)
+        step[core], counted = _gmres(J, M, rhs, max(eta, 0.25 * tol / rnorm), basis)
+        krylov += counted
         accepted = first_decrease(step)
         if accepted is None:
             event = "stalled" if np.all(np.isfinite(step)) else "singular"

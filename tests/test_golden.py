@@ -34,8 +34,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
+from ellipticlab import cli
 from ellipticlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -181,3 +183,22 @@ def test_runs_without_a_solve_load_no_scipy(tmp_path):
                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert run.stdout.strip() == "[]"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(cases)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_reports_and_configs_through_either_yaml(tmp_path, monkeypatch, libyaml):
+    # the CLI dumps and loads through libyaml where PyYAML has it, and
+    # through the pure-Python SafeDumper and SafeLoader where it has not:
+    # either way every golden report is written to its bytes, and every
+    # golden config and report loads to the pure-Python loader's values
+    monkeypatch.setattr(yaml, "__with_libyaml__", libyaml)
+    for case in CASES:
+        report = GOLDEN / case / "expected" / "report.yaml"
+        values = yaml.load(report.read_text(), Loader=yaml.SafeLoader)
+        cli._write_report(tmp_path / case, values)
+        assert (tmp_path / case / "report.yaml").read_bytes() == report.read_bytes(), case
+        assert cli._load_config(str(report)) == values, case
+        config = GOLDEN / case / "config.yaml"
+        assert cli._load_config(str(config)) == yaml.load(config.read_text(),
+                                                          Loader=yaml.SafeLoader), case

@@ -238,6 +238,27 @@ def test_pucci_3x3_non_finite_matrix_is_nan():
     assert np.isnan(vals[:2]).all() and vals[2] == 6.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("factory", [ops.pucci_plus_op, ops.pucci_minus_op])
+def test_pucci_non_finite_matrix_is_nan_in_every_dimension(n, factory):
+    # the value and every slope are NaN at exactly the matrices with a
+    # non-finite entry, with no warning or LinAlgError, and the finite
+    # matrices of the stack get their values and slopes bit for bit
+    op = factory(ops.EllipticityPair(1.0, 4.0), n)
+    rng = np.random.default_rng(n)
+    mats = np.stack([random_sym(rng, n).matrix for _ in range(5)])
+    mats[1, 0, 0] = np.nan
+    mats[3, 1, 0] = mats[3, 0, 1] = np.inf
+    mats[4, n - 1, n - 1] = -np.inf
+    finite = [0, 2]
+    for f in (op.evaluate_batch, op.slopes):
+        out = np.asarray(f(mats))
+        assert np.isnan(out[..., [1, 3, 4]]).all()
+        np.testing.assert_array_equal(out[..., finite], f(mats[finite]))
+        assert np.isfinite(out[..., finite]).all()
+        assert np.isnan(f(mats[1])).all() and np.isnan(f(mats[3:])).all()
+
+
 @given(sym2(scaled=False), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_pucci_sampled_sup_below_2x2_closed_form(M, seed):

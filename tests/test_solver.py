@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -237,14 +238,7 @@ class TestNewton:
     def test_forcing_terms_follow_eisenstat_walker(self, monkeypatch):
         # GMRES's relative tolerance is 0.1 at the first step, then
         # min(0.1, 0.9 (|r_k|_2 / |r_k-1|_2)^2), never below 0.25 tol / |r_k|_inf
-        rtols = []
-        gmres = solver.spla.gmres
-
-        def recording_gmres(*args, **kwargs):
-            rtols.append(kwargs["rtol"])
-            return gmres(*args, **kwargs)
-
-        monkeypatch.setattr(solver.spla, "gmres", recording_gmres)
+        calls = recorded_gmres(monkeypatch)
         iterates = linearized_iterates(monkeypatch)
         op = operators.pucci_minus_op(operators.EllipticityPair(1.0, 2.0))
         inst = solver.mms_generate(op, solver.saddle_quartic_solution(1e-2), N=33)
@@ -253,6 +247,7 @@ class TestNewton:
         tol = 1e-10
         rep = solver.solve_newton(inst, fields.GridField(2, 33, 1.0, u0), tol=tol)
         assert rep.converged
+        rtols = [call["rtol"] for call in calls]
         assert len(rtols) == len(iterates) == rep.iterations >= 3
         norms = [np.linalg.norm(solver.discrete_residual(inst, fields.GridField(2, 33, 1.0, u))
                                 .values) for u in iterates]
@@ -566,84 +561,148 @@ def counted_preconditioner(monkeypatch) -> list:
     return applied
 
 
-def gmres_cycles(monkeypatch, returned=lambda y: y) -> list:
-    """A list that gains, for each GMRES call, its number of restart cycles:
-    its matvecs (x0 = 0, so one per iteration and one per cycle's end)
-    less its iterations.  GMRES's solution is passed through ``returned``."""
-    cycles = []
-    gmres = solver.spla.gmres
+def recorded_gmres(monkeypatch) -> list:
+    """A list that gains, for each ``_gmres`` call, its arguments J, rhs and
+    rtol and its step and iteration count, as a dict."""
+    calls = []
+    gmres = solver._gmres
 
-    def recording(A, b, **kwargs):
-        calls, iterations = [0], []
-        callback = kwargs["callback"]
+    def recording(J, M, rhs, rtol, basis):
+        step, iterations = gmres(J, M, rhs, rtol, basis)
+        calls.append({"J": J, "rhs": rhs.copy(), "rtol": rtol, "step": step.copy(),
+                      "iterations": iterations})
+        return step, iterations
 
-        def matvec(y):
-            calls[0] += 1
-            return A.matvec(y)
-
-        def counted(arg):
-            iterations.append(arg)
-            callback(arg)
-
-        op = solver.spla.LinearOperator(A.shape, dtype=A.dtype, matvec=matvec)
-        y, info = gmres(op, b, **dict(kwargs, callback=counted))
-        cycles.append(calls[0] - len(iterations))
-        return returned(y), info
-
-    monkeypatch.setattr(solver.spla, "gmres", recording)
-    return cycles
+    monkeypatch.setattr(solver, "_gmres", recording)
+    return calls
 
 
 class TestPreconditionerReuse:
-    """The step is M y for GMRES's solution y, which scipy's GMRES has just
-    passed to its matvec: the product kept from that matvec is reused."""
-
-    def test_recall_reuses_only_an_equal_input(self):
-        applied = []
-
-        def M(y):
-            applied.append(y.copy())
-            return 2.0 * y
-
-        apply, recall = solver._recalling(M)
-        y = np.arange(5.0)
-        assert recall(y).tolist() == (2.0 * y).tolist() and len(applied) == 1
-        kept = apply(y)
-        assert recall(y.copy()) is kept and len(applied) == 2
-        other = y + 1.0
-        assert recall(other).tolist() == (2.0 * other).tolist() and len(applied) == 3
-        # the input is kept by value: changing the caller's array in place
-        # after the product does not make the kept product its M y
-        y[0] = 7.0
-        assert recall(y).tolist() == (2.0 * y).tolist() and len(applied) == 4
+    """GMRES keeps Z = M V next to its Krylov basis V, so a step is Z y and
+    costs no M beyond one per Krylov iteration."""
 
     @pytest.mark.parametrize("case", ["perturbed_trace_2d_drift_x", "pucci_plus_3d"])
     def test_a_solve_applies_M_once_per_gmres_matvec(self, monkeypatch, case):
+        # one M per J M product, that is per Krylov iteration, and none at
+        # the end of a cycle
         inst = blocked_instance(case)
         applied = counted_preconditioner(monkeypatch)
-        cycles = gmres_cycles(monkeypatch)
         rep = solver.solve_newton(inst, zero_interior(inst))
-        assert rep.converged and len(cycles) == rep.iterations >= 3
-        assert all(c >= 1 for c in cycles)
-        assert len(applied) == rep.krylov_iterations + sum(cycles)
+        assert rep.converged and rep.iterations >= 3
+        assert len(applied) == rep.krylov_iterations
 
-    def test_another_returned_vector_is_preconditioned_afresh(self, monkeypatch):
-        # a GMRES whose solution is not its last matvec's input: the step is
-        # M of that solution, applied once more
-        inst = blocked_instance("pucci_minus_2d")
-        u0 = zero_interior(inst)
-        _, abar = jacobian_at(inst, u0)
-        M = solver._sine_inverse(abar, inst.source.h, 31)
-        applied = counted_preconditioner(monkeypatch)
-        returned = []
-        cycles = gmres_cycles(monkeypatch, lambda y: returned.append(0.5 * y) or returned[-1])
-        rep = solver.solve_newton(inst, u0, max_iter=1)
-        assert rep.iterations == 1 and rep.damping_events == []
-        assert len(applied) == rep.krylov_iterations + sum(cycles) + 1
-        np.testing.assert_array_equal(applied[-1].ravel(), returned[0])
-        # the interior of u0 is zero, so the full step is the new interior
-        step = rep.solution.values[1:-1, 1:-1]
-        np.testing.assert_array_equal(step, M(returned[0].reshape(31, 31)))
+    @pytest.mark.parametrize("case", ["perturbed_trace_2d_drift_x", "pucci_minus_2d",
+                                      "pucci_plus_3d"])
+    def test_each_step_meets_its_forcing_term(self, monkeypatch, case):
+        # the true residual of every step, not GMRES's least-squares estimate
+        inst = blocked_instance(case)
+        calls = recorded_gmres(monkeypatch)
+        rep = solver.solve_newton(inst, zero_interior(inst))
+        assert rep.converged and len(calls) == rep.iterations >= 3
+        assert sum(c["iterations"] for c in calls) == rep.krylov_iterations
+        for c in calls:
+            rhs = c["rhs"].ravel()
+            assert np.linalg.norm(rhs - c["J"] @ c["step"].ravel()) <= (
+                c["rtol"] * np.linalg.norm(rhs))
+
+
+def scipy_gmres(J, M, rhs, rtol):
+    """The reference for ``solver._gmres``: scipy's GMRES on J M, restarted
+    and capped as the solver's, with the step M y for its solution y, and
+    its iteration count."""
+    counted = []
+    JM = spla.LinearOperator(J.shape, dtype=float, matvec=lambda y: J @ M(y))
+    y, _ = spla.gmres(JM, rhs, rtol=rtol, restart=solver._RESTART, maxiter=solver._CYCLES,
+                      callback=counted.append, callback_type="pr_norm")
+    return M(y), len(counted)
+
+
+def own_gmres(J, M, rhs, rtol):
+    """``solver._gmres`` with a fresh basis, any warning raised as an error."""
+    basis = np.empty((2 * solver._RESTART + 1, rhs.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return solver._gmres(J, M, rhs, rtol, basis)
+
+
+def nonsymmetric_system(seed, size=60, spread=0.6):
+    """A random nonsymmetric J, 4 I plus a Gaussian of spectral radius about
+    ``spread``, so well conditioned, and a random right-hand side."""
+    rng = np.random.default_rng(seed)
+    J = 4.0 * np.eye(size) + spread * rng.standard_normal((size, size)) / np.sqrt(size)
+    return J, rng.standard_normal(size)
+
+
+class TestGmres:
+    """``solver._gmres`` against scipy's GMRES on the right-preconditioned
+    system: the same Krylov spaces give the same steps and counts."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("rtol", [1e-2, 1e-8])
+    def test_matches_scipy(self, seed, diagonal, rtol):
+        J, rhs = nonsymmetric_system(seed)
+        d = np.linspace(0.5, 2.0, rhs.size) if diagonal else np.ones(rhs.size)
+        M = lambda v: v / d   # noqa: E731
+        want, want_iterations = scipy_gmres(J, M, rhs, rtol)
+        step, iterations = own_gmres(J, M, rhs, rtol)
+        assert iterations == want_iterations >= 2
+        np.testing.assert_allclose(step, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+        assert np.linalg.norm(rhs - J @ step) <= rtol * np.linalg.norm(rhs)
+
+    def test_restarts_run_across_cycles_up_to_the_cap(self, monkeypatch):
+        # three iterations a cycle: one system converges in its second
+        # cycle, a harder one runs every cycle and stops at the cap
+        monkeypatch.setattr(solver, "_RESTART", 3)
+        M = lambda v: v   # noqa: E731
+        J, rhs = nonsymmetric_system(3)
+        want, want_iterations = scipy_gmres(J, M, rhs, 1e-3)
+        step, iterations = own_gmres(J, M, rhs, 1e-3)
+        assert iterations == want_iterations and 3 < iterations < 3 * solver._CYCLES
+        np.testing.assert_allclose(step, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+        J, rhs = nonsymmetric_system(4, spread=3.0)
+        want, _ = scipy_gmres(J, M, rhs, 1e-12)
+        step, iterations = own_gmres(J, M, rhs, 1e-12)
+        assert iterations == 3 * solver._CYCLES
+        np.testing.assert_allclose(step, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+        assert np.linalg.norm(rhs - J @ step) > 1e-12 * np.linalg.norm(rhs)
+
+    def test_basis_stays_orthonormal(self):
+        # Gram-Schmidt run twice keeps V orthonormal to round-off over four
+        # full cycles on a spectrum spread over six decades, where a single
+        # pass lets V drift from orthonormal by about 100 eps
+        rng = np.random.default_rng(0)
+        J = np.diag(np.logspace(0, 6, 200)) + 0.1 * rng.standard_normal((200, 200))
+        basis = np.empty((2 * solver._RESTART + 1, 200))
+        _, iterations = solver._gmres(J, lambda v: v, rng.standard_normal(200), 1e-14, basis)
+        V = basis[:solver._RESTART + 1]
+        assert iterations == solver._RESTART * solver._CYCLES
+        assert np.abs(V @ V.T - np.eye(len(V))).max() <= 5e-15
+
+    def test_zero_rhs_takes_no_iteration(self):
+        J, _ = nonsymmetric_system(5)
+        step, iterations = own_gmres(J, lambda v: v, np.zeros((6, 10)), 0.1)
+        assert iterations == 0 and step.shape == (6, 10) and not np.any(step)
+
+    def test_exact_preconditioner_takes_one_iteration(self):
+        # J M = I breaks down after one iteration, with the exact step and
+        # no warning
+        d = np.linspace(1.0, 3.0, 40)
+        J = sp.dia_array((d[None, :], [0]), shape=(40, 40))
+        rhs = np.random.default_rng(6).standard_normal(40)
+        step, iterations = own_gmres(J, lambda v: v / d, rhs, 1e-14)
+        assert iterations == 1
+        np.testing.assert_allclose(step, rhs / d, rtol=1e-15)
+
+    def test_singular_system_warns_of_nothing(self):
+        # a zero column of J M along the rhs: J z = 0 at the first iteration,
+        # a breakdown with a zero pivot, so a zero step
+        J, _ = nonsymmetric_system(7)
+        J[:, 0] = 0.0
+        rhs = np.zeros(J.shape[0])
+        rhs[0] = 1.0
+        step, iterations = own_gmres(J, lambda v: v, rhs, 1e-6)
+        assert iterations == 1 and not np.any(step)
 
 
 def jacobian_times(inst, u, v):
