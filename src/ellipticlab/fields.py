@@ -188,12 +188,13 @@ def ball_average_lp(field: GridField, x0_idx, r: float, p0: float | None = None)
     """(average over nodes in B_r(x0) of |f - f(x0)|^p0)^(1/p0).
 
     Equal node weights, no partial-cell corrections.  For n-component
-    fields the pointwise difference uses the Euclidean norm.
+    fields the pointwise difference uses the Euclidean norm.  A p0 that is
+    not finite and > n raises ConfigError.
     """
     if p0 is None:
         p0 = 2 * field.n + 1
-    if p0 <= field.n:
-        raise ConfigError("p0 must exceed the dimension n")
+    if not field.n < p0 < math.inf:   # refuses NaN too
+        raise ConfigError("p0 must be finite and exceed the dimension n")
     if r < 2.0 * field.h:
         raise DomainError("radius must be at least 2h")
     box, _, mask = ball_window(field, x0_idx, r)

@@ -110,9 +110,10 @@ class Modulus:
         return _FAMILIES[self.family][1](self.params, np.asarray(t, dtype=float))
 
     def evaluate(self, r):
-        """Return tau(r) for r in [0, domain_cap]."""
+        """Return tau(r) for r in [0, domain_cap]; any other r, NaN
+        included, raises DomainError."""
         r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr < 0) or np.any(r_arr > self.domain_cap * (1 + 1e-12)):
+        if not np.all((r_arr >= 0) & (r_arr <= self.domain_cap * (1 + 1e-12))):
             raise DomainError(
                 f"modulus argument outside [0, {self.domain_cap}]: {r!r}"
             )

@@ -353,22 +353,22 @@ class OperatorSpec:
     ``core`` is F on stacked matrices (..., n, n); ``params`` is what
     ``describe()`` reports of it, named as in ``Modulus.params``: ``kind``
     plus that kind's ``matrix`` (nested lists), ``eps`` or ``callback_id``.
-    The factories below build both.  ``x_dependence`` is an optional scalar
-    coefficient field a(x) (vectorized over points) applied
-    multiplicatively, which preserves the normalization F(0, x) = 0.
-    ``slopes`` is core's entry slopes on stacked matrices in closed form,
-    shaped as ``entry_slopes`` returns them (so an operator whose core is
-    replaced needs its slopes replaced too); every factory but
-    ``extension``, whose callback has no derivative, sets it.  A ``pair``
-    that is not an ``EllipticityPair`` raises ConfigError.
+    ``slopes`` is core's entry slopes on stacked matrices, shaped as
+    ``entry_slopes`` returns them (so an operator whose core is replaced
+    needs its slopes replaced too).  The factories below build all three:
+    every built-in kind's slopes are closed forms, and ``extension``'s are
+    one-sided differences of its callback.  ``x_dependence`` is an optional
+    scalar coefficient field a(x) (vectorized over points) applied
+    multiplicatively, which preserves the normalization F(0, x) = 0.  A
+    ``pair`` that is not an ``EllipticityPair`` raises ConfigError.
     """
 
     n: int
     pair: EllipticityPair
     core: Callable = field(compare=False)
     params: dict
+    slopes: Callable = field(compare=False)
     x_dependence: Optional[Callable] = field(default=None, compare=False)
-    slopes: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 2 <= self.n <= 4:
@@ -418,18 +418,19 @@ def linear_trace(A, pair: Optional[EllipticityPair] = None, x_dependence=None) -
             raise ConfigError("linear_trace coefficient matrix must be positive definite")
         pair = EllipticityPair(float(eigs[0]), float(eigs[-1]))
     return OperatorSpec(A.n, pair, lambda H: np.einsum("...ij,ij->...", H, A.matrix),
-                        {"kind": "linear_trace", "matrix": A.matrix.tolist()}, x_dependence,
-                        lambda H: _to_entry_slopes(np.broadcast_to(A.matrix, H.shape), A.n))
+                        {"kind": "linear_trace", "matrix": A.matrix.tolist()},
+                        lambda H: _to_entry_slopes(np.broadcast_to(A.matrix, H.shape), A.n),
+                        x_dependence)
 
 
 def pucci_plus_op(pair: EllipticityPair, n: int = 2) -> OperatorSpec:
     return OperatorSpec(n, pair, lambda H: pucci_plus(H, pair), {"kind": "pucci_plus"},
-                        slopes=lambda H: _pucci_slopes(H, pair.Lam, pair.lam))
+                        lambda H: _pucci_slopes(H, pair.Lam, pair.lam))
 
 
 def pucci_minus_op(pair: EllipticityPair, n: int = 2) -> OperatorSpec:
     return OperatorSpec(n, pair, lambda H: pucci_minus(H, pair), {"kind": "pucci_minus"},
-                        slopes=lambda H: _pucci_slopes(H, pair.lam, pair.Lam))
+                        lambda H: _pucci_slopes(H, pair.lam, pair.Lam))
 
 
 def perturbed_trace(eps: float, n: int = 2, pair: Optional[EllipticityPair] = None) -> OperatorSpec:
@@ -438,10 +439,11 @@ def perturbed_trace(eps: float, n: int = 2, pair: Optional[EllipticityPair] = No
     The perturbation vanishes to second order at the origin, so the
     tangential linearization is the Laplacian.  Its increments obey
     |dg| <= 2 N_11 + N_22 for N >= 0, hence the default declared pair
-    (1 - 2 eps, 1 + 2 eps), floored away from zero for large eps.
+    (1 - 2 eps, 1 + 2 eps), floored away from zero for large eps.  An eps
+    that is not finite and >= 0 raises ConfigError.
     """
-    if eps < 0:
-        raise ConfigError("perturbed_trace needs eps >= 0")
+    if not 0.0 <= eps < np.inf:   # refuses NaN too
+        raise ConfigError(f"perturbed_trace needs a finite eps >= 0, got {eps!r}")
     if pair is None:
         pair = EllipticityPair(max(1.0 - 2.0 * eps, 1e-2), 1.0 + 2.0 * eps)
     eps = float(eps)
@@ -461,12 +463,24 @@ def perturbed_trace(eps: float, n: int = 2, pair: Optional[EllipticityPair] = No
         out[n] += eps * (np.sin(h11) * np.sin(h22))   # E_22 follows row 0's n entries
         return out
 
-    return OperatorSpec(n, pair, core, {"kind": "perturbed_trace", "eps": eps}, slopes=slopes)
+    return OperatorSpec(n, pair, core, {"kind": "perturbed_trace", "eps": eps}, slopes)
 
 
 def extension(callback: Callable, pair: EllipticityPair, n: int = 2,
               callback_id: str = "custom") -> OperatorSpec:
-    return OperatorSpec(n, pair, callback, {"kind": "extension", "callback_id": callback_id})
+    """F(M) = callback(M), a function on stacked matrices (..., n, n).
+
+    The callback has no derivative, so the slopes are one-sided
+    differences of it along the entry directions, with step
+    1e-6 (1 + ||H||_F) per matrix."""
+
+    def slopes(H):
+        # ||H||_F as np.linalg.norm sums it, without its conjugate copy of H
+        step = 1e-6 * (1.0 + np.sqrt(np.add.reduce(H * H, axis=(-2, -1))))
+        return _slopes(callback, H, _entry_directions(n), step)
+
+    return OperatorSpec(n, pair, callback, {"kind": "extension", "callback_id": callback_id},
+                        slopes)
 
 
 # -- sampling plans ------------------------------------------------------
@@ -592,51 +606,34 @@ def _from_entry_slopes(slopes: np.ndarray, n: int) -> np.ndarray:
     return A
 
 
-def _slopes(op: OperatorSpec, H: np.ndarray, D: np.ndarray, s, x=None,
-            base=None) -> np.ndarray:
-    """(F(H + s D_k, x) - F(H, x)) / s at matrices H (..., n, n) along each
-    direction D_k of a stack (k, n, n), shaped (k, ...).  The step s is one
-    per matrix (...) or a signed scalar; ``base`` is F(H, x) when the caller
-    has it.  Every difference of F is taken here.
-
-    The stack of H + s D_k is k copies of H, each incremented by s D_k[a, b]
-    at D_k's nonzero entries only: the values of H + s D_k bit for bit,
-    without the (k, ...) product s D_k."""
+def _slopes(F: Callable, H: np.ndarray, D: np.ndarray, s) -> np.ndarray:
+    """(F(H + s D_k) - F(H)) / s at matrices H (..., n, n) along each
+    direction D_k of a stack (k, n, n), shaped (k, ...), for F a function
+    on stacked matrices.  The step s is one per matrix (...) or a signed
+    scalar.  Every difference of F is taken here."""
     s = np.asarray(s, dtype=float)
-    S = np.repeat(H[None], len(D), 0)
-    for j, a, b in zip(*np.nonzero(D)):
-        S[j, ..., a, b] += s * D[j, a, b]
-    if base is None:
-        base = op.evaluate_batch(H, x)
-    return (op.evaluate_batch(S, x) - base) / s
+    Dk = D.reshape(D.shape[:1] + (1,) * (H.ndim - 2) + D.shape[1:])
+    return (F(H + s[..., None, None] * Dk) - F(H)) / s
 
 
-def entry_slopes(op: OperatorSpec, H, x=None, base=None) -> np.ndarray:
+def entry_slopes(op: OperatorSpec, H, x=None) -> np.ndarray:
     """The slopes of F at stacked H (..., n, n) and points x (..., n), or
     x = 0, along the entry directions E_ab + E_ba (E_aa if a = b), a <= b
-    in triu order: shaped (n(n+1)/2, ...).  An operator with ``slopes``
-    gives them in closed form, times its ``x_dependence`` at x.  For one
-    without (an ``extension``) they are one-sided differences with step
-    1e-6 (1 + ||H||_F) per matrix, and ``base``, when given, is taken as
-    F(H, x) (a caller that has just evaluated F at H passes it) and spares
-    that evaluation.  An H not shaped (..., n, n) for the operator raises
-    ConfigError."""
+    in triu order: shaped (n(n+1)/2, ...).  They are the operator's
+    ``slopes`` at H times its ``x_dependence`` at x.  An H not shaped
+    (..., n, n) for the operator raises ConfigError."""
     H = np.asarray(H, dtype=float)
     if H.shape[-2:] != (op.n, op.n):
         raise ConfigError(f"linearize needs (..., {op.n}, {op.n}) matrices, got {H.shape}")
-    if op.slopes is not None:
-        return op._times_coefficient(op.slopes(H), x, H.shape[:-2])
-    # ||H||_F as np.linalg.norm sums it, without its conjugate copy of H
-    step = 1e-6 * (1.0 + np.sqrt(np.add.reduce(H * H, axis=(-2, -1))))
-    return _slopes(op, H, _entry_directions(op.n), step, x, base)
+    return op._times_coefficient(op.slopes(H), x, H.shape[:-2])
 
 
-def linearize(op: OperatorSpec, H, x=None, base=None) -> np.ndarray:
+def linearize(op: OperatorSpec, H, x=None) -> np.ndarray:
     """DF(H, x): matrices A (..., n, n) with F(H + X, x) - F(H, x) ~ tr(A X)
     at stacked H (..., n, n) and points x (..., n), or x = 0, from
     ``entry_slopes`` (same arguments): A_aa is the slope along E_aa, and
     A_ab = A_ba half the slope along E_ab + E_ba."""
-    return _from_entry_slopes(entry_slopes(op, H, x, base), op.n)
+    return _from_entry_slopes(entry_slopes(op, H, x), op.n)
 
 
 def scaling_family(op: OperatorSpec, sigma: float, X: SymMatrix) -> float:
@@ -665,7 +662,8 @@ def tangential_limit(op: OperatorSpec, seed: int = 0) -> SymMatrix:
     basis = _entry_directions(n)
     g = np.random.default_rng(seed).standard_normal((4, n, n))
     dirs = np.concatenate([basis, 0.5 * (g + np.swapaxes(g, 1, 2))])
-    fwd, bwd = ([_slopes(op, np.zeros((n, n)), dirs, s * h) for h in _H_LADDER] for s in (1, -1))
+    fwd, bwd = ([_slopes(op.evaluate_batch, np.zeros((n, n)), dirs, s * h) for h in _H_LADDER]
+                for s in (1, -1))
     d = [0.5 * (f + b) for f, b in zip(fwd, bwd)]
     extr = [(100.0 * d[k + 1] - d[k]) / 99.0 for k in range(len(d) - 1)]
     slope, A0 = extr[-1], _from_entry_slopes(extr[-1][: len(basis)], n)

@@ -3,9 +3,10 @@
 Dirichlet problems on the square are discretized with central differences
 (second order, exact on quadratics) and solved by a damped inexact Newton
 iteration on the nodewise residual, each step by GMRES on the Jacobian as
-a scipy DIA matrix, preconditioned with a fast sine transform.  A
-constant-coefficient tangential solver and a manufactured-solutions
-harness give independent ground truth for accuracy studies.
+a scipy DIA matrix, preconditioned with a fast sine transform.  The
+constant-coefficient tangential solve runs that same Newton iteration on
+a linear operator, and a manufactured-solutions harness builds problems
+with a known exact solution for accuracy studies.
 """
 
 from __future__ import annotations
@@ -104,27 +105,26 @@ def _check_on_grid(inst: ProblemInstance, u: GridField) -> None:
 
 def _residual_jets(inst: ProblemInstance, vals: np.ndarray, pts: Optional[np.ndarray]):
     """The nodewise residual of grid values ``vals`` (see ``discrete_residual``),
-    with the interior Hessians H and F(H, x) it was computed from: ``pts``
-    is ``_interior_points(inst)``.
+    with the interior Hessians H it was computed from: ``pts`` is
+    ``_interior_points(inst)``.
 
     The interior runs in ``row_blocks`` of H's shape (64 rows at N=257),
     each block's jets read from its rows and one halo row each side, so
-    that a block's temporaries stay in cache; every value is elementwise,
-    so the result is bit for bit the unblocked one."""
+    that a block's temporaries, F(H, x) among them, stay in cache; every
+    value is elementwise, so the result is bit for bit the unblocked one."""
     f = inst.source
     core = _interior(f.n, f.N)
     res = vals - inst.boundary
     inner, src = res[core], f.values[core]
     drift = None if inst.drift is None else inst.drift.values[core]
     H = np.empty((f.N - 2,) * f.n + (f.n, f.n))
-    FH = np.empty(H.shape[:-2])
     for blk in row_blocks(H.shape):
         H[blk], G = interior_jets(vals[blk.start : blk.stop + 2], f.n, f.h)
-        FH[blk] = inst.op.evaluate_batch(H[blk], None if pts is None else pts[blk])
-        defect = FH[blk] if drift is None else (
-            FH[blk] + np.einsum("...i,...i->...", drift[blk], G))
+        defect = inst.op.evaluate_batch(H[blk], None if pts is None else pts[blk])
+        if drift is not None:
+            defect = defect + np.einsum("...i,...i->...", drift[blk], G)
         inner[blk] = defect - src[blk]
-    return res, H, FH
+    return res, H
 
 
 def discrete_residual(inst: ProblemInstance, u: GridField) -> GridField:
@@ -132,7 +132,7 @@ def discrete_residual(inst: ProblemInstance, u: GridField) -> GridField:
     boundary data on the boundary ring."""
     f = inst.source
     _check_on_grid(inst, u)
-    res, _, _ = _residual_jets(inst, u.values, _interior_points(inst))
+    res, _ = _residual_jets(inst, u.values, _interior_points(inst))
     return GridField(f.n, f.N, f.L, res)
 
 
@@ -148,11 +148,11 @@ def _offset_slots(n: int):
     return tuple(first), slots
 
 
-def _jacobian(inst: ProblemInstance, H: np.ndarray, FH: np.ndarray, pts: Optional[np.ndarray]):
+def _jacobian(inst: ProblemInstance, H: np.ndarray, pts: Optional[np.ndarray]):
     """The Jacobian J of the interior residual in the interior unknowns, in
     natural C order, and the interior means of DF's diagonal, at the iterate
-    whose interior Hessians are H and F(H, x) is FH (``_residual_jets``
-    gives both, and ``pts`` is ``_interior_points(inst)``).
+    whose interior Hessians are H (``_residual_jets`` gives them, and
+    ``pts`` is ``_interior_points(inst)``): DF needs no value of F.
 
     Returns ``(J, abar)``: J a ``scipy.sparse.dia_array`` with one diagonal
     per distinct neighbour offset of ``central_stencil(n)``, in order of
@@ -186,7 +186,7 @@ def _jacobian(inst: ProblemInstance, H: np.ndarray, FH: np.ndarray, pts: Optiona
     drift = None if inst.drift is None else inst.drift.values[_interior(n, f.N)]
     triu = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(*np.triu_indices(n)))}
     for blk in row_blocks(H.shape):
-        slopes = entry_slopes(inst.op, H[blk], None if pts is None else pts[blk], FH[blk])
+        slopes = entry_slopes(inst.op, H[blk], None if pts is None else pts[blk])
         for entry, entry_slots in zip(central_stencil(n), slots):
             if entry.p == 2:
                 dF = slopes[triu[entry.index]]
@@ -327,14 +327,15 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
     the ring.
 
     Each iteration linearizes at the iterate (``_jacobian``, a DIA matrix
-    J) from the interior Hessians H and values F(H, x) that the iterate's
-    residual evaluation computed (the start's, or the accepted trial's),
-    then drops them, so no Jacobian evaluates F at H again; the interior
-    points are built once per solve, and residuals and Jacobians run in row
-    blocks of the interior.  It solves J s = -r by GMRES(``_RESTART``), at most
-    ``_CYCLES`` cycles, right preconditioned by M, the exact
-    ``_sine_inverse`` of sum_a abar_a D_aa (Knoll-Keyes, JCP 2004): GMRES
-    runs on J M, so its tolerance bounds the true residual of the step.
+    J) from the interior Hessians H that the iterate's residual evaluation
+    computed (the start's, or the accepted trial's), then drops them; no
+    value F(H, x) is kept beyond its row block, since DF is the operator's
+    slopes at H.  The interior points are built once per solve, and
+    residuals and Jacobians run in row blocks of the interior.  It solves
+    J s = -r by GMRES(``_RESTART``), at most ``_CYCLES`` cycles, right
+    preconditioned by M, the exact ``_sine_inverse`` of sum_a abar_a D_aa
+    (Knoll-Keyes, JCP 2004): GMRES runs on J M, so its tolerance bounds the
+    true residual of the step.
     That tolerance, relative to ||r||_2, is the Eisenstat-Walker forcing
     term min(0.1, 0.9 (||r_k||_2 / ||r_{k-1}||_2)^2) (SISC 1996), 0.1 at
     the first step, and at least 0.25 tol / ||r_k||_inf.  ``_gmres`` keeps
@@ -370,34 +371,34 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
     basis = np.empty((2 * _RESTART + 1, (f.N - 2)**f.n))   # GMRES's V and Z = M V
 
     def resid(vals):
-        """The residual of grid values, its sup-norm, and the jets (H, F(H, x))
-        a Jacobian at them is built from; GridField refuses a non-finite
-        iterate or residual, as ``discrete_residual`` does."""
-        r_vals, *jets = _residual_jets(inst, GridField(f.n, f.N, f.L, vals).values, pts)
+        """The residual of grid values, its sup-norm, and the interior
+        Hessians H a Jacobian at them is built from; GridField refuses a
+        non-finite iterate or residual, as ``discrete_residual`` does."""
+        r_vals, H = _residual_jets(inst, GridField(f.n, f.N, f.L, vals).values, pts)
         r_vals = GridField(f.n, f.N, f.L, r_vals).values
-        return r_vals, float(np.max(np.abs(r_vals))), jets
+        return r_vals, float(np.max(np.abs(r_vals))), H
 
     def first_decrease(step):
         """The first trial u + 2^-k step, k <= 20, whose residual sup-norm
         is below the current one or meets ``tol``, as (trial, its residual,
-        its sup-norm, its jets, k); None when there is none or the step is
-        not finite."""
+        its sup-norm, its Hessians, k); None when there is none or the step
+        is not finite."""
         if not np.all(np.isfinite(step)):   # GridField rejects a non-finite trial
             return None
         for k in range(21):
             trial = u + 0.5**k * step
-            r_trial, t_norm, jets = resid(trial)
+            r_trial, t_norm, H = resid(trial)
             if t_norm < rnorm or t_norm <= tol:
-                return trial, r_trial, t_norm, jets, k
-            del jets   # a rejected trial's jets are freed before the next is built
+                return trial, r_trial, t_norm, H, k
+            del H   # a rejected trial's Hessians are freed before the next are built
         return None
 
-    r, rnorm, jets = resid(u)
+    r, rnorm, H = resid(u)
     history = [rnorm]
     while rnorm > tol and it < max_iter:
         it += 1
-        J, abar = _jacobian(inst, *jets, pts)
-        jets = accepted = None   # H and F(H, x) are not held through GMRES and the line search
+        J, abar = _jacobian(inst, H, pts)
+        H = accepted = None   # the Hessians are not held through GMRES and the line search
         if not np.all(np.isfinite(abar) & (abar > 0)):
             damping_events.append({"iteration": it, "event": "singular"})
             break
@@ -417,7 +418,7 @@ def solve_newton(inst: ProblemInstance, u0: GridField, tol: float = 1e-10,
             event = "stalled" if np.all(np.isfinite(step)) else "singular"
             damping_events.append({"iteration": it, "event": event})
             break
-        u, r, rnorm, jets, halving = accepted
+        u, r, rnorm, H, halving = accepted
         if halving:
             damping_events.append({"iteration": it, "halvings": halving})
         last_norm2 = norm2

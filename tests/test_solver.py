@@ -38,10 +38,10 @@ LAPLACE = operators.linear_trace(np.eye(2))
 
 
 def jacobian_at(inst, u):
-    """``solver._jacobian`` at u, from the jets of u's residual evaluation."""
+    """``solver._jacobian`` at u, from the Hessians of u's residual evaluation."""
     pts = solver._interior_points(inst)
-    _, H, FH = solver._residual_jets(inst, u.values, pts)
-    return solver._jacobian(inst, H, FH, pts)
+    _, H = solver._residual_jets(inst, u.values, pts)
+    return solver._jacobian(inst, H, pts)
 
 
 def stencil(J, shape):
@@ -69,9 +69,9 @@ def linearized_iterates(monkeypatch) -> list:
         evaluated.append((vals.copy(), out[1]))
         return out
 
-    def recording_jacobian(inst, H, FH, pts):
+    def recording_jacobian(inst, H, pts):
         iterates.append(next(vals for vals, h in evaluated if h is H))
-        return jacobian(inst, H, FH, pts)
+        return jacobian(inst, H, pts)
 
     monkeypatch.setattr(solver, "_residual_jets", recording_residual)
     monkeypatch.setattr(solver, "_jacobian", recording_jacobian)
@@ -318,6 +318,24 @@ class TestNewton:
         assert not rep.converged and rep.krylov_iterations == 0
         assert rep.damping_events == [{"iteration": 1, "event": "singular"}]
 
+    @pytest.mark.parametrize("N", [33, 65])
+    @pytest.mark.parametrize("twin, a", [
+        (operators.perturbed_trace(0.3, pair=operators.EllipticityPair(0.4, 1.6)), 0.5),
+        (operators.pucci_minus_op(operators.EllipticityPair(1.0, 2.0)), 1.0),
+    ], ids=["perturbed_trace", "pucci_minus"])
+    def test_extension_solves_like_its_twin(self, twin, a, N):
+        # an extension of a built-in operator's core linearizes by one-sided
+        # differences, its twin in closed form: the same Newton steps, about
+        # the same Krylov work and the same error against u*
+        u_star = solver.saddle_quartic_solution(a)
+        ext = operators.extension(twin.core, twin.pair, callback_id="twin")
+        want, want_err = solver.mms_solve(twin, u_star, N, 1.0, None, 1e-10)
+        got, got_err = solver.mms_solve(ext, u_star, N, 1.0, None, 1e-10)
+        assert want.converged and got.converged
+        assert got.iterations == want.iterations
+        assert abs(got.krylov_iterations - want.krylov_iterations) <= 2
+        assert got_err == pytest.approx(want_err, rel=1e-6)
+
 
 def damped_instance(n):
     """An x-dependent problem whose solve from a zero interior halves a step
@@ -340,8 +358,8 @@ def zero_interior(inst):
 
 
 class TestJetReuse:
-    """A solve builds each Jacobian from the interior Hessians and F values
-    its iterate's residual evaluation computed, and the interior points once."""
+    """A solve builds each Jacobian from the interior Hessians its
+    iterate's residual evaluation computed, and the interior points once."""
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_jet_evaluation_per_residual(self, monkeypatch, n):
@@ -383,7 +401,7 @@ class TestJetReuse:
         pts = solver._interior_points(inst)
         for vals, (J, abar) in zip(iterates, built):
             H, _ = fields.interior_jets(vals, n, inst.source.h)
-            fresh, fresh_abar = solver._jacobian(inst, H, inst.op.evaluate_batch(H, pts), pts)
+            fresh, fresh_abar = solver._jacobian(inst, H, pts)
             np.testing.assert_array_equal(fresh.offsets, J.offsets)
             np.testing.assert_array_equal(fresh.data, J.data)
             np.testing.assert_array_equal(fresh_abar, abar)
@@ -423,10 +441,10 @@ def unblocked_residual(inst, vals, pts):
     defect = FH if inst.drift is None else (
         FH + np.einsum("...i,...i->...", inst.drift.values[core], G))
     res[core] = defect - f.values[core]
-    return res, H, FH
+    return res, H
 
 
-def unblocked_jacobian(inst, H, FH, pts):
+def unblocked_jacobian(inst, H, pts):
     """``_jacobian`` the direct way: DF from ``linearize`` over the whole
     interior, each weight's (w dF) / (c h^p) added in stencil order, the
     coefficients of neighbours on the boundary ring set to zero, and abar
@@ -434,7 +452,7 @@ def unblocked_jacobian(inst, H, FH, pts):
     f = inst.source
     n, h = f.n, f.h
     offsets, slots = solver._offset_slots(n)
-    DF = operators.linearize(inst.op, H, pts, FH)
+    DF = operators.linearize(inst.op, H, pts)
     coeff = np.zeros((len(offsets),) + H.shape[:-2])
     for entry, entry_slots in zip(fields.central_stencil(n), slots):
         if entry.p == 2:
@@ -469,15 +487,15 @@ class TestBlocks:
         rng = np.random.default_rng(5)
         vals = inst.boundary + 0.1 * rng.standard_normal(inst.boundary.shape)
         pts = solver._interior_points(inst)
-        res, H, FH = unblocked_residual(inst, vals, pts)
-        want = unblocked_jacobian(inst, H, FH, pts)
+        res, H = unblocked_residual(inst, vals, pts)
+        want = unblocked_jacobian(inst, H, pts)
         blocks = []
         for chunk in CHUNK_SIZES:
             monkeypatch.setattr(fields, "_CHUNK_VALUES", chunk)
             blocks.append(len(fields.row_blocks(H.shape)))
             got = solver._residual_jets(inst, vals, pts)
-            assert same_bits(got, (res, H, FH)), chunk
-            J, abar = solver._jacobian(inst, H, FH, pts)
+            assert same_bits(got, (res, H)), chunk
+            J, abar = solver._jacobian(inst, H, pts)
             assert same_bits((stencil(J, H.shape[:-2]), abar), want[1:]), chunk
         # one row (or slab) per block, and blocks of several
         assert blocks[0] == H.shape[0] and any(1 < b < H.shape[0] for b in blocks)

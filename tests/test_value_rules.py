@@ -1,11 +1,13 @@
 """Each value is checked by the type or function that holds it.
 
 One property covers every such rule: a NaN, an infinity or an out-of-range
-value given to a modulus constructor, an ellipticity pair, a sample plan,
-``oscillation_theta``, an exact quadratic or ``solve_linear_tangential``
-raises an EllipticLabError subclass.  It never returns (a NaN or a value
-measured on something else), and never lets a numpy error or a
-RuntimeWarning (an error under this suite's warning filter) escape.
+value given to a modulus constructor, a modulus's ``evaluate``, an
+ellipticity pair, ``perturbed_trace``'s eps, a sample plan,
+``oscillation_theta``, an exact quadratic, ``ball_average_lp``'s p0 or
+``solve_linear_tangential`` raises an EllipticLabError subclass.  It never
+returns (a NaN or a value measured on something else), and never lets a
+numpy error or a RuntimeWarning (an error under this suite's warning
+filter) escape.
 """
 
 import math
@@ -25,6 +27,8 @@ I2 = SymMatrix.identity(2)
 LAPLACE = operators.linear_trace(np.eye(2))
 # an x-dependent operator: a NaN point would make its oscillation NaN
 COEFFICIENT = operators.linear_trace(np.eye(2), x_dependence=lambda x: 1.0 + x[..., 0] ** 2)
+# a field whose ball of radius 2h about its centre node lies inside its grid
+BUMP = fields.GridField(2, 9, 1.0, np.arange(81.0).reshape(9, 9))
 
 
 def at_most(x):
@@ -58,6 +62,13 @@ def knots(good_values, first_may_vanish=False):
     return swaps.map(lambda iv: [iv[1] if k == iv[0] else v for k, v in enumerate(good_values)])
 
 
+def radii():
+    """Radii for a modulus with domain cap 1 that are not finite or outside
+    [0, 1], alone or beside a good one in a list."""
+    bad = NON_FINITE | st.floats(max_value=0.0, exclude_max=True) | above(1.0 + 1e-9)
+    return bad | st.tuples(st.floats(0.0, 1.0), bad).map(list)
+
+
 def boundary_arrays():
     """Boundary data for a 9-node grid that is the wrong shape or not finite."""
     wrong_shape = st.sampled_from([7, 8, 10, 11]).map(lambda k: np.zeros((k, k)))
@@ -86,6 +97,7 @@ CASES = {
         (st.floats(0.01, 3.0), at_most(0.0) | NON_FINITE),
         (st.floats(0.01, 0.5), at_most(0.0) | above(0.5) | NON_FINITE),
     ]),
+    "Modulus.evaluate": (lambda r: moduli.power(0.5).evaluate(r), [(st.nothing(), radii())]),
     "from_table": (moduli.from_table, [
         (st.just([0.01, 0.1, 0.5]), knots([0.01, 0.1, 0.5])),
         (st.just([0.1, 0.3, 0.7]), knots([0.1, 0.3, 0.7], first_may_vanish=True)),
@@ -94,6 +106,9 @@ CASES = {
         (st.floats(0.1, 1.0), at_most(0.0) | above(10.0) | NON_FINITE),
         (st.floats(1.0, 10.0), at_most(0.09) | NON_FINITE),
     ]),
+    "perturbed_trace": (
+        lambda eps: operators.perturbed_trace(eps, pair=operators.EllipticityPair(1.0, 2.0)),
+        [(st.nothing(), st.floats(max_value=0.0, exclude_max=True) | NON_FINITE)]),
     "SamplePlan": (SamplePlan, [
         (st.integers(0, 2**32), st.integers(max_value=-1) | NON_FINITE),
         (st.integers(1, 50), st.integers(max_value=0) | NON_FINITE),
@@ -104,6 +119,8 @@ CASES = {
     "quadratic_solution": (
         lambda c, b: solver.mms_generate(LAPLACE, fields.quadratic_solution(c, b, I2), N=9),
         [(st.floats(-1.0, 1.0), NON_FINITE), (points(True), points(False))]),
+    "ball_average_lp": (lambda p0: fields.ball_average_lp(BUMP, (4, 4), 0.5, p0),
+                        [(st.nothing(), at_most(2.0) | NON_FINITE)]),
     "solve_linear_tangential": (
         lambda boundary: solver.solve_linear_tangential(I2, boundary, 9),
         [(st.nothing(), boundary_arrays())]),
@@ -131,6 +148,12 @@ def one_bad(pairs):
 @example(("quadratic_solution", (0.0, [1.0, 2.0, 3.0])))
 @example(("from_table", ([0.01, 0.1, INF], [0.1, 0.3, 0.7])))
 @example(("from_table", ([0.01, 0.1, 0.5], [0.1, 0.0, 0.7])))
+@example(("Modulus.evaluate", (NAN,)))
+@example(("Modulus.evaluate", ([0.25, NAN],)))
+@example(("perturbed_trace", (NAN,)))
+@example(("perturbed_trace", (INF,)))
+@example(("ball_average_lp", (NAN,)))
+@example(("ball_average_lp", (INF,)))
 def test_a_bad_value_raises_a_package_error(case):
     name, args = case
     with pytest.raises(EllipticLabError):
